@@ -16,12 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corrections import (
+    SOFT_CELL_AREA,
     Branch,
     CorrectionValue,
     ExpansionParams,
     FloquetPoint,
+    _derivative_gap,
+    _simple_amplitude,
     correction_for,
-    lambda_expansion,
+    lambda1_grid,
 )
 from .spectrum import ModeIndex, Parity, enumerate_spectrum, limit_eigenvalue
 
@@ -57,22 +60,22 @@ class BandInterval:
 
 # candidate extremizer components: Lambda1 factors through cos/sin of eta_i/2,
 # so extrema over the closed square lie on the tensor grid {-pi, 0, pi}^2
-_EXTREME_COMPONENTS = (0.0, math.pi, -math.pi)
+_EXTREME_AXIS = (0.0, math.pi, -math.pi)
 
 
 def _extremes_over(
-    corr: CorrectionValue, points: list[FloquetPoint]
+    corr: CorrectionValue, axis
 ) -> tuple[float, FloquetPoint, float, FloquetPoint]:
-    lo = math.inf
-    hi = -math.inf
-    lo_eta = hi_eta = points[0]
-    for eta in points:
-        v = corr.lambda1_at(eta)
-        if v < lo:
-            lo, lo_eta = v, eta
-        if v > hi:
-            hi, hi_eta = v, eta
-    return lo, lo_eta, hi, hi_eta
+    # argmin/argmax return the first extremizer in row-major order, as a
+    # strict `<` / `>` scan of the points would
+    values = lambda1_grid(corr, axis)
+    size = len(axis)
+
+    def point(index: int) -> FloquetPoint:
+        return FloquetPoint(float(axis[index // size]), float(axis[index % size]))
+
+    lo, hi = int(np.argmin(values)), int(np.argmax(values))
+    return float(values[lo]), point(lo), float(values[hi]), point(hi)
 
 
 def band_interval(
@@ -91,18 +94,11 @@ def band_interval(
         origin = FloquetPoint(0.0, 0.0)
         return BandInterval(mode, lam0 - pad, lam0 + pad, pad, True, (origin, origin))
 
-    axis = floquet_axis(grid_resolution)
-    grid_pts = [FloquetPoint(float(a), float(b)) for a in axis for b in axis]
-    lo, lo_eta, hi, hi_eta = _extremes_over(corr, grid_pts)
+    lo, lo_eta, hi, hi_eta = _extremes_over(corr, floquet_axis(grid_resolution))
 
     # closed-form extrema land on the half-angle lattice; the grid scan and
     # the candidate list must agree to grid tolerance
-    cand_pts = [
-        FloquetPoint(a, b)
-        for a in _EXTREME_COMPONENTS
-        for b in _EXTREME_COMPONENTS
-    ]
-    cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = _extremes_over(corr, cand_pts)
+    cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = _extremes_over(corr, _EXTREME_AXIS)
     scale = max(abs(cand_lo), abs(cand_hi), 1.0)
     step = 2.0 * math.pi / (grid_resolution - 1)
     slack = 0.75 * scale * step * step
@@ -152,19 +148,13 @@ def band_length(mode: ModeIndex, params: ExpansionParams) -> BandLength:
     note = "remainder O(eps^%.6g)" % params.gamma
     eps2m = params.first_order_scale
     if n == 0:
-        from .bessel import bessel_j, bessel_zero
-
-        z = bessel_zero(0, k).value
-        j1 = bessel_j(1, z)
-        return BandLength((2.0 * math.pi / (1.0 - math.pi / 4.0)) * j1 * j1 * eps2m, note)
+        j1 = _simple_amplitude(k)[1]
+        return BandLength((2.0 * math.pi / SOFT_CELL_AREA) * j1 * j1 * eps2m, note)
     if n % 4 == 0:
         return BandLength(None, "undetermined, O(eps^%.6g)" % (2.0 * params.m))
-    from .bessel import bessel_j, bessel_zero
-
-    z = bessel_zero(n, k).value
-    gap = bessel_j(n - 1, z) - bessel_j(n + 1, z)
+    z, gap = _derivative_gap(n, k)
     num = 64.0 if n % 4 == 2 else 16.0
-    coef = abs(num / (z * n * n * (1.0 - math.pi / 4.0)) * gap)
+    coef = abs(num / (z * n * n * SOFT_CELL_AREA) * gap)
     return BandLength(coef * eps2m, note)
 
 
@@ -173,26 +163,18 @@ def swept_band_width(
 ) -> float:
     """Grid-swept width of the union of branch bands of (n, k), pad excluded;
     independent route to `band_length` for cross-checking."""
-    if n == 0:
-        corr = correction_for(ModeIndex(0, k, Parity.SIMPLE))
-        values = [
-            corr.lambda1_at(FloquetPoint(float(a), float(b)))
-            for a in floquet_axis(resolution)
-            for b in floquet_axis(resolution)
-        ]
-        return params.first_order_scale * (max(values) - min(values))
-    if n % 4 == 0:
+    if n % 4 == 0 and n > 0:
         raise ValueError(
             "band width of (n, k) = (%d, %d) is undetermined at first order" % (n, k)
         )
-    corr = correction_for(ModeIndex(n, k, Parity.SINE))
-    values = [0.0]  # the cosine branch pins Lambda1 = 0 into the union
-    values.extend(
-        corr.lambda1_at(FloquetPoint(float(a), float(b)))
-        for a in floquet_axis(resolution)
-        for b in floquet_axis(resolution)
-    )
-    return params.first_order_scale * (max(values) - min(values))
+    parity = Parity.SIMPLE if n == 0 else Parity.SINE
+    corr = correction_for(ModeIndex(n, k, parity))
+    values = lambda1_grid(corr, floquet_axis(resolution))
+    lo, hi = float(values.min()), float(values.max())
+    if n > 0:
+        # the cosine branch pins Lambda1 = 0 into the union
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return params.first_order_scale * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -301,9 +283,10 @@ def brillouin_sweep(
 ) -> list[tuple[FloquetPoint, float]]:
     """Two-term eigenvalue sampled over the closed grid, row-major in eta1."""
     axis = floquet_axis(resolution)
-    out: list[tuple[FloquetPoint, float]] = []
-    for e1 in axis:
-        for e2 in axis:
-            eta = FloquetPoint(float(e1), float(e2))
-            out.append((eta, lambda_expansion(mode, eta, params).value))
-    return out
+    points = [FloquetPoint(float(a), float(b)) for a in axis for b in axis]
+    lam0 = limit_eigenvalue(mode).lambda0
+    corr = correction_for(mode)
+    if corr.branch is Branch.UNDETERMINED:
+        return [(eta, lam0) for eta in points]
+    values = lam0 + params.first_order_scale * lambda1_grid(corr, axis)
+    return list(zip(points, values.tolist()))

@@ -4,7 +4,7 @@ Subcommands: zeros, spectrum, bands, gaps, diagram, verify.  Tables are
 emitted as CSV (default) or JSON; diagram renders an SVG band picture.
 Every numeric is printed with 15 significant digits and identical inputs
 produce byte-identical output.  Exit codes: 0 ok, 1 usage or config error,
-2 numerical failure, 3 internal consistency failure.
+2 numerical failure, 3 internal consistency failure or other internal fault.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .bands import (
     InternalConsistencyError,
+    _lambda1_range,
     band_interval,
     band_length,
     brillouin_sweep,
@@ -53,6 +54,11 @@ EXIT_INTERNAL = 3
 
 _FORMATS = ("csv", "json", "svg")
 
+# largest --grid accepted: a sweep holds a few grid^2 float arrays per mode,
+# so time and memory grow as grid^2 (bands --count 10 at this size peaks at
+# about 130 MB RSS)
+MAX_GRID = 2049
+
 
 class ConfigError(ValueError):
     """Bad flag, bad config file, or invalid parameter combination."""
@@ -87,16 +93,18 @@ class RunConfig:
                 "m must lie strictly inside (0, 1/2); the two-term expansion "
                 "assumes this fixed exponent range, got %r" % (self.m,)
             )
-        if self.grid_resolution < 3:
+        if not (3 <= self.grid_resolution <= MAX_GRID):
             raise ConfigError(
-                "grid resolution must be >= 3, got %r" % (self.grid_resolution,)
+                "grid resolution must lie in [3, %d], got %r"
+                % (MAX_GRID, self.grid_resolution)
             )
         if self.output_format not in _FORMATS:
             raise ConfigError("unknown output format %r" % (self.output_format,))
-        if self.default_constant < 0.0 or any(
-            v < 0.0 for v in self.error_constants.values()
-        ):
-            raise ConfigError("error constants must be non-negative")
+        for c in (self.default_constant, *self.error_constants.values()):
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ConfigError(
+                    "error constants must be finite and non-negative, got %r" % (c,)
+                )
 
     def params(self) -> ExpansionParams:
         return ExpansionParams(self.epsilon, self.m, self.default_constant)
@@ -186,11 +194,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.out is not None:
         cfg.output_path = args.out
     if args.error_constant is not None:
-        if args.error_constant < 0.0:
-            raise ConfigError(
-                "--error-constant must be non-negative, got %r"
-                % (args.error_constant,)
-            )
         cfg.default_constant = args.error_constant
         cfg.error_constants = {}
     cfg.validate()
@@ -298,10 +301,7 @@ def _band_rows(count: int, config: RunConfig) -> list[dict]:
         if interval.undetermined:
             length = None
         else:
-            corr = correction_for(m)
-            lam1_lo = corr.lambda1_at(interval.extrema_eta[0])
-            lam1_hi = corr.lambda1_at(interval.extrema_eta[1])
-            length = params.first_order_scale * (lam1_hi - lam1_lo)
+            length = params.first_order_scale * _lambda1_range(interval)
             _check_band_length(m, params, length)
         rows.append(
             {
@@ -751,7 +751,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, default) -> None:
     # value parsed before the subcommand name
     parser.add_argument("--epsilon", type=float, default=default, help="small parameter (default 1e-3)")
     parser.add_argument("--m", type=float, default=default, help="density exponent in (0, 1/2) (default 0.25)")
-    parser.add_argument("--grid", type=int, default=default, help="eta grid resolution per axis (default 33)")
+    parser.add_argument("--grid", type=int, default=default, help="eta grid resolution per axis, 3 to %d (default 33)" % MAX_GRID)
     parser.add_argument("--format", choices=list(_FORMATS), default=default, help="output format (default csv; diagram defaults to svg)")
     parser.add_argument("--out", default=default, help="output file (default stdout)")
     parser.add_argument("--config", default=default, help="key=value config file; flags override it")
@@ -803,7 +803,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "diagram":
             return cmd_diagram(args.count, config)
         return cmd_verify(config)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (ZeroFindingError, OracleConvergenceError, QuadratureConvergenceError) as exc:
@@ -811,6 +811,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except InternalConsistencyError as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        # validation raises ConfigError; any other ValueError is a fault of
+        # the program, not of its input
+        print("internal failure: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 
 

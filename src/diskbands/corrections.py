@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,20 +148,28 @@ class ExpansionParams:
         return self.error_constant * self.epsilon**self.gamma
 
 
+@functools.lru_cache(maxsize=None)
 def _derivative_gap(n: int, k: int) -> tuple[float, float]:
     # (j_{n,k}, J_{n-1}(j) - J_{n+1}(j)); the bracket equals 2 J_n'(j)
     z = bessel_zero(n, k).value
     return z, bessel_j(n - 1, z) - bessel_j(n + 1, z)
 
 
+@functools.lru_cache(maxsize=None)
+def _simple_amplitude(k: int) -> tuple[float, float]:
+    # (j_{0,k}, J_1(j_{0,k})) of the simple mode (0, k)
+    z = bessel_zero(0, k).value
+    return z, bessel_j(1, z)
+
+
 def c0_simple(k: int, eta: FloquetPoint) -> float:
     """Compatibility constant of a simple mode:
     pi J_1(j_{0,k}) cos(eta1/2) cos(eta2/2) / (j_{0,k} (1 - pi/4))."""
-    z = bessel_zero(0, k).value
+    z, j1 = _simple_amplitude(k)
     return (
         math.pi
         / (z * SOFT_CELL_AREA)
-        * bessel_j(1, z)
+        * j1
         * math.cos(0.5 * eta.eta1)
         * math.cos(0.5 * eta.eta2)
     )
@@ -185,12 +194,39 @@ def c0_multiple(
     return -1j * base * (sign * coeff_c * sa * cb + coeff_s * ca * sb)
 
 
+def _half_angle_factors(axis) -> tuple[np.ndarray, np.ndarray]:
+    # sin and cos of eta_i/2 at each reduced axis value; math.sin/math.cos
+    # rather than np.sin/np.cos, whose results may differ in the last bit
+    halves = [0.5 * _reduce_angle(a) for a in axis]
+    return (
+        np.array([math.sin(h) for h in halves]),
+        np.array([math.cos(h) for h in halves]),
+    )
+
+
+def _lambda1_table(n: int, k: int, axis1, axis2) -> np.ndarray:
+    # Lambda1 of the simple mode (n = 0) or of the sine branch of the double
+    # mode (n, k), n != 0 (mod 4), on the tensor grid axis1 x axis2 (row i at
+    # eta1 = axis1[i]).  Each entry takes the float operations of the
+    # one-point formula in the same order, so a 1x1 table is the scalar value.
+    s1, c1 = _half_angle_factors(axis1)
+    s2, c2 = _half_angle_factors(axis2)
+    if n == 0:
+        amp = (_simple_amplitude(k)[1] * c1)[:, None] * c2
+        return (2.0 * math.pi / SOFT_CELL_AREA) * amp * amp
+    z, gap = _derivative_gap(n, k)
+    pref = gap / (z * SOFT_CELL_AREA)
+    if n % 4 == 2:
+        return (pref * (64.0 / (n * n)) * (s1 * s1))[:, None] * (s2 * s2)
+    return -pref * (16.0 / (n * n)) * (
+        (s1 * s1)[:, None] * c2 * c2 + (c1 * c1)[:, None] * s2 * s2
+    )
+
+
 def lambda1_simple(k: int, eta: FloquetPoint) -> float:
     """First-order correction of the simple mode (0, k):
     (2 pi / (1 - pi/4)) (J_1(j_{0,k}) cos(eta1/2) cos(eta2/2))^2."""
-    z = bessel_zero(0, k).value
-    amp = bessel_j(1, z) * math.cos(0.5 * eta.eta1) * math.cos(0.5 * eta.eta2)
-    return (2.0 * math.pi / SOFT_CELL_AREA) * amp * amp
+    return float(_lambda1_table(0, k, (eta.eta1,), (eta.eta2,))[0, 0])
 
 
 def _arc_trig_integrals(n: int, eta: FloquetPoint, panels: int) -> tuple[complex, complex]:
@@ -254,14 +290,7 @@ def lambda1_multiple(n: int, k: int, eta: FloquetPoint) -> MultipleCorrection:
         raise ValueError("double modes need n >= 1 and k >= 1, got (%r, %r)" % (n, k))
     if n % 4 == 0:
         return MultipleCorrection(0.0, 0.0, True)
-    z, gap = _derivative_gap(n, k)
-    pref = gap / (z * SOFT_CELL_AREA)
-    sa, ca = math.sin(0.5 * eta.eta1), math.cos(0.5 * eta.eta1)
-    sb, cb = math.sin(0.5 * eta.eta2), math.cos(0.5 * eta.eta2)
-    if n % 4 == 2:
-        trace = pref * (64.0 / (n * n)) * (sa * sa) * (sb * sb)
-    else:
-        trace = -pref * (16.0 / (n * n)) * (sa * sa * cb * cb + ca * ca * sb * sb)
+    trace = float(_lambda1_table(n, k, (eta.eta1,), (eta.eta2,))[0, 0])
     return MultipleCorrection(0.0, trace, False)
 
 
@@ -288,16 +317,29 @@ class CorrectionValue:
     branch: Branch
 
     def lambda1_at(self, eta: FloquetPoint) -> float:
-        if self.branch is Branch.UNDETERMINED:
-            raise UndeterminedCorrectionError(
-                "mode %s has no first-order correction data (n = 0 mod 4)"
-                % self.mode.label()
-            )
+        self._require_determined()
         if self.branch is Branch.SIMPLE:
             return lambda1_simple(self.mode.k, eta)
         if self.branch is Branch.COSINE:
             return 0.0
         return lambda1_multiple(self.mode.n, self.mode.k, eta).sine
+
+    def _require_determined(self) -> None:
+        if self.branch is Branch.UNDETERMINED:
+            raise UndeterminedCorrectionError(
+                "mode %s has no first-order correction data (n = 0 mod 4)"
+                % self.mode.label()
+            )
+
+
+def lambda1_grid(corr: CorrectionValue, axis) -> np.ndarray:
+    """Lambda1 of one branch at every point (axis[i], axis[j]) of the tensor
+    grid, flattened row-major over eta1 (index i * len(axis) + j); equal,
+    value for value, to `corr.lambda1_at` at the reduced point."""
+    corr._require_determined()
+    if corr.branch is Branch.COSINE:
+        return np.zeros(len(axis) * len(axis))
+    return _lambda1_table(corr.mode.n, corr.mode.k, axis, axis).ravel()
 
 
 def correction_for(mode: ModeIndex) -> CorrectionValue:

@@ -8,22 +8,26 @@ import pytest
 
 from diskbands import (
     SOFT_CELL_AREA,
+    Branch,
     ExpansionParams,
     FloquetPoint,
     ModeIndex,
     Parity,
+    UndeterminedCorrectionError,
     band_interval,
     band_length,
     bessel_j,
     bessel_j_prime,
     bessel_zero,
     brillouin_sweep,
+    correction_for,
     detect_gaps,
     floquet_axis,
     lambda1_simple,
     limit_eigenvalue,
     swept_band_width,
 )
+from diskbands.corrections import lambda1_grid
 
 PARAMS = ExpansionParams(1e-3, 0.25)
 
@@ -235,3 +239,86 @@ def test_band_values_against_reference_numbers():
     sine = band_interval(_mode(2, 1, Parity.SINE), PARAMS)
     assert sine.upper == pytest.approx(105.498466, abs=1e-5)
     assert sine.lower == pytest.approx(105.186646, abs=1e-4)
+
+
+
+def _modes_up_to_seven():
+    for n in range(8):
+        for k in (1, 2):
+            if n == 0:
+                yield ModeIndex(0, k, Parity.SIMPLE)
+            else:
+                yield ModeIndex(n, k, Parity.COSINE)
+                yield ModeIndex(n, k, Parity.SINE)
+
+
+def _reference_lambda1(mode, eta):
+    # the point-by-point formulas, Bessel constants recomputed at each call
+    if mode.n == 0:
+        z = bessel_zero(0, mode.k).value
+        amp = bessel_j(1, z) * math.cos(0.5 * eta.eta1) * math.cos(0.5 * eta.eta2)
+        return (2.0 * math.pi / SOFT_CELL_AREA) * amp * amp
+    if mode.parity is Parity.COSINE:
+        return 0.0
+    n = mode.n
+    z = bessel_zero(n, mode.k).value
+    pref = (bessel_j(n - 1, z) - bessel_j(n + 1, z)) / (z * SOFT_CELL_AREA)
+    sa, ca = math.sin(0.5 * eta.eta1), math.cos(0.5 * eta.eta1)
+    sb, cb = math.sin(0.5 * eta.eta2), math.cos(0.5 * eta.eta2)
+    if n % 4 == 2:
+        return pref * (64.0 / (n * n)) * (sa * sa) * (sb * sb)
+    return -pref * (16.0 / (n * n)) * (sa * sa * cb * cb + ca * ca * sb * sb)
+
+
+@pytest.mark.parametrize("resolution", [8, 9])
+def test_lambda1_grid_equals_scalar_bitwise(resolution):
+    axis = floquet_axis(resolution)
+    points = [FloquetPoint(float(a), float(b)) for a in axis for b in axis]
+    for mode in _modes_up_to_seven():
+        corr = correction_for(mode)
+        if corr.branch is Branch.UNDETERMINED:
+            with pytest.raises(UndeterminedCorrectionError):
+                lambda1_grid(corr, axis)
+            continue
+        grid = lambda1_grid(corr, axis)
+        assert grid.shape == (resolution * resolution,)
+        for value, eta in zip(grid.tolist(), points):
+            assert value == corr.lambda1_at(eta), (mode.label(), eta)
+            assert value == _reference_lambda1(mode, eta), (mode.label(), eta)
+
+
+def _reference_scan(corr, points):
+    lo, hi = math.inf, -math.inf
+    lo_eta = hi_eta = points[0]
+    for eta in points:
+        v = corr.lambda1_at(eta)
+        if v < lo:
+            lo, lo_eta = v, eta
+        if v > hi:
+            hi, hi_eta = v, eta
+    return lo, lo_eta, hi, hi_eta
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 33])
+def test_band_interval_extremizers_match_strict_scan(resolution):
+    axis = floquet_axis(resolution)
+    grid_pts = [FloquetPoint(float(a), float(b)) for a in axis for b in axis]
+    corners = (0.0, math.pi, -math.pi)
+    cand_pts = [FloquetPoint(a, b) for a in corners for b in corners]
+    params = ExpansionParams(1e-2, 0.3, 0.5)
+    for mode in _modes_up_to_seven():
+        corr = correction_for(mode)
+        if corr.branch is Branch.UNDETERMINED:
+            continue
+        lo, lo_eta, hi, hi_eta = _reference_scan(corr, grid_pts)
+        cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = _reference_scan(corr, cand_pts)
+        if cand_lo < lo:
+            lo, lo_eta = cand_lo, cand_lo_eta
+        if cand_hi > hi:
+            hi, hi_eta = cand_hi, cand_hi_eta
+        band = band_interval(mode, params, resolution)
+        assert band.extrema_eta == (lo_eta, hi_eta), mode.label()
+        scale = params.first_order_scale
+        lam0 = limit_eigenvalue(mode).lambda0
+        assert band.lower == lam0 + scale * lo - params.pad
+        assert band.upper == lam0 + scale * hi + params.pad

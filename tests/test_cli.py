@@ -1,4 +1,5 @@
-"""Command-line interface, exercised through subprocesses."""
+"""Command-line interface, exercised through subprocesses and, where a
+library function must be replaced, through `cli.main` in-process."""
 
 import csv
 import io
@@ -8,6 +9,8 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+
+from diskbands import cli
 
 CMD = [sys.executable, "-m", "diskbands"]
 
@@ -196,3 +199,25 @@ def test_config_errors(tmp_path):
         CMD + ["bands", "--config", str(unknown)], capture_output=True, text=True
     )
     assert proc2.returncode == 1
+
+
+def test_nonfinite_constants_and_grid_cap_are_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("c.1.1 = inf\n")
+    for args in (
+        ["bands", "--error-constant", "inf"],
+        ["bands", "--error-constant", "nan"],
+        ["bands", "--config", str(cfg)],
+        ["bands", "--grid", str(cli.MAX_GRID + 1)],
+    ):
+        assert cli.main(args) == cli.EXIT_USAGE, args
+        assert capsys.readouterr().err.startswith("error: "), args
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(count):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", broken)
+    assert cli.main(["spectrum"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal failure: ")
