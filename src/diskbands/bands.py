@@ -22,6 +22,7 @@ from .corrections import (
     ExpansionParams,
     FloquetPoint,
     _derivative_gap,
+    _reduce_angle,
     _simple_amplitude,
     correction_for,
     lambda1_grid,
@@ -232,7 +233,15 @@ def detect_gaps(
     intervals = [
         band_interval(p.mode, params_for(p.mode), grid_resolution) for p in pairs
     ]
+    return gap_reports(intervals, params)
 
+
+def gap_reports(
+    intervals: list[BandInterval], params: ExpansionParams
+) -> list[GapReport]:
+    """Gap reports for each adjacent pair of `intervals`, given in spectral
+    order; `params` supplies eps and m for the pad-versus-first-order
+    warning.  `detect_gaps` computes the intervals and calls this."""
     _warn_if_pad_swamps_first_order(intervals, params)
 
     reports: list[GapReport] = []
@@ -280,13 +289,14 @@ def _warn_if_pad_swamps_first_order(
 
 def brillouin_sweep(
     mode: ModeIndex, params: ExpansionParams, resolution: int = 33
-) -> list[tuple[FloquetPoint, float]]:
-    """Two-term eigenvalue sampled over the closed grid, row-major in eta1."""
-    axis = floquet_axis(resolution)
-    points = [FloquetPoint(float(a), float(b)) for a in axis for b in axis]
+) -> tuple[list[float], list[float]]:
+    """Two-term eigenvalue sampled over the closed grid.  Returns the axis,
+    reduced into [-pi, pi) (so its closing pi reads -pi), and the values at
+    (axis[i], axis[j]), flattened row-major over eta1."""
+    axis = [_reduce_angle(a) for a in floquet_axis(resolution)]
     lam0 = limit_eigenvalue(mode).lambda0
     corr = correction_for(mode)
     if corr.branch is Branch.UNDETERMINED:
-        return [(eta, lam0) for eta in points]
+        return axis, [lam0] * (resolution * resolution)
     values = lam0 + params.first_order_scale * lambda1_grid(corr, axis)
-    return list(zip(points, values.tolist()))
+    return axis, values.tolist()

@@ -10,6 +10,7 @@ produce byte-identical output.  Exit codes: 0 ok, 1 usage or config error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -17,12 +18,13 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .bands import (
+    BandInterval,
     InternalConsistencyError,
     _lambda1_range,
     band_interval,
     band_length,
     brillouin_sweep,
-    detect_gaps,
+    gap_reports,
     swept_band_width,
 )
 from .bessel import ZeroFindingError, bessel_j, bessel_zero
@@ -59,13 +61,17 @@ _FORMATS = ("csv", "json", "svg")
 # about 130 MB RSS)
 MAX_GRID = 2049
 
+# largest count * grid^2 that diagram writes as csv or json, one row per
+# sample; json holds every sample in memory before it prints
+MAX_DIAGRAM_SAMPLES = 513 * 513
+
 
 class ConfigError(ValueError):
     """Bad flag, bad config file, or invalid parameter combination."""
 
 
-def _fmt(x: float) -> str:
-    return "%.15g" % (x,)
+# every printed number has 15 significant digits
+_fmt = "%.15g".__mod__
 
 
 def _jnum(x: float) -> float:
@@ -86,13 +92,12 @@ class RunConfig:
     default_constant: float = 0.0
 
     def validate(self) -> None:
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ConfigError("epsilon must be positive, got %r" % (self.epsilon,))
-        if not (0.0 < self.m < 0.5):
-            raise ConfigError(
-                "m must lie strictly inside (0, 1/2); the two-term expansion "
-                "assumes this fixed exponent range, got %r" % (self.m,)
-            )
+        # ExpansionParams owns the rules for epsilon, m and error constants
+        for c in (self.default_constant, *self.error_constants.values()):
+            try:
+                ExpansionParams(self.epsilon, self.m, c)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if not (3 <= self.grid_resolution <= MAX_GRID):
             raise ConfigError(
                 "grid resolution must lie in [3, %d], got %r"
@@ -100,25 +105,15 @@ class RunConfig:
             )
         if self.output_format not in _FORMATS:
             raise ConfigError("unknown output format %r" % (self.output_format,))
-        for c in (self.default_constant, *self.error_constants.values()):
-            if not (math.isfinite(c) and c >= 0.0):
-                raise ConfigError(
-                    "error constants must be finite and non-negative, got %r" % (c,)
-                )
-
-    def params(self) -> ExpansionParams:
-        return ExpansionParams(self.epsilon, self.m, self.default_constant)
-
-    def params_for(self, m: ModeIndex) -> ExpansionParams:
-        c = self.error_constants.get((m.n, m.k), self.default_constant)
-        return ExpansionParams(self.epsilon, self.m, c)
 
     def constant_for(self, m: ModeIndex) -> float:
         return self.error_constants.get((m.n, m.k), self.default_constant)
 
-    @property
-    def gamma(self) -> float:
-        return min(3.0 * self.m, 1.0)
+    def params(self, mode: ModeIndex | None = None) -> ExpansionParams:
+        """Expansion parameters with the error constant of `mode`, or with
+        the default constant when no mode is given."""
+        c = self.default_constant if mode is None else self.constant_for(mode)
+        return ExpansionParams(self.epsilon, self.m, c)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -200,33 +195,93 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, config: RunConfig) -> None:
+def _emit(chunks, config: RunConfig) -> None:
+    """Write the strings of `chunks` in turn to --out, or to stdout."""
     if config.output_path is None or config.output_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise ConfigError(
             "cannot write output file %s: %s" % (config.output_path, exc)
         ) from exc
 
 
-def _csv(header: str, rows: list[str]) -> str:
-    return "\n".join([header] + rows) + "\n"
+# ------------------------------------------------------------------ tables
+#
+# Every table is a list of rows in their JSON shape.  The CSV header and
+# cells derive from that shape: a nested dict becomes <key>_<subkey>
+# columns, a list <key>_1, <key>_2, ...; None prints as an empty cell and
+# booleans as true/false.  Rows hold only JSON types (floats as Python
+# floats), and every float is stored rounded by _jnum, so the 15 significant
+# digits of the CSV and the JSON numbers agree.
 
 
-def _json_doc(config: RunConfig, rows: list[dict], uncertified: bool | None = None) -> str:
+def _columns(row: dict) -> list[str]:
+    names = []
+    for key, v in row.items():
+        if isinstance(v, dict):
+            names += ["%s_%s" % (key, sub) for sub in v]
+        elif isinstance(v, list):
+            names += ["%s_%d" % (key, i) for i in range(1, len(v) + 1)]
+        else:
+            names.append(key)
+    return names
+
+
+def _cells(values) -> str:
+    return ",".join([_CELL[type(v)](v) for v in values])
+
+
+# CSV text of each JSON value type; a dict or a list spans one cell per member
+_CELL = {
+    float: _fmt,
+    int: str,
+    str: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "",
+    dict: lambda v: _cells(v.values()),
+    list: _cells,
+}
+
+
+def _csv_chunks(rows):
+    # the header, then the rows a few thousand lines per write: a write per
+    # line made `diagram --count 10 --grid 65 --format csv` about 40% slower
+    # on one core
+    rows = iter(rows)
+    first = next(rows)
+    yield ",".join(_columns(first)) + "\n"
+    lines = map(_cells, map(dict.values, itertools.chain((first,), rows)))
+    while batch := list(itertools.islice(lines, 4096)):
+        yield "\n".join(batch) + "\n"
+
+
+def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> None:
+    """Emit `rows` as CSV lines, or as one JSON document with a meta block;
+    rows for JSON must be a list, rows for CSV may be any iterable."""
+    if config.output_format == "csv":
+        _emit(_csv_chunks(rows), config)
+        return
     meta: dict = {
         "epsilon": _jnum(config.epsilon),
         "m": _jnum(config.m),
-        "gamma": _jnum(config.gamma),
+        "gamma": _jnum(config.params().gamma),
         "grid": config.grid_resolution,
     }
     if uncertified is not None:
         meta["uncertified"] = uncertified
-    return json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
+    _emit([json.dumps({"meta": meta, "rows": rows}, indent=1), "\n"], config)
+
+
+def _mode_fields(m: ModeIndex) -> dict:
+    return {"n": m.n, "k": m.k, "parity": m.parity.value}
+
+
+def _eta(p: FloquetPoint) -> list[float]:
+    return [_jnum(p.eta1), _jnum(p.eta2)]
 
 
 def _warn_uncertified(config: RunConfig, modes: list[ModeIndex]) -> bool:
@@ -253,17 +308,12 @@ def cmd_zeros(n_max: int, k_max: int, config: RunConfig) -> int:
             "need n_max >= 0 and k_max >= 1, got (%r, %r)" % (n_max, k_max)
         )
     _reject_svg(config)
-    triples = [
-        (n, k, bessel_zero(n, k).value)
+    rows = [
+        {"n": n, "k": k, "j": _jnum(bessel_zero(n, k).value)}
         for n in range(n_max + 1)
         for k in range(1, k_max + 1)
     ]
-    if config.output_format == "json":
-        rows = [{"n": n, "k": k, "j": _jnum(j)} for n, k, j in triples]
-        _emit(_json_doc(config, rows), config)
-    else:
-        lines = ["%d,%d,%s" % (n, k, _fmt(j)) for n, k, j in triples]
-        _emit(_csv("n,k,j", lines), config)
+    _write_table(config, rows)
     return EXIT_OK
 
 
@@ -271,53 +321,28 @@ def cmd_spectrum(count: int, config: RunConfig) -> int:
     if count < 1:
         raise ConfigError("count must be >= 1, got %r" % (count,))
     _reject_svg(config)
-    pairs = enumerate_spectrum(count)
-    if config.output_format == "json":
-        rows = [
-            {
-                "n": p.mode.n,
-                "k": p.mode.k,
-                "parity": p.mode.parity.value,
-                "lambda0": _jnum(p.lambda0),
-            }
-            for p in pairs
-        ]
-        _emit(_json_doc(config, rows), config)
-    else:
-        lines = [
-            "%d,%d,%s,%s" % (p.mode.n, p.mode.k, p.mode.parity.value, _fmt(p.lambda0))
-            for p in pairs
-        ]
-        _emit(_csv("n,k,parity,lambda0", lines), config)
+    rows = [
+        {**_mode_fields(p.mode), "lambda0": _jnum(p.lambda0)}
+        for p in enumerate_spectrum(count)
+    ]
+    _write_table(config, rows)
     return EXIT_OK
 
 
-def _band_rows(count: int, config: RunConfig) -> list[dict]:
-    rows = []
+def _bands(count: int, config: RunConfig) -> list[tuple[BandInterval, float | None]]:
+    # band interval and first-order length (None when undetermined) of each
+    # of the first `count` modes, each with its own error constant
+    bands = []
     for pair in enumerate_spectrum(count):
         m = pair.mode
-        params = config.params_for(m)
+        params = config.params(m)
         interval = band_interval(m, params, config.grid_resolution)
-        if interval.undetermined:
-            length = None
-        else:
+        length = None
+        if not interval.undetermined:
             length = params.first_order_scale * _lambda1_range(interval)
             _check_band_length(m, params, length)
-        rows.append(
-            {
-                "n": m.n,
-                "k": m.k,
-                "parity": m.parity.value,
-                "lower": interval.lower,
-                "upper": interval.upper,
-                "length": length,
-                "pad": interval.pad,
-                "undetermined": interval.undetermined,
-                "eta_min": interval.extrema_eta[0],
-                "eta_max": interval.extrema_eta[1],
-            }
-        )
-    return rows
+        bands.append((interval, length))
+    return bands
 
 
 def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> None:
@@ -344,53 +369,22 @@ def cmd_bands(count: int, config: RunConfig) -> int:
     if count < 1:
         raise ConfigError("count must be >= 1, got %r" % (count,))
     _reject_svg(config)
-    rows = _band_rows(count, config)
-    uncertified = _warn_uncertified(
-        config, [ModeIndex(r["n"], r["k"], Parity(r["parity"])) for r in rows]
-    )
-    if config.output_format == "json":
-        jrows = []
-        for r in rows:
-            jrows.append(
-                {
-                    "n": r["n"],
-                    "k": r["k"],
-                    "parity": r["parity"],
-                    "lower": _jnum(r["lower"]),
-                    "upper": _jnum(r["upper"]),
-                    "length": None if r["length"] is None else _jnum(r["length"]),
-                    "pad": _jnum(r["pad"]),
-                    "undetermined": r["undetermined"],
-                    "eta_min": [_jnum(r["eta_min"].eta1), _jnum(r["eta_min"].eta2)],
-                    "eta_max": [_jnum(r["eta_max"].eta1), _jnum(r["eta_max"].eta2)],
-                }
-            )
-        _emit(_json_doc(config, jrows, uncertified), config)
-    else:
-        lines = []
-        for r in rows:
-            lines.append(
-                "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s"
-                % (
-                    r["n"],
-                    r["k"],
-                    r["parity"],
-                    _fmt(r["lower"]),
-                    _fmt(r["upper"]),
-                    "" if r["length"] is None else _fmt(r["length"]),
-                    _fmt(r["pad"]),
-                    "true" if r["undetermined"] else "false",
-                    _fmt(r["eta_min"].eta1),
-                    _fmt(r["eta_min"].eta2),
-                    _fmt(r["eta_max"].eta1),
-                    _fmt(r["eta_max"].eta2),
-                )
-            )
-        header = (
-            "n,k,parity,lower,upper,length,pad,undetermined,"
-            "eta_min_1,eta_min_2,eta_max_1,eta_max_2"
-        )
-        _emit(_csv(header, lines), config)
+    bands = _bands(count, config)
+    uncertified = _warn_uncertified(config, [b.mode for b, _ in bands])
+    rows = [
+        {
+            **_mode_fields(b.mode),
+            "lower": _jnum(b.lower),
+            "upper": _jnum(b.upper),
+            "length": None if length is None else _jnum(length),
+            "pad": _jnum(b.pad),
+            "undetermined": b.undetermined,
+            "eta_min": _eta(b.extrema_eta[0]),
+            "eta_max": _eta(b.extrema_eta[1]),
+        }
+        for b, length in bands
+    ]
+    _write_table(config, rows, uncertified)
     return EXIT_OK
 
 
@@ -398,57 +392,29 @@ def cmd_gaps(count: int, config: RunConfig) -> int:
     if count < 2:
         raise ConfigError("count must be >= 2, got %r" % (count,))
     _reject_svg(config)
-    reports = detect_gaps(
-        count,
-        config.params(),
-        config.grid_resolution,
-        error_constants=config.error_constants or None,
-    )
-    modes = [r.below for r in reports] + [reports[-1].above]
-    uncertified = _warn_uncertified(config, modes)
-    if config.output_format == "json":
-        rows = [
-            {
-                "below": {"n": r.below.n, "k": r.below.k, "parity": r.below.parity.value},
-                "above": {"n": r.above.n, "k": r.above.k, "parity": r.above.parity.value},
-                "gap_lower": _jnum(r.gap_lower),
-                "gap_upper": _jnum(r.gap_upper),
-                "certified": r.certified,
-                "reason": r.reason,
-            }
-            for r in reports
-        ]
-        _emit(_json_doc(config, rows, uncertified), config)
-    else:
-        lines = [
-            "%d,%d,%s,%d,%d,%s,%s,%s,%s,%s"
-            % (
-                r.below.n,
-                r.below.k,
-                r.below.parity.value,
-                r.above.n,
-                r.above.k,
-                r.above.parity.value,
-                _fmt(r.gap_lower),
-                _fmt(r.gap_upper),
-                "true" if r.certified else "false",
-                r.reason or "",
-            )
-            for r in reports
-        ]
-        header = (
-            "below_n,below_k,below_parity,above_n,above_k,above_parity,"
-            "gap_lower,gap_upper,certified,reason"
-        )
-        _emit(_csv(header, lines), config)
+    bands = [b for b, _ in _bands(count, config)]
+    reports = gap_reports(bands, config.params())
+    uncertified = _warn_uncertified(config, [b.mode for b in bands])
+    rows = [
+        {
+            "below": _mode_fields(r.below),
+            "above": _mode_fields(r.above),
+            "gap_lower": _jnum(r.gap_lower),
+            "gap_upper": _jnum(r.gap_upper),
+            "certified": r.certified,
+            "reason": r.reason,
+        }
+        for r in reports
+    ]
+    _write_table(config, rows, uncertified)
     return EXIT_OK
 
 
-def _render_svg(rows: list[dict], reports, uncertified: bool) -> str:
+def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
     width, height = 460, 640
     top, bottom, band_x, band_w = 50, 600, 170, 60
-    lo = min(r["lower"] for r in rows)
-    hi = max(r["upper"] for r in rows)
+    lo = min(b.lower for b in bands)
+    hi = max(b.upper for b in bands)
     span = (hi - lo) or 1.0
     lo -= 0.03 * span
     hi += 0.03 * span
@@ -494,7 +460,7 @@ def _render_svg(rows: list[dict], reports, uncertified: bool) -> str:
             "stroke-width": "1",
         },
     )
-    for value in (min(r["lower"] for r in rows), max(r["upper"] for r in rows)):
+    for value in (min(b.lower for b in bands), max(b.upper for b in bands)):
         tick = ET.SubElement(
             root,
             "text",
@@ -502,19 +468,19 @@ def _render_svg(rows: list[dict], reports, uncertified: bool) -> str:
              "text-anchor": "end"},
         )
         tick.text = _fmt(value)
-    for r in rows:
-        y_hi = ypos(r["upper"])
-        y_lo = ypos(r["lower"])
+    for b in bands:
+        y_hi = ypos(b.upper)
+        y_lo = ypos(b.lower)
         ET.SubElement(
             root,
             "rect",
             {
-                "class": "band band-undetermined" if r["undetermined"] else "band",
+                "class": "band band-undetermined" if b.undetermined else "band",
                 "x": str(band_x),
                 "y": "%.2f" % y_hi,
                 "width": str(band_w),
                 "height": "%.2f" % max(y_lo - y_hi, 0.75),
-                "fill": "url(#hatch)" if r["undetermined"] else "#4477aa",
+                "fill": "url(#hatch)" if b.undetermined else "#4477aa",
                 "stroke": "#223355",
                 "stroke-width": "0.6",
             },
@@ -528,7 +494,7 @@ def _render_svg(rows: list[dict], reports, uncertified: bool) -> str:
                 "font-size": "11",
             },
         )
-        label.text = "%d,%d,%s" % (r["n"], r["k"], r["parity"])
+        label.text = b.mode.label()
     for rep in reports:
         if not rep.certified:
             continue
@@ -573,54 +539,48 @@ def _render_svg(rows: list[dict], reports, uncertified: bool) -> str:
     )
 
 
+def _samples(m: ModeIndex, config: RunConfig):
+    # ((eta1, eta2), value) at each sweep point of mode m, row-major over
+    # eta1, every number rounded as _jnum does
+    axis, values = brillouin_sweep(m, config.params(m), config.grid_resolution)
+    axis = [_jnum(a) for a in axis]
+    return zip(itertools.product(axis, axis), map(float, map(_fmt, values)))
+
+
 def cmd_diagram(count: int, config: RunConfig) -> int:
     if count < 1:
         raise ConfigError("count must be >= 1, got %r" % (count,))
-    rows = _band_rows(count, config)
-    modes = [ModeIndex(r["n"], r["k"], Parity(r["parity"])) for r in rows]
-    uncertified = _warn_uncertified(config, modes)
-    reports = (
-        detect_gaps(
-            count,
-            config.params(),
-            config.grid_resolution,
-            error_constants=config.error_constants or None,
+    total = count * config.grid_resolution**2
+    if config.output_format != "svg" and total > MAX_DIAGRAM_SAMPLES:
+        raise ConfigError(
+            "diagram --format %s writes count * grid^2 = %d samples, at most %d"
+            % (config.output_format, total, MAX_DIAGRAM_SAMPLES)
         )
-        if count >= 2
-        else []
-    )
+    bands = [b for b, _ in _bands(count, config)]
+    uncertified = _warn_uncertified(config, [b.mode for b in bands])
+    reports = gap_reports(bands, config.params()) if count >= 2 else []
     if config.output_format == "svg":
-        _emit(_render_svg(rows, reports, uncertified), config)
+        _emit([_render_svg(bands, reports, uncertified)], config)
         return EXIT_OK
     if config.output_format == "json":
-        jrows = [
+        rows = [
             {
-                "n": m.n,
-                "k": m.k,
-                "parity": m.parity.value,
+                **_mode_fields(b.mode),
                 "samples": [
-                    {
-                        "eta1": _jnum(pt.eta1),
-                        "eta2": _jnum(pt.eta2),
-                        "value": _jnum(v),
-                    }
-                    for pt, v in brillouin_sweep(
-                        m, config.params_for(m), config.grid_resolution
-                    )
+                    {"eta1": e1, "eta2": e2, "value": v}
+                    for (e1, e2), v in _samples(b.mode, config)
                 ],
             }
-            for m in modes
+            for b in bands
         ]
-        _emit(_json_doc(config, jrows, uncertified), config)
-        return EXIT_OK
-    lines = []
-    for m in modes:
-        for pt, v in brillouin_sweep(m, config.params_for(m), config.grid_resolution):
-            lines.append(
-                "%d,%d,%s,%s,%s,%s"
-                % (m.n, m.k, m.parity.value, _fmt(pt.eta1), _fmt(pt.eta2), _fmt(v))
-            )
-    _emit(_csv("n,k,parity,eta1,eta2,value", lines), config)
+    else:
+        rows = (
+            {**fields, "eta1": e1, "eta2": e2, "value": v}
+            for b in bands
+            for fields in (_mode_fields(b.mode),)
+            for (e1, e2), v in _samples(b.mode, config)
+        )
+    _write_table(config, rows, uncertified)
     return EXIT_OK
 
 
@@ -720,10 +680,13 @@ _VERIFY_AXIS = (-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi)
 
 def cmd_verify(config: RunConfig) -> int:
     checks = _verify_checks(config)
-    lines = []
-    for name, passed, detail in checks:
-        lines.append("%s %s: %s" % ("PASS" if passed else "FAIL", name, detail))
-    _emit("\n".join(lines) + "\n", config)
+    _emit(
+        [
+            "%s %s: %s\n" % ("PASS" if passed else "FAIL", name, detail)
+            for name, passed, detail in checks
+        ],
+        config,
+    )
     failing = [name for name, passed, _ in checks if not passed]
     if failing:
         print("verify failed: %s" % failing[0], file=sys.stderr)

@@ -132,7 +132,8 @@ class ExpansionParams:
             )
         if not (math.isfinite(self.error_constant) and self.error_constant >= 0.0):
             raise ValueError(
-                "error_constant must be non-negative, got %r" % (self.error_constant,)
+                "error_constant must be finite and non-negative, got %r"
+                % (self.error_constant,)
             )
 
     @property

@@ -139,21 +139,20 @@ def test_pad_nesting():
 
 
 def test_brillouin_sweep_layout():
-    rows = brillouin_sweep(_mode(0, 1, Parity.SIMPLE), PARAMS, resolution=3)
-    assert len(rows) == 9
-    etas = [(p.eta1, p.eta2) for p, _ in rows]
+    axis, values = brillouin_sweep(_mode(0, 1, Parity.SIMPLE), PARAMS, resolution=3)
+    assert len(values) == 9
+    etas = [(a, b) for a in axis for b in axis]
     # row-major: eta1 varies slowest
     assert etas[0] == (-math.pi, -math.pi)
     assert etas[1][0] == -math.pi and etas[1][1] == 0.0
-    values = [v for _, v in rows]
-    center = [v for (p, v) in rows if (p.eta1, p.eta2) == (0.0, 0.0)][0]
+    center = [v for eta, v in zip(etas, values) if eta == (0.0, 0.0)][0]
     assert center == max(values)
 
 
 def test_sweep_extremes_match_band_interval():
     for n, k, parity in ((0, 1, Parity.SIMPLE), (1, 1, Parity.SINE), (2, 1, Parity.SINE)):
         band = band_interval(_mode(n, k, parity), PARAMS)
-        values = [v for _, v in brillouin_sweep(_mode(n, k, parity), PARAMS)]
+        _, values = brillouin_sweep(_mode(n, k, parity), PARAMS)
         assert min(values) >= band.lower - 1e-12
         assert max(values) <= band.upper + 1e-12
         assert min(values) == pytest.approx(band.lower, abs=1e-12)

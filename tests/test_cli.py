@@ -221,3 +221,27 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_spectrum", broken)
     assert cli.main(["spectrum"]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("internal failure: ")
+
+
+def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("diagram computed bands before its sample check")
+
+    out = tmp_path / "samples.txt"
+    for fmt in ("csv", "json"):
+        argv = ["diagram", "--count", "10", "--grid", str(cli.MAX_GRID),
+                "--format", fmt, "--out", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_bands", no_work)
+            assert cli.main(argv) == cli.EXIT_USAGE, fmt
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), fmt
+        assert not out.exists()
+
+    # the cap is on count * grid^2, inclusive, and svg draws no samples
+    monkeypatch.setattr(cli, "MAX_DIAGRAM_SAMPLES", 2 * 5 * 5)
+    assert cli.main(["diagram", "--count", "2", "--grid", "5", "--format", "csv"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 25
+    assert cli.main(["diagram", "--count", "3", "--grid", "5", "--format", "json"]) == cli.EXIT_USAGE
+    assert cli.main(["diagram", "--count", "3", "--grid", "5"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("<?xml")

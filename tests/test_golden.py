@@ -25,8 +25,15 @@ CASES = {
     "diagram_count4_grid5.json": [
         "diagram", "--count", "4", "--grid", "5", "--format", "json",
     ],
+    "diagram_modes_cfg.csv": [
+        "diagram", "--config", CONFIG, "--count", "4", "--grid", "5",
+        "--format", "csv",
+    ],
     "zeros.csv": ["zeros"],
+    "zeros.json": ["zeros", "--format", "json"],
     "spectrum.csv": ["spectrum"],
+    "spectrum.json": ["spectrum", "--format", "json"],
+    "verify.txt": ["verify"],
     "bands_modes_cfg.csv": ["bands", "--config", CONFIG],
     "gaps_modes_cfg.json": ["gaps", "--config", CONFIG, "--format", "json"],
 }
