@@ -159,6 +159,26 @@ def band_length(mode: ModeIndex, params: ExpansionParams) -> BandLength:
     return BandLength(coef * eps2m, note)
 
 
+def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> None:
+    # the grid route must reproduce the closed-form leading width
+    branch = correction_for(m).branch
+    if branch is Branch.COSINE:
+        if abs(length) > 1e-12:
+            raise InternalConsistencyError(
+                "flat branch %s reported nonzero first-order length %r"
+                % (m.label(), length)
+            )
+        return
+    expected = band_length(m, params).leading
+    if expected is None:
+        return
+    if abs(length - expected) > 1e-8 * abs(expected):
+        raise InternalConsistencyError(
+            "band length mismatch for %s: swept %r vs closed form %r"
+            % (m.label(), length, expected)
+        )
+
+
 def swept_band_width(
     n: int, k: int, params: ExpansionParams, resolution: int = 33
 ) -> float:
@@ -209,6 +229,30 @@ def _first_order_flat_pair(below: ModeIndex, above: ModeIndex) -> bool:
     return below_odd and above_up
 
 
+def band_table(
+    count: int,
+    params: ExpansionParams,
+    grid_resolution: int = 33,
+    error_constants: dict[tuple[int, int], float] | None = None,
+) -> list[tuple[BandInterval, float | None]]:
+    """Band interval and first-order length (None when undetermined) of each
+    of the first `count` limit modes; each swept length is checked against
+    `band_length`.  Per-mode error constants override params.error_constant."""
+    table: list[tuple[BandInterval, float | None]] = []
+    for pair in enumerate_spectrum(count):
+        m = pair.mode
+        mode_params = params
+        if error_constants is not None and (m.n, m.k) in error_constants:
+            mode_params = replace(params, error_constant=error_constants[(m.n, m.k)])
+        interval = band_interval(m, mode_params, grid_resolution)
+        length = None
+        if not interval.undetermined:
+            length = mode_params.first_order_scale * _lambda1_range(interval)
+            _check_band_length(m, mode_params, length)
+        table.append((interval, length))
+    return table
+
+
 def detect_gaps(
     spectrum_prefix: int,
     params: ExpansionParams,
@@ -223,29 +267,30 @@ def detect_gaps(
         raise ValueError(
             "spectrum_prefix must be >= 2, got %r" % (spectrum_prefix,)
         )
-    pairs = enumerate_spectrum(spectrum_prefix)
-
-    def params_for(m: ModeIndex) -> ExpansionParams:
-        if error_constants is not None and (m.n, m.k) in error_constants:
-            return replace(params, error_constant=error_constants[(m.n, m.k)])
-        return params
-
-    intervals = [
-        band_interval(p.mode, params_for(p.mode), grid_resolution) for p in pairs
-    ]
-    return gap_reports(intervals, params)
+    table = band_table(spectrum_prefix, params, grid_resolution, error_constants)
+    return gap_reports(table, params)
 
 
 def gap_reports(
-    intervals: list[BandInterval], params: ExpansionParams
+    table: list[tuple[BandInterval, float | None]], params: ExpansionParams
 ) -> list[GapReport]:
-    """Gap reports for each adjacent pair of `intervals`, given in spectral
-    order; `params` supplies eps and m for the pad-versus-first-order
-    warning.  `detect_gaps` computes the intervals and calls this."""
-    _warn_if_pad_swamps_first_order(intervals, params)
+    """Gap reports for each adjacent pair of the bands of `table`, as
+    `band_table` returns it; `params` supplies eps and m for the
+    pad-versus-first-order warning."""
+    # asymptotic-regime guard: eps^gamma must stay below the first-order
+    # widths eps^{2m} * range, else pads can swamp the model
+    lengths = [length for _, length in table if length is not None and length > 0.0]
+    if lengths and params.epsilon**params.gamma >= min(lengths):
+        warnings.warn(
+            "eps^gamma = %.3g is not below the smallest first-order band "
+            "range %.3g; error pads can swamp the first-order model at "
+            "eps = %g" % (params.epsilon**params.gamma, min(lengths), params.epsilon),
+            UserWarning,
+            stacklevel=2,
+        )
 
     reports: list[GapReport] = []
-    for below, above in zip(intervals, intervals[1:]):
+    for (below, _), (above, _) in zip(table, table[1:]):
         lower, upper = below.upper, above.lower
         reason: str | None = None
         if below.undetermined or above.undetermined:
@@ -262,29 +307,6 @@ def gap_reports(
             GapReport(below.mode, above.mode, lower, upper, reason is None, reason)
         )
     return reports
-
-
-def _warn_if_pad_swamps_first_order(
-    intervals: list[BandInterval], params: ExpansionParams
-) -> None:
-    # asymptotic-regime guard: eps^gamma must stay below the first-order
-    # widths eps^{2m} * range, else pads can swamp the model
-    ranges = [_lambda1_range(b) for b in intervals if not b.undetermined]
-    ranges = [r for r in ranges if r > 0.0]
-    if not ranges:
-        return
-    if params.epsilon**params.gamma >= params.first_order_scale * min(ranges):
-        warnings.warn(
-            "eps^gamma = %.3g is not below the smallest first-order band "
-            "range %.3g; error pads can swamp the first-order model at "
-            "eps = %g" % (
-                params.epsilon**params.gamma,
-                params.first_order_scale * min(ranges),
-                params.epsilon,
-            ),
-            UserWarning,
-            stacklevel=3,
-        )
 
 
 def brillouin_sweep(

@@ -13,27 +13,26 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
+import traceback
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .bands import (
     BandInterval,
     InternalConsistencyError,
-    _lambda1_range,
-    band_interval,
     band_length,
+    band_table,
     brillouin_sweep,
     gap_reports,
     swept_band_width,
 )
 from .bessel import ZeroFindingError, bessel_j, bessel_zero
 from .corrections import (
-    Branch,
     ExpansionParams,
     FloquetPoint,
     QuadratureConvergenceError,
-    correction_for,
     correction_matrix,
     c0_multiple,
     c0_simple,
@@ -109,11 +108,9 @@ class RunConfig:
     def constant_for(self, m: ModeIndex) -> float:
         return self.error_constants.get((m.n, m.k), self.default_constant)
 
-    def params(self, mode: ModeIndex | None = None) -> ExpansionParams:
-        """Expansion parameters with the error constant of `mode`, or with
-        the default constant when no mode is given."""
-        c = self.default_constant if mode is None else self.constant_for(mode)
-        return ExpansionParams(self.epsilon, self.m, c)
+    def params(self) -> ExpansionParams:
+        """Expansion parameters with the default error constant."""
+        return ExpansionParams(self.epsilon, self.m, self.default_constant)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -173,6 +170,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(
                     "config key %r: n and k must be integers" % (key,)
                 ) from exc
+            if n < 0 or k < 1:
+                raise ConfigError(
+                    "config key %r: need n >= 0 and k >= 1" % (key,)
+                )
             cfg.error_constants[(n, k)] = _parse_float(key, value)
         else:
             raise ConfigError("unknown config key %r" % (key,))
@@ -198,7 +199,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _emit(chunks, config: RunConfig) -> None:
     """Write the strings of `chunks` in turn to --out, or to stdout."""
     if config.output_path is None or config.output_path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader closed the pipe; point stdout at devnull so that the
+            # flush at interpreter exit does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError("cannot write to standard output: %s" % exc) from exc
         return
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
@@ -329,48 +337,14 @@ def cmd_spectrum(count: int, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bands(count: int, config: RunConfig) -> list[tuple[BandInterval, float | None]]:
-    # band interval and first-order length (None when undetermined) of each
-    # of the first `count` modes, each with its own error constant
-    bands = []
-    for pair in enumerate_spectrum(count):
-        m = pair.mode
-        params = config.params(m)
-        interval = band_interval(m, params, config.grid_resolution)
-        length = None
-        if not interval.undetermined:
-            length = params.first_order_scale * _lambda1_range(interval)
-            _check_band_length(m, params, length)
-        bands.append((interval, length))
-    return bands
-
-
-def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> None:
-    # the grid route must reproduce the closed-form leading width
-    branch = correction_for(m).branch
-    if branch is Branch.COSINE:
-        if abs(length) > 1e-12:
-            raise InternalConsistencyError(
-                "flat branch %s reported nonzero first-order length %r"
-                % (m.label(), length)
-            )
-        return
-    expected = band_length(m, params).leading
-    if expected is None:
-        return
-    if abs(length - expected) > 1e-8 * abs(expected):
-        raise InternalConsistencyError(
-            "band length mismatch for %s: swept %r vs closed form %r"
-            % (m.label(), length, expected)
-        )
-
-
 def cmd_bands(count: int, config: RunConfig) -> int:
     if count < 1:
         raise ConfigError("count must be >= 1, got %r" % (count,))
     _reject_svg(config)
-    bands = _bands(count, config)
-    uncertified = _warn_uncertified(config, [b.mode for b, _ in bands])
+    table = band_table(
+        count, config.params(), config.grid_resolution, config.error_constants
+    )
+    uncertified = _warn_uncertified(config, [b.mode for b, _ in table])
     rows = [
         {
             **_mode_fields(b.mode),
@@ -382,7 +356,7 @@ def cmd_bands(count: int, config: RunConfig) -> int:
             "eta_min": _eta(b.extrema_eta[0]),
             "eta_max": _eta(b.extrema_eta[1]),
         }
-        for b, length in bands
+        for b, length in table
     ]
     _write_table(config, rows, uncertified)
     return EXIT_OK
@@ -392,9 +366,11 @@ def cmd_gaps(count: int, config: RunConfig) -> int:
     if count < 2:
         raise ConfigError("count must be >= 2, got %r" % (count,))
     _reject_svg(config)
-    bands = [b for b, _ in _bands(count, config)]
-    reports = gap_reports(bands, config.params())
-    uncertified = _warn_uncertified(config, [b.mode for b in bands])
+    table = band_table(
+        count, config.params(), config.grid_resolution, config.error_constants
+    )
+    reports = gap_reports(table, config.params())
+    uncertified = _warn_uncertified(config, [b.mode for b, _ in table])
     rows = [
         {
             "below": _mode_fields(r.below),
@@ -542,7 +518,7 @@ def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
 def _samples(m: ModeIndex, config: RunConfig):
     # ((eta1, eta2), value) at each sweep point of mode m, row-major over
     # eta1, every number rounded as _jnum does
-    axis, values = brillouin_sweep(m, config.params(m), config.grid_resolution)
+    axis, values = brillouin_sweep(m, config.params(), config.grid_resolution)
     axis = [_jnum(a) for a in axis]
     return zip(itertools.product(axis, axis), map(float, map(_fmt, values)))
 
@@ -556,9 +532,12 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
             "diagram --format %s writes count * grid^2 = %d samples, at most %d"
             % (config.output_format, total, MAX_DIAGRAM_SAMPLES)
         )
-    bands = [b for b, _ in _bands(count, config)]
+    table = band_table(
+        count, config.params(), config.grid_resolution, config.error_constants
+    )
+    bands = [b for b, _ in table]
     uncertified = _warn_uncertified(config, [b.mode for b in bands])
-    reports = gap_reports(bands, config.params()) if count >= 2 else []
+    reports = gap_reports(table, config.params()) if count >= 2 else []
     if config.output_format == "svg":
         _emit([_render_svg(bands, reports, uncertified)], config)
         return EXIT_OK
@@ -775,10 +754,11 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        # validation raises ConfigError; any other ValueError is a fault of
-        # the program, not of its input
-        print("internal failure: %s" % exc, file=sys.stderr)
+    except Exception as exc:
+        # validation raises ConfigError; any other exception is a fault of
+        # the program, not of its input, and its traceback follows
+        print("internal failure: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -3,12 +3,16 @@
 Eigenvalues are 4 j_{n,k}^2 with eigenfunctions J_n(2 j_{n,k} r) times an
 angular factor; n = 0 gives simple eigenvalues, n >= 1 double ones carrying a
 cosine and a sine branch.  `enumerate_spectrum` lists them ascending with the
-cosine branch preceding the sine branch of each double eigenvalue.
+cosine branch preceding the sine branch of each double eigenvalue: it merges
+the increasing zero sequences j_{n,1} < j_{n,2} < ... of the orders n through
+a heap, and finds j_{n,k+1} only once j_{n,k} is listed, and j_{n+1,1} only
+once j_{n,1} is.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -104,36 +108,16 @@ def enumerate_spectrum(count: int) -> list[LimitEigenpair]:
     expanded into adjacent (cosine, sine) entries."""
     if not isinstance(count, int) or count < 1:
         raise ValueError("count must be a positive integer, got %r" % (count,))
-    # Collect every zero below a cutoff, growing the cutoff until the pool is
-    # deep enough; j_{n,1} increases with n, so the n-scan below is complete.
-    bound = bessel_zero(0, 1).value + 1.0
-    while True:
-        pool: list[BesselZero] = []
-        weight = 0
-        n = 0
-        while True:
-            z = bessel_zero(n, 1)
-            if z.value > bound:
-                break
-            k = 1
-            while z.value <= bound:
-                pool.append(z)
-                weight += 1 if n == 0 else 2
-                k += 1
-                z = bessel_zero(n, k)
-            n += 1
-        if weight >= count:
-            break
-        bound *= 1.5
-
-    pool.sort(key=lambda z: z.value)
+    # merge the ascending zero sequences of the orders n = 0, 1, ...; since
+    # j_{n,1} < j_{n+1,1}, order n + 1 need not enter the heap before j_{n,1}
+    # leaves it
+    heap = [(bessel_zero(0, 1).value, 0, 1)]
     out: list[LimitEigenpair] = []
-    for z in pool:
-        if z.n == 0:
-            out.append(limit_eigenvalue(ModeIndex(z.n, z.k, Parity.SIMPLE)))
-        else:
-            out.append(limit_eigenvalue(ModeIndex(z.n, z.k, Parity.COSINE)))
-            out.append(limit_eigenvalue(ModeIndex(z.n, z.k, Parity.SINE)))
-        if len(out) >= count:
-            break
+    while len(out) < count:
+        _, n, k = heapq.heappop(heap)
+        parities = (Parity.SIMPLE,) if n == 0 else (Parity.COSINE, Parity.SINE)
+        out += [limit_eigenvalue(ModeIndex(n, k, p)) for p in parities]
+        heapq.heappush(heap, (bessel_zero(n, k + 1).value, n, k + 1))
+        if k == 1:
+            heapq.heappush(heap, (bessel_zero(n + 1, 1).value, n + 1, 1))
     return out[:count]

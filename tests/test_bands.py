@@ -8,9 +8,11 @@ import pytest
 
 from diskbands import (
     SOFT_CELL_AREA,
+    BandLength,
     Branch,
     ExpansionParams,
     FloquetPoint,
+    InternalConsistencyError,
     ModeIndex,
     Parity,
     UndeterminedCorrectionError,
@@ -27,6 +29,7 @@ from diskbands import (
     limit_eigenvalue,
     swept_band_width,
 )
+from diskbands import bands
 from diskbands.corrections import lambda1_grid
 
 PARAMS = ExpansionParams(1e-3, 0.25)
@@ -229,6 +232,22 @@ def test_pad_guard_warning():
 def test_detect_gaps_validation():
     with pytest.raises(ValueError):
         detect_gaps(1, PARAMS)
+
+
+def test_detect_gaps_checks_swept_lengths(monkeypatch):
+    # the grid route and the closed form of the band length must agree for
+    # library callers too, not only in the command-line tables
+    true_length = bands.band_length
+
+    def perturbed(mode, params):
+        exact = true_length(mode, params)
+        if exact.leading is None:
+            return exact
+        return BandLength(exact.leading * (1.0 + 1e-6), exact.order_note)
+
+    monkeypatch.setattr(bands, "band_length", perturbed)
+    with pytest.raises(InternalConsistencyError):
+        detect_gaps(10, PARAMS)
 
 
 def test_band_values_against_reference_numbers():

@@ -204,23 +204,55 @@ def test_config_errors(tmp_path):
 def test_nonfinite_constants_and_grid_cap_are_config_errors(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("c.1.1 = inf\n")
+    # per-mode keys that name no mode: n < 0 or k < 1
+    negative_n = tmp_path / "negative_n.cfg"
+    negative_n.write_text("c.-1.0 = 5\n")
+    zero_k = tmp_path / "zero_k.cfg"
+    zero_k.write_text("c.0.0 = 2\n")
     for args in (
         ["bands", "--error-constant", "inf"],
         ["bands", "--error-constant", "nan"],
         ["bands", "--config", str(cfg)],
         ["bands", "--grid", str(cli.MAX_GRID + 1)],
+        ["bands", "--config", str(negative_n)],
+        ["bands", "--config", str(zero_k)],
     ):
         assert cli.main(args) == cli.EXIT_USAGE, args
         assert capsys.readouterr().err.startswith("error: "), args
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
-    def broken(count):
-        raise ValueError("operands could not be broadcast together")
+    for fault in (
+        ValueError("operands could not be broadcast together"),
+        ZeroDivisionError("float division by zero"),
+        IndexError("list index out of range"),
+    ):
 
-    monkeypatch.setattr(cli, "enumerate_spectrum", broken)
-    assert cli.main(["spectrum"]) == cli.EXIT_INTERNAL
-    assert capsys.readouterr().err.startswith("internal failure: ")
+        def broken(count):
+            raise fault
+
+        monkeypatch.setattr(cli, "enumerate_spectrum", broken)
+        assert cli.main(["spectrum"]) == cli.EXIT_INTERNAL, fault
+        err = capsys.readouterr().err
+        assert err.startswith("internal failure: "), fault
+        assert "Traceback" in err, fault
+
+
+def test_closed_stdout_is_one_error_line():
+    # the reader goes away after the header; the writer must report it once,
+    # without a traceback, and exit 1 as for an unwritable --out
+    proc = subprocess.Popen(
+        CMD + ["diagram", "--count", "10", "--grid", "65", "--format", "csv",
+               "--error-constant", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "n,k,parity,eta1,eta2,value\n"
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == cli.EXIT_USAGE, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, capsys):
@@ -232,7 +264,7 @@ def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, ca
         argv = ["diagram", "--count", "10", "--grid", str(cli.MAX_GRID),
                 "--format", fmt, "--out", str(out)]
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_bands", no_work)
+            patch.setattr(cli, "band_table", no_work)
             assert cli.main(argv) == cli.EXIT_USAGE, fmt
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), fmt

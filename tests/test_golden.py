@@ -33,6 +33,7 @@ CASES = {
     "zeros.json": ["zeros", "--format", "json"],
     "spectrum.csv": ["spectrum"],
     "spectrum.json": ["spectrum", "--format", "json"],
+    "spectrum_count1500.csv": ["spectrum", "--count", "1500"],
     "verify.txt": ["verify"],
     "bands_modes_cfg.csv": ["bands", "--config", CONFIG],
     "gaps_modes_cfg.json": ["gaps", "--config", CONFIG, "--format", "json"],

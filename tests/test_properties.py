@@ -1,0 +1,115 @@
+"""Property tests (hypothesis, derandomized): spectrum prefixes, gap
+certification monotone in the error constant, the symmetries of Lambda1 on
+the square lattice, and the reduction of Floquet points into [-pi, pi)."""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diskbands import (
+    ExpansionParams,
+    FloquetPoint,
+    ModeIndex,
+    Parity,
+    correction_for,
+    detect_gaps,
+    enumerate_spectrum,
+)
+from diskbands.corrections import lambda1_grid
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+# determined branches with a nonzero Lambda1: simple modes and the sine
+# branch of n != 0 (mod 4)
+DETERMINED = st.one_of(
+    st.builds(ModeIndex, st.just(0), st.integers(1, 4), st.just(Parity.SIMPLE)),
+    st.builds(
+        ModeIndex,
+        st.integers(1, 12).filter(lambda n: n % 4 != 0),
+        st.integers(1, 4),
+        st.just(Parity.SINE),
+    ),
+)
+AXIS = st.lists(
+    st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False), min_size=1, max_size=9
+)
+
+
+@PROPERTY
+@given(st.integers(1, 120), st.integers(1, 120))
+def test_spectrum_prefixes_are_ordered(a, b):
+    a, b = min(a, b), max(a, b)
+    short, long = enumerate_spectrum(a), enumerate_spectrum(b)
+    assert len(short) == a and len(long) == b
+    assert long[:a] == short
+    values = [p.lambda0 for p in long]
+    assert values == sorted(values)
+    for i, p in enumerate(long):
+        n, k = p.mode.n, p.mode.k
+        if p.mode.parity is Parity.COSINE and i + 1 < b:
+            assert long[i + 1].mode == ModeIndex(n, k, Parity.SINE)
+        if p.mode.parity is Parity.SINE:
+            assert long[i - 1].mode == ModeIndex(n, k, Parity.COSINE)
+
+
+def _certified(count, params, constants):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = detect_gaps(count, params, 9, constants)
+    return [r.certified for r in reports]
+
+
+@PROPERTY
+@given(
+    count=st.integers(2, 14),
+    epsilon=st.floats(1e-6, 0.2),
+    m=st.floats(0.05, 0.45),
+    constant=st.floats(0.0, 1e3),
+    shrink=st.floats(0.0, 1.0, exclude_max=True),
+    per_mode=st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(1, 3)), st.floats(0.0, 1e3), max_size=4
+    ),
+)
+def test_gap_certification_is_monotone_in_the_constant(
+    count, epsilon, m, constant, shrink, per_mode
+):
+    wide = _certified(count, ExpansionParams(epsilon, m, constant), per_mode)
+    narrow = _certified(
+        count,
+        ExpansionParams(epsilon, m, shrink * constant),
+        {key: shrink * c for key, c in per_mode.items()},
+    )
+    assert all(n for w, n in zip(wide, narrow) if w)
+
+
+def _assert_close(values, reference):
+    scale = np.maximum(1.0, np.abs(reference))
+    assert np.all(np.abs(values - reference) <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(DETERMINED, AXIS, st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+def test_lambda1_grid_symmetries(mode, axis, turns):
+    corr = correction_for(mode)
+    size = len(axis)
+    base = lambda1_grid(corr, axis)
+    # eta -> -eta
+    _assert_close(lambda1_grid(corr, [-a for a in axis]), base)
+    # eta1 <-> eta2: the grid is (axis[i], axis[j]) row-major
+    square = base.reshape(size, size)
+    _assert_close(square.T, square)
+    # 2 pi shifts: point (i, j) moves by turns[i] in eta1 and turns[j] in eta2
+    shifted = [a + 2.0 * math.pi * t for a, t in zip(axis, turns)]
+    _assert_close(lambda1_grid(corr, shifted), base)
+
+
+@PROPERTY
+@given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False))
+def test_floquet_reduction_is_idempotent(a, b):
+    eta = FloquetPoint(a, b)
+    assert -math.pi <= eta.eta1 < math.pi and -math.pi <= eta.eta2 < math.pi
+    assert FloquetPoint(eta.eta1, eta.eta2) == eta
+    assert FloquetPoint(math.pi, a) == FloquetPoint(-math.pi, a)
