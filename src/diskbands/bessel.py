@@ -5,6 +5,13 @@ Miller backward recurrence otherwise) with absolute accuracy near machine
 precision for x <= 100, and a guaranteed-index zero finder: the k-th positive
 zero j_{n,k} is bracketed by counting sign changes on a pi/4 scan and
 polished by bisection plus a safeguarded Newton iteration.
+
+The scan walks each order once.  `_WALKS[n]` keeps where the walk of J_n
+stands and the sign-change brackets it has passed, so j_{n,k} costs only the
+steps past the last bracket found, and the zeros of one order cost O(k)
+kernel calls in all, in any request order.  The walk takes the steps a
+fresh scan from the origin side would take, so every bracket, and every
+zero polished from it, is bitwise the same.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ _SCAN_STEP = math.pi / 4
 _RESIDUAL_TOL = 1e-12
 _MAX_BISECT = 100
 _MAX_NEWTON = 50
+_MAX_SCAN = 100000
 
 
 class ZeroFindingError(RuntimeError):
@@ -69,28 +77,42 @@ def bessel_zero(n: int, k: int) -> BesselZero:
     return BesselZero(n, k, _zero_value(n, k))
 
 
-@lru_cache(maxsize=None)
-def _zero_value(n: int, k: int) -> float:
-    # J_n > 0 between the origin-side start and j_{n,1} (> n), so a pi/4 walk
-    # meets each zero through exactly one sign change (zero spacing > pi).
-    x = n + 1e-9 if n > 0 else 1e-9
-    fx = bessel_j_kernel(n, x)
-    a = b = fa = fb = 0.0
-    found = 0
-    for _ in range(100000):
+# n -> (x, J_n(x), steps taken, brackets (a, J_n(a), b, J_n(b)) passed) of
+# the pi/4 walk of order n.  Each step stores one new tuple, so an exception
+# in mid-walk leaves the last stored state, never a half-updated one; and
+# threads walking one order at once store states of the same walk, so the
+# worst a race costs is steps taken twice.
+_WALKS: dict[int, tuple[float, float, int, tuple]] = {}
+
+
+def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
+    """Sign-change bracket k of the pi/4 walk of J_n, extending the walk
+    only as far as bracket k."""
+    walk = _WALKS.get(n)
+    if walk is None:
+        # J_n > 0 between the origin-side start and j_{n,1} (> n), so the walk
+        # meets each zero through exactly one sign change (zero spacing > pi).
+        x = n + 1e-9 if n > 0 else 1e-9
+        walk = _WALKS[n] = (x, bessel_j_kernel(n, x), 0, ())
+    x, fx, steps, brackets = walk
+    while len(brackets) < k:
+        if steps == _MAX_SCAN:
+            raise ZeroFindingError("scan exhausted before zero (n=%d, k=%d)" % (n, k))
         xn = x + _SCAN_STEP
         fxn = bessel_j_kernel(n, xn)
         while fxn == 0.0:  # exact grid hit: nudge to restore a sign bracket
             xn += 1e-9
             fxn = bessel_j_kernel(n, xn)
         if (fx > 0.0) != (fxn > 0.0):
-            found += 1
-            if found == k:
-                a, fa, b, fb = x, fx, xn, fxn
-                break
-        x, fx = xn, fxn
-    else:
-        raise ZeroFindingError("scan exhausted before zero (n=%d, k=%d)" % (n, k))
+            brackets += ((x, fx, xn, fxn),)
+        x, fx, steps = xn, fxn, steps + 1
+        _WALKS[n] = (x, fx, steps, brackets)
+    return brackets[k - 1]
+
+
+@lru_cache(maxsize=None)
+def _zero_value(n: int, k: int) -> float:
+    a, fa, b, fb = _bracket(n, k)
 
     for _ in range(_MAX_BISECT):
         if b - a < 1e-3:
@@ -119,8 +141,10 @@ def _zero_value(n: int, k: int) -> float:
         if nxt == root:
             break
         root = nxt
+    else:
+        fr = bessel_j_kernel(n, root)  # root moved after the last evaluation
 
-    if abs(bessel_j_kernel(n, root)) > _RESIDUAL_TOL:
+    if abs(fr) > _RESIDUAL_TOL:
         raise ZeroFindingError(
             "residual tolerance unmet after iteration cap (n=%d, k=%d)" % (n, k)
         )

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import traceback
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -725,6 +726,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -732,6 +737,13 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    # library warnings print as one "warning:" line, like "note:" and "error:"
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         config = _resolve_config(args)
         if args.command == "zeros":

@@ -1,10 +1,15 @@
 """Bessel evaluation and zero finding, checked against test-local references."""
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 
-from diskbands import BesselZero, bessel_j, bessel_j_prime, bessel_zero
+from diskbands import BesselZero, ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
+from diskbands import bessel
+from diskbands._core import bessel_j_kernel
 
 
 def _reference_j(n: int, x: float) -> float:
@@ -124,3 +129,157 @@ def test_no_common_zeros_between_orders():
         for k in range(1, 5):
             z = bessel_zero(n, k).value
             assert abs(bessel_j(n + 1, z)) > 1e-8
+
+
+def _fresh_scan_zero(n: int, k: int) -> float:
+    # the zero finder as it was before the per-order walk: a pi/4 scan from
+    # the origin side for every k, then the same bisection and Newton steps
+    x = n + 1e-9 if n > 0 else 1e-9
+    fx = bessel_j_kernel(n, x)
+    found = 0
+    for _ in range(100000):
+        xn = x + math.pi / 4
+        fxn = bessel_j_kernel(n, xn)
+        while fxn == 0.0:
+            xn += 1e-9
+            fxn = bessel_j_kernel(n, xn)
+        if (fx > 0.0) != (fxn > 0.0):
+            found += 1
+            if found == k:
+                a, fa, b, fb = x, fx, xn, fxn
+                break
+        x, fx = xn, fxn
+    else:
+        raise AssertionError("reference scan exhausted")
+    for _ in range(100):
+        if b - a < 1e-3:
+            break
+        mid = 0.5 * (a + b)
+        fm = bessel_j_kernel(n, mid)
+        if (fa > 0.0) != (fm > 0.0):
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    root = 0.5 * (a + b)
+    for _ in range(50):
+        fr = bessel_j_kernel(n, root)
+        if (fa > 0.0) != (fr > 0.0):
+            b, fb = root, fr
+        else:
+            a, fa = root, fr
+        if abs(fr) <= 1e-14:
+            break
+        if n == 0:
+            slope = -bessel_j_kernel(1, root)
+        else:
+            slope = 0.5 * (bessel_j_kernel(n - 1, root) - bessel_j_kernel(n + 1, root))
+        step = fr / slope if slope != 0.0 else 0.0
+        nxt = root - step
+        if step == 0.0 or nxt <= a or nxt >= b:
+            nxt = 0.5 * (a + b)
+        if nxt == root:
+            break
+        root = nxt
+    assert abs(bessel_j_kernel(n, root)) <= 1e-12
+    return root
+
+
+@pytest.fixture
+def cold_zeros():
+    # no cached zero and no walk, before and after: a test that breaks the
+    # kernel must not leave a walk made with it behind
+    bessel._zero_value.cache_clear()
+    bessel._WALKS.clear()
+    yield
+    bessel._zero_value.cache_clear()
+    bessel._WALKS.clear()
+
+
+def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
+    orders = (0, 1, 2, 7, 29)
+    reference = {(n, k): _fresh_scan_zero(n, k) for n in orders for k in range(1, 41)}
+    # k descending, orders interleaved: the first request walks each order
+    # to k = 40 and every later one reads a bracket already passed
+    for k in range(40, 0, -1):
+        for n in orders:
+            assert bessel_zero(n, k).value == reference[n, k], (n, k)
+    # scattered requests, so that walks stop and resume at every depth
+    bessel._zero_value.cache_clear()
+    bessel._WALKS.clear()
+    keys = sorted(reference)
+    random.Random(5).shuffle(keys)
+    for n, k in keys:
+        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+
+
+def _failing_kernel(fail_at: int, exc: BaseException):
+    calls = [0]
+
+    def kernel(n, x):
+        calls[0] += 1
+        if calls[0] == fail_at:
+            raise exc
+        return bessel_j_kernel(n, x)
+
+    return kernel
+
+
+def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
+    # the walk of J_7 to k = 30 takes about 120 steps after its start point
+    # (call 1); calls 2 to 20 span its first five sign changes, call 119
+    # falls near its end
+    reference = [_fresh_scan_zero(7, k) for k in range(1, 31)]
+    for fail_at in [*range(1, 21), 119]:
+        exc = KeyboardInterrupt() if fail_at % 2 else RuntimeError("kernel fault")
+        bessel._zero_value.cache_clear()
+        bessel._WALKS.clear()
+        monkeypatch.setattr(bessel, "bessel_j_kernel", _failing_kernel(fail_at, exc))
+        with pytest.raises(type(exc)):
+            bessel_zero(7, 30)
+        monkeypatch.undo()
+        # low k first: these read brackets the interrupted walk had passed
+        for k in (1, 5, 30, 12, 29):
+            assert bessel_zero(7, k).value == reference[k - 1], (fail_at, k)
+        assert [bessel_zero(7, k).value for k in range(1, 31)] == reference, fail_at
+
+
+def test_exhausted_scan_raises_without_walking_again(cold_zeros, monkeypatch):
+    calls = [0]
+
+    def never_changes_sign(n, x):
+        calls[0] += 1
+        return 1.0
+
+    monkeypatch.setattr(bessel, "bessel_j_kernel", never_changes_sign)
+    with pytest.raises(ZeroFindingError, match="scan exhausted"):
+        bessel_zero(3, 1)
+    # the start point and 100000 steps, as the fresh scan took
+    assert calls[0] == 100001
+    with pytest.raises(ZeroFindingError, match="scan exhausted"):
+        bessel_zero(3, 2)
+    assert calls[0] == 100001
+
+
+def test_concurrent_walks_agree(cold_zeros):
+    orders = (0, 3, 8)
+    reference = {(n, k): _fresh_scan_zero(n, k) for n in orders for k in range(1, 26)}
+    results = []
+
+    def worker(seed):
+        keys = sorted(reference)
+        random.Random(seed).shuffle(keys)
+        results.extend((key, bessel.bessel_zero(*key).value) for key in keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 * len(reference)
+    assert all(value == reference[key] for key, value in results)

@@ -142,6 +142,14 @@ def test_uncertified_note_on_stderr():
     assert "uncertified" not in quiet.stderr
 
 
+def test_pad_swamp_warning_is_one_line():
+    for command in ("gaps", "diagram"):
+        proc = run(command, "--count", "30", "--epsilon", "0.5", "--m", "0.45")
+        lines = proc.stderr.splitlines()
+        assert sum(line.startswith("warning: eps^gamma") for line in lines) == 1, command
+        assert "cli.py" not in proc.stderr
+
+
 def test_diagram_svg(tmp_path):
     out = tmp_path / "diagram.svg"
     run("diagram", "--count", "10", "--out", str(out))

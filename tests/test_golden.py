@@ -31,6 +31,7 @@ CASES = {
     ],
     "zeros.csv": ["zeros"],
     "zeros.json": ["zeros", "--format", "json"],
+    "zeros_n2_k120.csv": ["zeros", "--n-max", "2", "--k-max", "120"],
     "spectrum.csv": ["spectrum"],
     "spectrum.json": ["spectrum", "--format", "json"],
     "spectrum_count1500.csv": ["spectrum", "--count", "1500"],

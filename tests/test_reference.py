@@ -41,6 +41,16 @@ def test_bessel_zeros_against_mpmath():
     assert worst <= 1e-13
 
 
+def test_deep_bessel_zeros_against_mpmath():
+    # deep k, up to j_{29,300} ~ 987, inside the documented x <= 1000 range
+    worst = 0.0
+    for n in (0, 1, 2, 5, 29):
+        for k in (50, 80, 100, 120, 200, 300):
+            ref = float(mpmath.besseljzero(n, k))
+            worst = max(worst, abs(bessel_zero(n, k).value - ref))
+    assert worst <= 1e-13
+
+
 def test_tridiag_against_eigvalsh():
     rng = np.random.default_rng(7)
     diag = rng.uniform(1.0, 5.0, size=400)
