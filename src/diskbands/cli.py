@@ -44,8 +44,8 @@ from .oracles import (
     RadialMesh,
     boundary_arc_length,
     c0_quadrature,
-    convergence_ratios,
-    disk_dirichlet_eigenvalues,
+    disk_mesh_doubling,
+    error_ratios,
 )
 from .spectrum import ModeIndex, Parity, enumerate_spectrum
 
@@ -580,19 +580,20 @@ def _verify_checks(config: RunConfig):
 
     mesh = RadialMesh(512)
     worst = 0.0
+    ratios = []
     for n in (0, 1, 2):
-        values = disk_dirichlet_eigenvalues(n, 2, mesh, verify_convergence=True)
+        # one solve per mesh serves the error check, the Richardson guard
+        # and the convergence ratios
+        values, fine = disk_mesh_doubling(n, 2, mesh)
         for k, fd in enumerate(values, start=1):
             z = bessel_zero(n, k).value
             exact = 4.0 * z * z
             worst = max(worst, abs(fd - exact) / exact)
+        ratios.extend(error_ratios(n, values, fine))
     checks.append(
         ("disk-fd-eigenvalues", worst <= 1e-3, "max relative error = %.3g" % worst)
     )
 
-    ratios = []
-    for n in (0, 1, 2):
-        ratios.extend(convergence_ratios(n, 2, mesh))
     ok = all(3.5 <= r <= 4.5 for r in ratios)
     checks.append(
         (
@@ -659,6 +660,7 @@ _VERIFY_AXIS = (-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi)
 
 
 def cmd_verify(config: RunConfig) -> int:
+    _reject_svg(config)
     checks = _verify_checks(config)
     _emit(
         [

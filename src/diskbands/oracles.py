@@ -6,6 +6,14 @@ boundary quadrature of the compatibility integral validating the closed-form
 c0(eta).  Neither route shares formulas with the modules it checks: the disk
 solve knows nothing of Bessel zeros, and the quadrature rebuilds the phase
 from node coordinates instead of reusing the quadrant tables.
+
+The quadrature caches its eta-independent node geometry once per
+(n, panels): each node's weight, cos(n t), sin(n t) and the sign pair of
+(cos t, sin t), read from the node itself.  A call rebuilds the four phases
+from those node signs and eta, then sums the nodes in order.  Each mode's
+prefactor is cached per (n, k).  `disk_mesh_doubling` solves a mesh and its
+doubled mesh once each, so the eigenvalue check, the Richardson guard and
+the convergence ratios share two solves.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +93,8 @@ def disk_dirichlet_eigenvalues(
     """Smallest `count` eigenvalues of the angular-mode-n Dirichlet disk
     problem on the given mesh, ascending.  With verify_convergence, a solve
     on the h-halved mesh must agree to within a loose Richardson bound."""
+    if verify_convergence:
+        return disk_mesh_doubling(n, count, mesh)[0]
     if n < 0:
         raise ValueError("angular order must be >= 0, got %r" % (n,))
     if count < 1:
@@ -94,27 +105,31 @@ def disk_dirichlet_eigenvalues(
             % (count, mesh.points)
         )
     d, e = _assemble(n, mesh)
-    values = tridiag_smallest_eigenvalues(d, e, count)
-    if verify_convergence:
-        fine = mesh.doubled()
-        df, ef = _assemble(n, fine)
-        fine_values = tridiag_smallest_eigenvalues(df, ef, count)
-        for coarse_v, fine_v in zip(values, fine_values):
-            # second-order scheme: coarse-fine difference ~ 3x the fine error
-            if abs(coarse_v - fine_v) > 0.05 * abs(fine_v):
-                raise OracleConvergenceError(
-                    "mesh doubling moved eigenvalue from %r to %r (n=%d, "
-                    "points=%d); discretization not converged"
-                    % (coarse_v, fine_v, n, mesh.points)
-                )
-    return values
+    return tridiag_smallest_eigenvalues(d, e, count)
 
 
-def convergence_ratios(n: int, count: int, mesh: RadialMesh) -> list[float]:
-    """Error-reduction factors E(mesh)/E(doubled mesh) against the exact
-    values 4 j_{n,k}^2; a second-order scheme gives ratios near 4."""
+def disk_mesh_doubling(
+    n: int, count: int, mesh: RadialMesh
+) -> tuple[list[float], list[float]]:
+    """Eigenvalues on `mesh` and on its h-halved mesh, one solve each.
+    Raises OracleConvergenceError when doubling moves any eigenvalue by
+    more than 5% of its fine value."""
     coarse = disk_dirichlet_eigenvalues(n, count, mesh)
     fine = disk_dirichlet_eigenvalues(n, count, mesh.doubled())
+    for coarse_v, fine_v in zip(coarse, fine):
+        # second-order scheme: coarse-fine difference ~ 3x the fine error
+        if abs(coarse_v - fine_v) > 0.05 * abs(fine_v):
+            raise OracleConvergenceError(
+                "mesh doubling moved eigenvalue from %r to %r (n=%d, "
+                "points=%d); discretization not converged"
+                % (coarse_v, fine_v, n, mesh.points)
+            )
+    return coarse, fine
+
+
+def error_ratios(n: int, coarse: list[float], fine: list[float]) -> list[float]:
+    """E(coarse)/E(fine) per eigenvalue against the exact values
+    4 j_{n,k}^2, k = 1, 2, ..."""
     ratios = []
     for k, (cv, fv) in enumerate(zip(coarse, fine), start=1):
         z = bessel_zero(n, k).value
@@ -123,26 +138,56 @@ def convergence_ratios(n: int, count: int, mesh: RadialMesh) -> list[float]:
     return ratios
 
 
-def _node_phase(theta: float, eta: FloquetPoint) -> complex:
-    # quadrant phase reconstructed from the boundary point itself: the signs
-    # of cos/sin theta decide the (+-eta1/2 +- eta2/2) combination
-    s1 = 1.0 if math.cos(theta) > 0.0 else -1.0
-    s2 = 1.0 if math.sin(theta) > 0.0 else -1.0
-    return cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
+def convergence_ratios(n: int, count: int, mesh: RadialMesh) -> list[float]:
+    """Error-reduction factors E(mesh)/E(doubled mesh) against the exact
+    values 4 j_{n,k}^2; a second-order scheme gives ratios near 4."""
+    coarse = disk_dirichlet_eigenvalues(n, count, mesh)
+    fine = disk_dirichlet_eigenvalues(n, count, mesh.doubled())
+    return error_ratios(n, coarse, fine)
+
+
+# the four phase sign pairs (s1, s2), indexed by a node's sign slot
+_SIGN_PAIRS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+@lru_cache(maxsize=None)
+def _node_table(n: int, panels: int) -> tuple[tuple[float, float, float, int], ...]:
+    # (w, cos n t, sin n t, sign slot) per node of the four quarter-arcs, in
+    # summation order; the signs of cos/sin t decide the (+-eta1/2 +- eta2/2)
+    # combination, read from the boundary point itself
+    rows = []
+    for quarter in range(4):
+        theta, w = panel_rule(
+            quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
+        )
+        for t, wt in zip(theta.tolist(), w.tolist()):
+            s1 = 1.0 if math.cos(t) > 0.0 else -1.0
+            s2 = 1.0 if math.sin(t) > 0.0 else -1.0
+            slot = _SIGN_PAIRS.index((s1, s2))
+            rows.append((wt, math.cos(n * t), math.sin(n * t), slot))
+    return tuple(rows)
 
 
 def _boundary_integral(
     n: int, eta: FloquetPoint, coeff_c: complex, coeff_s: complex, panels: int
 ) -> complex:
+    phases = [
+        cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2)) for s1, s2 in _SIGN_PAIRS
+    ]
     total = 0j
-    for quarter in range(4):
-        theta, w = panel_rule(
-            quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
-        )
-        for t, wt in zip(theta, w):
-            angular = coeff_c * math.cos(n * t) + coeff_s * math.sin(n * t)
-            total += wt * _node_phase(float(t), eta) * angular
+    for wt, cos_nt, sin_nt, slot in _node_table(n, panels):
+        angular = coeff_c * cos_nt + coeff_s * sin_nt
+        total += wt * phases[slot] * angular
     return total
+
+
+@lru_cache(maxsize=None)
+def _prefactor(n: int, k: int) -> float:
+    # -(d/dr J_n(2 z r) at r = 1/2) / (Lambda0 (1 - pi/4)), eta-independent
+    z = bessel_zero(n, k).value
+    lam0 = 4.0 * z * z
+    dnu = 2.0 * z * bessel_j_prime(n, z)
+    return -dnu / (lam0 * _SOFT_AREA)
 
 
 def c0_quadrature(
@@ -158,11 +203,8 @@ def c0_quadrature(
     Raises if doubling the panel count moves the value by more than 1e-10."""
     if panels < 8:
         raise ValueError("need at least 8 panels per quarter-arc, got %r" % (panels,))
-    n, k = mode.n, mode.k
-    z = bessel_zero(n, k).value
-    lam0 = 4.0 * z * z
-    dnu = 2.0 * z * bessel_j_prime(n, z)  # d/dr J_n(2 z r) at r = 1/2
-    pref = -dnu / (lam0 * _SOFT_AREA)
+    n = mode.n
+    pref = _prefactor(n, mode.k)
     value = pref * _boundary_integral(n, eta, coeff_c, coeff_s, panels)
     refined = pref * _boundary_integral(n, eta, coeff_c, coeff_s, 2 * panels)
     if abs(refined - value) > 1e-10:

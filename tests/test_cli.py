@@ -175,6 +175,17 @@ def test_svg_rejected_for_tables():
     assert proc.returncode == 1
 
 
+def test_svg_rejected_for_verify_before_any_check(monkeypatch, capsys):
+    def checks(config):
+        raise AssertionError("the check suite ran")
+
+    monkeypatch.setattr(cli, "_verify_checks", checks)
+    assert cli.main(["verify", "--format", "svg"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: format svg is only available for the diagram command\n"
+
+
 def test_usage_errors():
     for args in (
         ["bands", "--epsilon", "-1"],

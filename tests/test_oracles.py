@@ -1,9 +1,12 @@
 """Independent numerical routes: radial solver and boundary quadrature."""
 
+import cmath
 import math
 
 import pytest
 
+from diskbands import cli, oracles
+from diskbands._quad import panel_rule
 from diskbands import (
     FloquetPoint,
     ModeIndex,
@@ -17,6 +20,9 @@ from diskbands import (
     c0_simple,
     convergence_ratios,
     disk_dirichlet_eigenvalues,
+    disk_mesh_doubling,
+    error_ratios,
+    floquet_axis,
 )
 
 
@@ -92,3 +98,87 @@ def test_quadrature_convergence_guard():
 def test_boundary_measure():
     assert boundary_arc_length() == pytest.approx(math.pi, abs=1e-12)
     assert boundary_arc_length(panels=32) == pytest.approx(math.pi, abs=1e-12)
+
+
+def _reference_node_phase(theta, eta):
+    # the quadrature phase as it was before the node table: signs of
+    # cos/sin theta recomputed at every node of every call
+    s1 = 1.0 if math.cos(theta) > 0.0 else -1.0
+    s2 = 1.0 if math.sin(theta) > 0.0 else -1.0
+    return cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
+
+
+def _reference_boundary_integral(n, eta, coeff_c, coeff_s, panels):
+    total = 0j
+    for quarter in range(4):
+        theta, w = panel_rule(
+            quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
+        )
+        for t, wt in zip(theta, w):
+            angular = coeff_c * math.cos(n * t) + coeff_s * math.sin(n * t)
+            total += wt * _reference_node_phase(float(t), eta) * angular
+    return total
+
+
+def test_node_table_integral_equals_per_node_loop_bitwise():
+    axis = floquet_axis(9)
+    pairs = ((1.0, 0.0), (0.0, 1.0), (1 + 0j, 0j), (0.3 - 0.4j, 0.9 + 0.2j))
+    for n in range(7):
+        for panels in (16, 32):
+            for e1 in axis:
+                for e2 in axis:
+                    eta = FloquetPoint(e1, e2)
+                    for cc, cs in pairs:
+                        got = oracles._boundary_integral(n, eta, cc, cs, panels)
+                        ref = _reference_boundary_integral(n, eta, cc, cs, panels)
+                        case = (n, panels, e1, e2, cc, cs)
+                        assert got.real == ref.real, case
+                        assert got.imag == ref.imag, case
+
+
+def _fine_mesh_shifted_solve(monkeypatch):
+    # the fine mesh of RadialMesh(512) has 1025 points; moving its
+    # eigenvalues by 10% must trip the 5% Richardson guard
+    real = oracles.tridiag_smallest_eigenvalues
+
+    def solve(d, e, count):
+        values = real(d, e, count)
+        return [1.1 * v for v in values] if len(d) > 1000 else values
+
+    monkeypatch.setattr(oracles, "tridiag_smallest_eigenvalues", solve)
+
+
+def test_mesh_doubling_guard_raises(monkeypatch):
+    _fine_mesh_shifted_solve(monkeypatch)
+    with pytest.raises(OracleConvergenceError):
+        disk_dirichlet_eigenvalues(1, 2, RadialMesh(512), verify_convergence=True)
+    with pytest.raises(OracleConvergenceError):
+        disk_mesh_doubling(0, 2, RadialMesh(512))
+    # without the guard the shifted solve goes through
+    assert len(disk_dirichlet_eigenvalues(1, 2, RadialMesh(512))) == 2
+
+
+def test_verify_reports_mesh_doubling_failure(monkeypatch, capsys):
+    _fine_mesh_shifted_solve(monkeypatch)
+    assert cli.main(["verify"]) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: mesh doubling moved eigenvalue")
+
+
+def test_mesh_doubling_matches_separate_solves():
+    mesh = RadialMesh(256)
+    for n in (0, 1, 2):
+        coarse, fine = disk_mesh_doubling(n, 2, mesh)
+        assert coarse == disk_dirichlet_eigenvalues(n, 2, mesh)
+        assert fine == disk_dirichlet_eigenvalues(n, 2, mesh.doubled())
+        assert error_ratios(n, coarse, fine) == convergence_ratios(n, 2, mesh)
+
+
+def test_oracles_bind_no_closed_form_geometry():
+    # the quadrature is an independent route: it must not read the quadrant
+    # tables or the closed forms it is checked against
+    for name in ("quadrant_phase", "Quadrant", "_PHASE_SIGNS", "c0_simple", "c0_multiple"):
+        assert not hasattr(oracles, name), name
