@@ -163,7 +163,7 @@ def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> 
     # the grid route must reproduce the closed-form leading width
     branch = correction_for(m).branch
     if branch is Branch.COSINE:
-        if abs(length) > 1e-12:
+        if not (abs(length) <= 1e-12):
             raise InternalConsistencyError(
                 "flat branch %s reported nonzero first-order length %r"
                 % (m.label(), length)
@@ -172,7 +172,7 @@ def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> 
     expected = band_length(m, params).leading
     if expected is None:
         return
-    if abs(length - expected) > 1e-8 * abs(expected):
+    if not (abs(length - expected) <= 1e-8 * abs(expected)):
         raise InternalConsistencyError(
             "band length mismatch for %s: swept %r vs closed form %r"
             % (m.label(), length, expected)

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: zeros, spectrum, bands, gaps, diagram, verify.  Tables are
-emitted as CSV (default) or JSON; diagram renders an SVG band picture.
-Every numeric is printed with 15 significant digits and identical inputs
-produce byte-identical output.  Exit codes: 0 ok, 1 usage or config error,
-2 numerical failure, 3 internal consistency failure or other internal fault.
+emitted as CSV (default) or JSON; diagram renders an SVG band picture, and
+verify prints the check records of `diskbands.verify` as PASS/FAIL lines
+(csv) or JSON.  Every numeric is printed with 15 significant digits and
+identical inputs produce byte-identical output.  Exit codes: 0 ok, 1 usage or
+config error, 2 numerical failure, 3 internal consistency failure or other
+internal fault.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import traceback
@@ -20,34 +21,13 @@ import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .bands import (
-    BandInterval,
-    InternalConsistencyError,
-    band_length,
-    band_table,
-    brillouin_sweep,
-    gap_reports,
-    swept_band_width,
-)
-from .bessel import ZeroFindingError, bessel_j, bessel_zero
-from .corrections import (
-    ExpansionParams,
-    FloquetPoint,
-    QuadratureConvergenceError,
-    correction_matrix,
-    c0_multiple,
-    c0_simple,
-    lambda1_multiple,
-)
-from .oracles import (
-    OracleConvergenceError,
-    RadialMesh,
-    boundary_arc_length,
-    c0_quadrature,
-    disk_mesh_doubling,
-    error_ratios,
-)
-from .spectrum import ModeIndex, Parity, enumerate_spectrum
+from .bands import BandInterval, InternalConsistencyError, band_table
+from .bands import brillouin_sweep, gap_reports
+from .bessel import ZeroFindingError, bessel_zero
+from .corrections import ExpansionParams, FloquetPoint, QuadratureConvergenceError
+from .oracles import OracleConvergenceError
+from .spectrum import ModeIndex, enumerate_spectrum
+from .verify import verify_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -564,112 +544,20 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
     return EXIT_OK
 
 
-# ----------------------------------------------------------------- verify
-
-
-def _verify_checks(config: RunConfig):
-    # each check yields (name, passed, detail)
-    checks = []
-
-    worst = 0.0
-    for n in range(0, 9):
-        for k in range(1, 6):
-            z = bessel_zero(n, k)
-            worst = max(worst, abs(bessel_j(n, z.value)))
-    checks.append(("bessel-zero-residual", worst <= 1e-12, "max |J_n(j)| = %.3g" % worst))
-
-    mesh = RadialMesh(512)
-    worst = 0.0
-    ratios = []
-    for n in (0, 1, 2):
-        # one solve per mesh serves the error check, the Richardson guard
-        # and the convergence ratios
-        values, fine = disk_mesh_doubling(n, 2, mesh)
-        for k, fd in enumerate(values, start=1):
-            z = bessel_zero(n, k).value
-            exact = 4.0 * z * z
-            worst = max(worst, abs(fd - exact) / exact)
-        ratios.extend(error_ratios(n, values, fine))
-    checks.append(
-        ("disk-fd-eigenvalues", worst <= 1e-3, "max relative error = %.3g" % worst)
-    )
-
-    ok = all(3.5 <= r <= 4.5 for r in ratios)
-    checks.append(
-        (
-            "disk-fd-convergence",
-            ok,
-            "error ratios under mesh doubling: %s"
-            % ", ".join("%.2f" % r for r in ratios),
-        )
-    )
-
-    etas = [FloquetPoint(a, b) for a in _VERIFY_AXIS for b in _VERIFY_AXIS]
-    worst = 0.0
-    for n in range(0, 5):
-        for k in (1, 2):
-            for eta in etas:
-                if n == 0:
-                    closed = complex(c0_simple(k, eta))
-                    numeric = c0_quadrature(
-                        ModeIndex(0, k, Parity.SIMPLE), eta, 1.0, 0.0
-                    )
-                    worst = max(worst, abs(closed - numeric))
-                else:
-                    m = ModeIndex(n, k, Parity.COSINE)
-                    for cc, cs in ((1.0, 0.0), (0.0, 1.0)):
-                        closed = c0_multiple(n, k, eta, cc, cs)
-                        numeric = c0_quadrature(m, eta, cc, cs)
-                        worst = max(worst, abs(closed - numeric))
-    checks.append(
-        ("c0-closed-vs-quadrature", worst <= 1e-8, "max |difference| = %.3g" % worst)
-    )
-
-    worst = 0.0
-    for n in (1, 2, 3):
-        for k in (1, 2):
-            for eta in etas:
-                tr = correction_matrix(n, k, eta).trace()
-                closed = lambda1_multiple(n, k, eta).sine
-                worst = max(worst, abs(tr - closed))
-    checks.append(
-        ("correction-trace-vs-quadrature", worst <= 1e-8, "max |difference| = %.3g" % worst)
-    )
-
-    err = abs(boundary_arc_length() - math.pi)
-    checks.append(("boundary-arc-length", err <= 1e-12, "|integral - pi| = %.3g" % err))
-
-    params = ExpansionParams(config.epsilon, config.m, 0.0)
-    worst = 0.0
-    for pair in enumerate_spectrum(10):
-        m = pair.mode
-        if m.n % 4 == 0 and m.n > 0:
-            continue
-        if m.n > 0 and m.parity is Parity.COSINE:
-            continue
-        swept = swept_band_width(m.n, m.k, params, config.grid_resolution)
-        closed = band_length(m, params).leading
-        worst = max(worst, abs(swept - closed) / abs(closed))
-    checks.append(
-        ("band-length-closed-vs-sweep", worst <= 1e-8, "max relative error = %.3g" % worst)
-    )
-    return checks
-
-
-_VERIFY_AXIS = (-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi)
-
-
 def cmd_verify(config: RunConfig) -> int:
     _reject_svg(config)
-    checks = _verify_checks(config)
-    _emit(
-        [
-            "%s %s: %s\n" % ("PASS" if passed else "FAIL", name, detail)
-            for name, passed, detail in checks
-        ],
-        config,
-    )
-    failing = [name for name, passed, _ in checks if not passed]
+    checks = verify_checks(config.params(), config.grid_resolution)
+    if config.output_format == "json":
+        rows = [
+            {"name": c.name, "observed": _jnum(c.observed), "bound": _jnum(c.bound),
+             "passed": c.passed, "detail": c.detail}
+            for c in checks
+        ]
+        _write_table(config, rows)
+    else:
+        lines = ["%s %s: %s\n" % ("PASS" if c.passed else "FAIL", c.name, c.detail) for c in checks]
+        _emit(lines, config)
+    failing = [c.name for c in checks if not c.passed]
     if failing:
         print("verify failed: %s" % failing[0], file=sys.stderr)
         return EXIT_NUMERICAL

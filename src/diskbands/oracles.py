@@ -84,17 +84,9 @@ def _assemble(n: int, mesh: RadialMesh) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(sym_diag), np.ascontiguousarray(sym_off)
 
 
-def disk_dirichlet_eigenvalues(
-    n: int,
-    count: int,
-    mesh: RadialMesh,
-    verify_convergence: bool = False,
-) -> list[float]:
+def disk_dirichlet_eigenvalues(n: int, count: int, mesh: RadialMesh) -> list[float]:
     """Smallest `count` eigenvalues of the angular-mode-n Dirichlet disk
-    problem on the given mesh, ascending.  With verify_convergence, a solve
-    on the h-halved mesh must agree to within a loose Richardson bound."""
-    if verify_convergence:
-        return disk_mesh_doubling(n, count, mesh)[0]
+    problem on `mesh`, ascending; `disk_mesh_doubling` checks them by h-halving."""
     if n < 0:
         raise ValueError("angular order must be >= 0, got %r" % (n,))
     if count < 1:
@@ -118,7 +110,7 @@ def disk_mesh_doubling(
     fine = disk_dirichlet_eigenvalues(n, count, mesh.doubled())
     for coarse_v, fine_v in zip(coarse, fine):
         # second-order scheme: coarse-fine difference ~ 3x the fine error
-        if abs(coarse_v - fine_v) > 0.05 * abs(fine_v):
+        if not (abs(coarse_v - fine_v) <= 0.05 * abs(fine_v)):
             raise OracleConvergenceError(
                 "mesh doubling moved eigenvalue from %r to %r (n=%d, "
                 "points=%d); discretization not converged"
@@ -207,7 +199,7 @@ def c0_quadrature(
     pref = _prefactor(n, mode.k)
     value = pref * _boundary_integral(n, eta, coeff_c, coeff_s, panels)
     refined = pref * _boundary_integral(n, eta, coeff_c, coeff_s, 2 * panels)
-    if abs(refined - value) > 1e-10:
+    if not (abs(refined - value) <= 1e-10):
         raise OracleConvergenceError(
             "boundary quadrature for %s did not converge: panel doubling "
             "moved the value by %g" % (mode.label(), abs(refined - value))

@@ -250,6 +250,26 @@ def test_detect_gaps_checks_swept_lengths(monkeypatch):
         detect_gaps(10, PARAMS)
 
 
+def test_band_length_check_rejects_nan():
+    # both comparisons of the swept against the closed-form length must
+    # fail on a NaN length: the flat cosine branch and a swept branch
+    for m in (_mode(1, 1, Parity.COSINE), _mode(0, 1, Parity.SIMPLE), _mode(1, 1, Parity.SINE)):
+        with pytest.raises(InternalConsistencyError):
+            bands._check_band_length(m, PARAMS, math.nan)
+
+
+def test_detect_gaps_rejects_nan_closed_length(monkeypatch):
+    true_length = bands.band_length
+
+    def nan_length(mode, params):
+        exact = true_length(mode, params)
+        return exact if exact.leading is None else BandLength(math.nan, exact.order_note)
+
+    monkeypatch.setattr(bands, "band_length", nan_length)
+    with pytest.raises(InternalConsistencyError):
+        detect_gaps(10, PARAMS)
+
+
 def test_band_values_against_reference_numbers():
     band = band_interval(_mode(0, 1, Parity.SIMPLE), PARAMS)
     assert band.lower == pytest.approx(23.132744, abs=1e-5)

@@ -176,10 +176,10 @@ def test_svg_rejected_for_tables():
 
 
 def test_svg_rejected_for_verify_before_any_check(monkeypatch, capsys):
-    def checks(config):
+    def checks(params, grid_resolution):
         raise AssertionError("the check suite ran")
 
-    monkeypatch.setattr(cli, "_verify_checks", checks)
+    monkeypatch.setattr(cli, "verify_checks", checks)
     assert cli.main(["verify", "--format", "svg"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

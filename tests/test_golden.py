@@ -36,6 +36,7 @@ CASES = {
     "spectrum.json": ["spectrum", "--format", "json"],
     "spectrum_count1500.csv": ["spectrum", "--count", "1500"],
     "verify.txt": ["verify"],
+    "verify.json": ["verify", "--format", "json"],
     "bands_modes_cfg.csv": ["bands", "--config", CONFIG],
     "gaps_modes_cfg.json": ["gaps", "--config", CONFIG, "--format", "json"],
 }

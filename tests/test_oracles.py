@@ -59,7 +59,7 @@ def test_count_capped_by_mesh():
 
 
 def test_convergence_check_passes_on_fine_mesh():
-    values = disk_dirichlet_eigenvalues(1, 2, RadialMesh(256), verify_convergence=True)
+    values = disk_mesh_doubling(1, 2, RadialMesh(256))[0]
     assert len(values) == 2
 
 
@@ -151,11 +151,45 @@ def _fine_mesh_shifted_solve(monkeypatch):
 def test_mesh_doubling_guard_raises(monkeypatch):
     _fine_mesh_shifted_solve(monkeypatch)
     with pytest.raises(OracleConvergenceError):
-        disk_dirichlet_eigenvalues(1, 2, RadialMesh(512), verify_convergence=True)
+        disk_mesh_doubling(1, 2, RadialMesh(512))[0]
     with pytest.raises(OracleConvergenceError):
         disk_mesh_doubling(0, 2, RadialMesh(512))
     # without the guard the shifted solve goes through
     assert len(disk_dirichlet_eigenvalues(1, 2, RadialMesh(512))) == 2
+
+
+def test_mesh_doubling_guard_rejects_nan(monkeypatch):
+    # a NaN eigenvalue on the fine mesh must not pass the 5% bound
+    real = oracles.tridiag_smallest_eigenvalues
+
+    def solve(d, e, count):
+        values = real(d, e, count)
+        return [math.nan] * len(values) if len(d) > 1000 else values
+
+    monkeypatch.setattr(oracles, "tridiag_smallest_eigenvalues", solve)
+    with pytest.raises(OracleConvergenceError):
+        disk_mesh_doubling(0, 2, RadialMesh(512))
+
+
+def test_quadrature_guard_rejects_nan(monkeypatch):
+    # a NaN integral moves by NaN under panel doubling, which is no agreement
+    monkeypatch.setattr(
+        oracles, "_boundary_integral", lambda *args: complex(math.nan, math.nan)
+    )
+    with pytest.raises(OracleConvergenceError):
+        c0_quadrature(ModeIndex(1, 1, Parity.COSINE), FloquetPoint(0.4, 0.4))
+
+
+def test_verify_reports_nan_quadrature(monkeypatch, capsys):
+    monkeypatch.setattr(
+        oracles, "_boundary_integral", lambda *args: complex(math.nan, math.nan)
+    )
+    assert cli.main(["verify"]) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: boundary quadrature for ")
 
 
 def test_verify_reports_mesh_doubling_failure(monkeypatch, capsys):
