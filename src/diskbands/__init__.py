@@ -6,127 +6,94 @@ boundary compatibility conditions, and spectral bands with certified error
 pads from sweeping eta over [-pi, pi)^2.  Everything closed-form is
 cross-checked by independent numerics in `diskbands.oracles`, run as one
 suite by `diskbands.verify`.
+
+The names in `__all__` load on first access (PEP 562), so importing the
+package loads none of its modules, and the zero and spectrum commands run
+without numpy.
 """
 
-from .bessel import BesselZero, ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
-from .spectrum import (
-    DISK_RADIUS,
-    DiskEigenfunction,
-    LimitEigenpair,
-    ModeIndex,
-    Parity,
-    eigenfunction_eval,
-    enumerate_spectrum,
-    limit_eigenvalue,
-    mode,
-)
-from .corrections import (
-    SOFT_CELL_AREA,
-    Branch,
-    CorrectionValue,
-    Expansion,
-    ExpansionParams,
-    FloquetPoint,
-    MultipleCorrection,
-    Quadrant,
-    QuadratureConvergenceError,
-    UndeterminedCorrectionError,
-    branch_for,
-    c0_multiple,
-    c0_simple,
-    cell_map_T,
-    correction_for,
-    correction_matrix,
-    lambda1_multiple,
-    lambda1_simple,
-    lambda_expansion,
-    quadrant_of,
-    quadrant_phase,
-)
-from .bands import (
-    BandInterval,
-    BandLength,
-    GapReport,
-    InternalConsistencyError,
-    band_interval,
-    band_length,
-    band_table,
-    brillouin_sweep,
-    detect_gaps,
-    floquet_axis,
-    gap_reports,
-    swept_band_width,
-)
-from .oracles import (
-    OracleConvergenceError,
-    RadialMesh,
-    boundary_arc_length,
-    c0_quadrature,
-    convergence_ratios,
-    disk_dirichlet_eigenvalues,
-    disk_mesh_doubling,
-    error_ratios,
-)
-from .verify import Check, verify_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandInterval",
-    "BandLength",
-    "BesselZero",
-    "Branch",
-    "Check",
-    "CorrectionValue",
-    "DISK_RADIUS",
-    "DiskEigenfunction",
-    "Expansion",
-    "ExpansionParams",
-    "FloquetPoint",
-    "GapReport",
-    "InternalConsistencyError",
-    "LimitEigenpair",
-    "ModeIndex",
-    "MultipleCorrection",
-    "OracleConvergenceError",
-    "Parity",
-    "Quadrant",
-    "QuadratureConvergenceError",
-    "RadialMesh",
-    "SOFT_CELL_AREA",
-    "UndeterminedCorrectionError",
-    "ZeroFindingError",
-    "band_interval",
-    "band_length",
-    "band_table",
-    "bessel_j",
-    "bessel_j_prime",
-    "bessel_zero",
-    "boundary_arc_length",
-    "branch_for",
-    "brillouin_sweep",
-    "c0_multiple",
-    "c0_quadrature",
-    "c0_simple",
-    "cell_map_T",
-    "convergence_ratios",
-    "correction_for",
-    "correction_matrix",
-    "detect_gaps",
-    "disk_dirichlet_eigenvalues",
-    "disk_mesh_doubling",
-    "eigenfunction_eval",
-    "enumerate_spectrum",
-    "error_ratios",
-    "floquet_axis",
-    "gap_reports",
-    "lambda1_multiple",
-    "lambda1_simple",
-    "lambda_expansion",
-    "limit_eigenvalue",
-    "mode",
-    "quadrant_of",
-    "quadrant_phase",
-    "swept_band_width",
-    "verify_checks",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "bessel": ("BesselZero", "ZeroFindingError", "bessel_j", "bessel_j_prime", "bessel_zero"),
+    "spectrum": (
+        "DISK_RADIUS",
+        "DiskEigenfunction",
+        "ExpansionParams",
+        "InternalConsistencyError",
+        "LimitEigenpair",
+        "ModeIndex",
+        "OracleConvergenceError",
+        "Parity",
+        "QuadratureConvergenceError",
+        "eigenfunction_eval",
+        "enumerate_spectrum",
+        "limit_eigenvalue",
+        "mode",
+    ),
+    "corrections": (
+        "SOFT_CELL_AREA",
+        "Branch",
+        "CorrectionValue",
+        "Expansion",
+        "FloquetPoint",
+        "MultipleCorrection",
+        "Quadrant",
+        "UndeterminedCorrectionError",
+        "branch_for",
+        "c0_multiple",
+        "c0_simple",
+        "cell_map_T",
+        "correction_for",
+        "correction_matrix",
+        "lambda1_multiple",
+        "lambda1_simple",
+        "lambda_expansion",
+        "quadrant_of",
+        "quadrant_phase",
+    ),
+    "bands": (
+        "BandInterval",
+        "BandLength",
+        "GapReport",
+        "band_interval",
+        "band_length",
+        "band_table",
+        "brillouin_sweep",
+        "detect_gaps",
+        "floquet_axis",
+        "gap_reports",
+        "swept_band_width",
+    ),
+    "oracles": (
+        "RadialMesh",
+        "boundary_arc_length",
+        "c0_quadrature",
+        "convergence_ratios",
+        "disk_dirichlet_eigenvalues",
+        "disk_mesh_doubling",
+        "error_ratios",
+    ),
+    "verify": ("Check", "verify_checks"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # the public submodules load on first access too
+        return importlib.import_module("." + name, __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

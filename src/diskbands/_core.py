@@ -11,7 +11,6 @@ from __future__ import annotations
 # amplifies cancellation beyond ~1e-14 absolute, so Miller's backward
 # recurrence takes over.
 _SERIES_CUTOFF = 4.0
-_RESCALE = 1e250
 
 
 def bessel_j_kernel(n: int, x: float) -> float:
@@ -56,19 +55,30 @@ def _miller(n: int, x: float) -> float:
     # even-order normalization sum, seeded with the start order (m is even)
     s = 2.0 * jcur
     result = 0.0
-    i = m
-    while i > 0:
+    # one pass per pair of steps from the even order i: to the odd order
+    # i - 1, then to the even order i - 2, which enters the sum (J_0 once);
+    # the values are rescaled whenever one exceeds 1e250 in magnitude, tested
+    # by two comparisons, which cost less than a call to abs()
+    n1 = n + 1
+    n2 = n + 2
+    for i in range(m, 0, -2):
         jlo = (2.0 * i / x) * jcur - jhi
         jhi = jcur
         jcur = jlo
-        i -= 1
-        if i == n:
+        if i == n1:
             result = jcur
-        if i == 0:
-            s += jcur
-        elif i % 2 == 0:
-            s += 2.0 * jcur
-        if abs(jcur) > _RESCALE:
+        if jcur > 1e250 or jcur < -1e250:
+            jcur *= 1e-250
+            jhi *= 1e-250
+            s *= 1e-250
+            result *= 1e-250
+        jlo = (2.0 * (i - 1) / x) * jcur - jhi
+        jhi = jcur
+        jcur = jlo
+        if i == n2:
+            result = jcur
+        s += 2.0 * jcur if i > 2 else jcur
+        if jcur > 1e250 or jcur < -1e250:
             jcur *= 1e-250
             jhi *= 1e-250
             s *= 1e-250
@@ -82,6 +92,7 @@ def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
     Sturm count."""
     dl = [float(v) for v in d]
     el = [float(v) for v in e]
+    e2 = [v * v for v in el]
     n = len(dl)
     lo = hi = dl[0]
     for i in range(n):
@@ -97,7 +108,7 @@ def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break
-            if _sturm_count(dl, el, mid) >= k:
+            if _sturm_count(dl, e2, mid) >= k:
                 b = mid
             else:
                 a = mid
@@ -108,14 +119,15 @@ def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
     return out
 
 
-def _sturm_count(d, e, x: float) -> int:
-    # number of eigenvalues strictly below x (LDL^T pivot sign count)
+def _sturm_count(d, e2, x: float) -> int:
+    # number of eigenvalues strictly below x (LDL^T pivot sign count); e2
+    # holds the squared off-diagonal
     q = d[0] - x
     count = 1 if q < 0.0 else 0
     for i in range(1, len(d)):
         if q == 0.0:
             q = -1e-290
-        q = d[i] - x - e[i - 1] * e[i - 1] / q
+        q = d[i] - x - e2[i - 1] / q
         if q < 0.0:
             count += 1
     return count

@@ -27,11 +27,15 @@ from .corrections import (
     correction_for,
     lambda1_grid,
 )
-from .spectrum import ModeIndex, Parity, enumerate_spectrum, limit_eigenvalue
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two routes to the same quantity disagreed beyond tolerance."""
+# InternalConsistencyError lives in the numpy-free spectrum module and is
+# re-exported here
+from .spectrum import (
+    InternalConsistencyError,
+    ModeIndex,
+    Parity,
+    enumerate_spectrum,
+    limit_eigenvalue,
+)
 
 
 def floquet_axis(resolution: int) -> np.ndarray:

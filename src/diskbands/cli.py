@@ -14,20 +14,29 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import traceback
 import warnings
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .bands import BandInterval, InternalConsistencyError, band_table
-from .bands import brillouin_sweep, gap_reports
 from .bessel import ZeroFindingError, bessel_zero
-from .corrections import ExpansionParams, FloquetPoint, QuadratureConvergenceError
-from .oracles import OracleConvergenceError
-from .spectrum import ModeIndex, enumerate_spectrum
-from .verify import verify_checks
+from .spectrum import (
+    ExpansionParams,
+    InternalConsistencyError,
+    ModeIndex,
+    OracleConvergenceError,
+    QuadratureConvergenceError,
+    enumerate_spectrum,
+)
+
+# numpy, the Floquet modules and xml.etree load inside the commands that use
+# them, so zeros and spectrum start without them
+if TYPE_CHECKING:
+    from .bands import BandInterval
+    from .corrections import FloquetPoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -322,6 +331,8 @@ def cmd_bands(count: int, config: RunConfig) -> int:
     if count < 1:
         raise ConfigError("count must be >= 1, got %r" % (count,))
     _reject_svg(config)
+    from .bands import band_table
+
     table = band_table(
         count, config.params(), config.grid_resolution, config.error_constants
     )
@@ -347,6 +358,8 @@ def cmd_gaps(count: int, config: RunConfig) -> int:
     if count < 2:
         raise ConfigError("count must be >= 2, got %r" % (count,))
     _reject_svg(config)
+    from .bands import band_table, gap_reports
+
     table = band_table(
         count, config.params(), config.grid_resolution, config.error_constants
     )
@@ -368,6 +381,8 @@ def cmd_gaps(count: int, config: RunConfig) -> int:
 
 
 def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
+    import xml.etree.ElementTree as ET
+
     width, height = 460, 640
     top, bottom, band_x, band_w = 50, 600, 170, 60
     lo = min(b.lower for b in bands)
@@ -499,6 +514,8 @@ def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
 def _samples(m: ModeIndex, config: RunConfig):
     # ((eta1, eta2), value) at each sweep point of mode m, row-major over
     # eta1, every number rounded as _jnum does
+    from .bands import brillouin_sweep
+
     axis, values = brillouin_sweep(m, config.params(), config.grid_resolution)
     axis = [_jnum(a) for a in axis]
     return zip(itertools.product(axis, axis), map(float, map(_fmt, values)))
@@ -513,6 +530,8 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
             "diagram --format %s writes count * grid^2 = %d samples, at most %d"
             % (config.output_format, total, MAX_DIAGRAM_SAMPLES)
         )
+    from .bands import band_table, gap_reports
+
     table = band_table(
         count, config.params(), config.grid_resolution, config.error_constants
     )
@@ -546,11 +565,16 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     _reject_svg(config)
+    from .verify import verify_checks
+
     checks = verify_checks(config.params(), config.grid_resolution)
     if config.output_format == "json":
+        # strict JSON has no NaN or infinity: a non-finite observed value is
+        # written as null, and the detail text keeps it
         rows = [
-            {"name": c.name, "observed": _jnum(c.observed), "bound": _jnum(c.bound),
-             "passed": c.passed, "detail": c.detail}
+            {"name": c.name,
+             "observed": _jnum(c.observed) if math.isfinite(c.observed) else None,
+             "bound": _jnum(c.bound), "passed": c.passed, "detail": c.detail}
             for c in checks
         ]
         _write_table(config, rows)

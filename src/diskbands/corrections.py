@@ -22,7 +22,15 @@ import numpy as np
 
 from ._quad import panel_rule
 from .bessel import bessel_j, bessel_zero
-from .spectrum import ModeIndex, Parity, limit_eigenvalue
+# ExpansionParams and QuadratureConvergenceError live in the numpy-free
+# spectrum module and are re-exported here
+from .spectrum import (
+    ExpansionParams,
+    ModeIndex,
+    Parity,
+    QuadratureConvergenceError,
+    limit_eigenvalue,
+)
 
 TWO_PI = 2.0 * math.pi
 # area of the unit cell outside the inscribed disk of radius 1/2
@@ -34,10 +42,6 @@ _MAX_PANELS = 1024
 
 class UndeterminedCorrectionError(RuntimeError):
     """Numeric evaluation requested for a branch with no first-order data."""
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Panel doubling failed to stabilize a boundary integral."""
 
 
 def _reduce_angle(v: float) -> float:
@@ -111,42 +115,6 @@ def cell_map_T(x: tuple[float, float]) -> tuple[float, float]:
     involution on each quadrant pair."""
     s1, s2 = _T_SHIFTS[quadrant_of(x)]
     return (float(x[0]) + s1, float(x[1]) + s2)
-
-
-@dataclass(frozen=True)
-class ExpansionParams:
-    """Small parameter eps, density exponent m in (0, 1/2), and the error-pad
-    constant C (>= 0, 0 meaning an uncertified pad)."""
-
-    epsilon: float
-    m: float
-    error_constant: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive, got %r" % (self.epsilon,))
-        if not (0.0 < self.m < 0.5):
-            raise ValueError(
-                "m must satisfy 0 < m < 1/2 (standing assumption of the "
-                "two-term expansion), got %r" % (self.m,)
-            )
-        if not (math.isfinite(self.error_constant) and self.error_constant >= 0.0):
-            raise ValueError(
-                "error_constant must be finite and non-negative, got %r"
-                % (self.error_constant,)
-            )
-
-    @property
-    def gamma(self) -> float:
-        return min(3.0 * self.m, 1.0)
-
-    @property
-    def first_order_scale(self) -> float:
-        return self.epsilon ** (2.0 * self.m)
-
-    @property
-    def pad(self) -> float:
-        return self.error_constant * self.epsilon**self.gamma
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,13 +29,11 @@ from ._core import tridiag_smallest_eigenvalues
 from ._quad import panel_rule
 from .bessel import bessel_j_prime, bessel_zero
 from .corrections import FloquetPoint
-from .spectrum import ModeIndex
+# OracleConvergenceError lives in the numpy-free spectrum module and is
+# re-exported here
+from .spectrum import ModeIndex, OracleConvergenceError
 
 _SOFT_AREA = 1.0 - math.pi / 4.0
-
-
-class OracleConvergenceError(RuntimeError):
-    """Mesh or panel refinement failed to confirm the computed value."""
 
 
 @dataclass(frozen=True)

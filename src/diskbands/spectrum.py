@@ -7,6 +7,10 @@ cosine branch preceding the sine branch of each double eigenvalue: it merges
 the increasing zero sequences j_{n,1} < j_{n,2} < ... of the orders n through
 a heap, and finds j_{n,k+1} only once j_{n,k} is listed, and j_{n+1,1} only
 once j_{n,1} is.
+
+The module also holds the expansion parameters and the error types that the
+command line maps to exit codes; they need neither numpy nor the Floquet
+modules, so `diskbands zeros` and `diskbands spectrum` never load them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,54 @@ from dataclasses import dataclass
 from .bessel import BesselZero, bessel_j, bessel_zero
 
 DISK_RADIUS = 0.5
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Panel doubling failed to stabilize a boundary integral."""
+
+
+class OracleConvergenceError(RuntimeError):
+    """Mesh or panel refinement failed to confirm the computed value."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """Two routes to the same quantity disagreed beyond tolerance."""
+
+
+@dataclass(frozen=True)
+class ExpansionParams:
+    """Small parameter eps, density exponent m in (0, 1/2), and the error-pad
+    constant C (>= 0, 0 meaning an uncertified pad)."""
+
+    epsilon: float
+    m: float
+    error_constant: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be positive, got %r" % (self.epsilon,))
+        if not (0.0 < self.m < 0.5):
+            raise ValueError(
+                "m must satisfy 0 < m < 1/2 (standing assumption of the "
+                "two-term expansion), got %r" % (self.m,)
+            )
+        if not (math.isfinite(self.error_constant) and self.error_constant >= 0.0):
+            raise ValueError(
+                "error_constant must be finite and non-negative, got %r"
+                % (self.error_constant,)
+            )
+
+    @property
+    def gamma(self) -> float:
+        return min(3.0 * self.m, 1.0)
+
+    @property
+    def first_order_scale(self) -> float:
+        return self.epsilon ** (2.0 * self.m)
+
+    @property
+    def pad(self) -> float:
+        return self.error_constant * self.epsilon**self.gamma
 
 
 class Parity(enum.Enum):

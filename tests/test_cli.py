@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from diskbands import cli
+from diskbands import bands, cli, verify
 
 CMD = [sys.executable, "-m", "diskbands"]
 
@@ -179,7 +179,7 @@ def test_svg_rejected_for_verify_before_any_check(monkeypatch, capsys):
     def checks(params, grid_resolution):
         raise AssertionError("the check suite ran")
 
-    monkeypatch.setattr(cli, "verify_checks", checks)
+    monkeypatch.setattr(verify, "verify_checks", checks)
     assert cli.main(["verify", "--format", "svg"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -283,7 +283,7 @@ def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, ca
         argv = ["diagram", "--count", "10", "--grid", str(cli.MAX_GRID),
                 "--format", fmt, "--out", str(out)]
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "band_table", no_work)
+            patch.setattr(bands, "band_table", no_work)
             assert cli.main(argv) == cli.EXIT_USAGE, fmt
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), fmt

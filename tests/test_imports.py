@@ -1,0 +1,87 @@
+"""The package's lazy exports, and the import floor of the zero commands:
+`diskbands zeros` and `diskbands spectrum` run without loading numpy or
+xml.etree."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import diskbands
+from diskbands import bands, corrections, oracles, spectrum
+
+# runs one command in-process, then reports its exit code and which of the
+# heavy modules it loaded on stderr
+PROBE = """
+import json, sys
+from diskbands.cli import main
+code = main(sys.argv[1:])
+heavy = [m for m in ("numpy", "xml.etree", "diskbands.bands") if m in sys.modules]
+print(json.dumps({"exit": code, "heavy": heavy}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--n-max", "3", "--k-max", "4"],
+        ["zeros", "--n-max", "3", "--k-max", "4", "--format", "json"],
+        ["spectrum", "--count", "20"],
+        ["spectrum", "--count", "20", "--format", "json"],
+    ],
+)
+def test_zero_commands_load_no_numpy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == {"exit": 0, "heavy": []}
+    assert proc.stdout
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from diskbands import *", namespace)
+    assert set(diskbands.__all__) <= set(namespace)
+    for name in diskbands.__all__:
+        assert namespace[name] is getattr(diskbands, name), name
+
+
+def test_dir_lists_all():
+    listed = dir(diskbands)
+    assert "__all__" in listed
+    assert set(diskbands.__all__) <= set(listed)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        diskbands.no_such_name
+    assert getattr(diskbands, "BACKEND", "missing") == "missing"
+    with pytest.raises(ImportError):
+        exec("from diskbands import no_such_name", {})
+
+
+def test_moved_classes_keep_their_old_homes():
+    assert corrections.ExpansionParams is spectrum.ExpansionParams
+    assert corrections.QuadratureConvergenceError is spectrum.QuadratureConvergenceError
+    assert oracles.OracleConvergenceError is spectrum.OracleConvergenceError
+    assert bands.InternalConsistencyError is spectrum.InternalConsistencyError
+    for name in (
+        "ExpansionParams",
+        "QuadratureConvergenceError",
+        "OracleConvergenceError",
+        "InternalConsistencyError",
+    ):
+        assert getattr(diskbands, name) is getattr(spectrum, name), name
+
+
+def test_import_loads_no_module_until_asked():
+    code = (
+        "import sys, diskbands\n"
+        "assert not [m for m in sys.modules if m.startswith('diskbands.')], sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert diskbands.oracles.RadialMesh is diskbands.RadialMesh\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,19 @@
 """The kernels in `diskbands._core` against independent references:
 mpmath at 30 digits for J_n and its zeros, LAPACK (`numpy.linalg.eigvalsh`)
 for the tridiagonal eigensolver.  The bounds sit a few times above the
-largest errors observed on these samples."""
+largest errors observed on these samples.  The plain loops that the Miller
+recurrence and the Sturm count were tuned from are kept here as bitwise
+references."""
+
+import random
 
 import mpmath
 import numpy as np
 
+from diskbands import _core
 from diskbands._core import bessel_j_kernel, tridiag_smallest_eigenvalues
 from diskbands.bessel import bessel_zero
+from diskbands.oracles import RadialMesh, _assemble
 
 mpmath.mp.dps = 30
 
@@ -60,3 +66,82 @@ def test_tridiag_against_eigvalsh():
     ref = np.linalg.eigvalsh(matrix)[:5]
     assert len(got) == 5
     assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
+
+
+def _reference_miller(n, x, rescales):
+    # Miller's recurrence one step per pass, the order's parity tested with
+    # i % 2 and the rescale with abs(); rescales[0] counts the rescales
+    m = int(x + 12.0 * x ** (1.0 / 3.0) + 25.0) + n
+    if m % 2 == 1:
+        m += 1
+    jhi = 0.0
+    jcur = 1e-30
+    s = 2.0 * jcur
+    result = 0.0
+    i = m
+    while i > 0:
+        jlo = (2.0 * i / x) * jcur - jhi
+        jhi = jcur
+        jcur = jlo
+        i -= 1
+        if i == n:
+            result = jcur
+        if i == 0:
+            s += jcur
+        elif i % 2 == 0:
+            s += 2.0 * jcur
+        if abs(jcur) > 1e250:
+            rescales[0] += 1
+            jcur *= 1e-250
+            jhi *= 1e-250
+            s *= 1e-250
+            result *= 1e-250
+    return result / s
+
+
+def test_paired_miller_equals_one_step_loop_bitwise():
+    rng = random.Random(2024)
+    pairs = [(rng.randrange(60), rng.uniform(4.0, 1000.0)) for _ in range(11000)]
+    rescales = [0]
+    for n, x in pairs:
+        assert _core._miller(n, x) == _reference_miller(n, x, rescales), (n, x)
+    assert rescales[0] == 0
+    # high orders at small x grow past 1e250 on the way down to J_0
+    for n in range(0, 301, 6):
+        for x in (4.0, 4.5, 7.25, 20.0, 64.0, 150.5):
+            assert _core._miller(n, x) == _reference_miller(n, x, rescales), (n, x)
+    assert rescales[0] > 100
+
+
+def _reference_sturm_count(d, e, x):
+    # the Sturm sweep squaring the off-diagonal entry at every row
+    q = d[0] - x
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(d)):
+        if q == 0.0:
+            q = -1e-290
+        q = d[i] - x - e[i - 1] * e[i - 1] / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
+    # every count the solver takes from its table of squares equals the
+    # squaring sweep's, so the bisection and the eigenvalues are unchanged;
+    # the matrices are the disk oracle's at the verify suite's meshes
+    sweep = _core._sturm_count
+    sweeps = []
+
+    def checked(d, e2, x):
+        count = sweep(d, e2, x)
+        assert count == _reference_sturm_count(d, off, x), x
+        sweeps.append(x)
+        return count
+
+    monkeypatch.setattr(_core, "_sturm_count", checked)
+    for mesh in (RadialMesh(512), RadialMesh(512).doubled()):
+        for n in (0, 1, 2):
+            diag, off = (a.tolist() for a in _assemble(n, mesh))
+            tridiag_smallest_eigenvalues(diag, off, 2)
+    assert len(sweeps) > 600

@@ -94,10 +94,20 @@ def test_fail_path_json(monkeypatch, capsys, binding, replacement, failing):
     monkeypatch.setattr(verify, binding, replacement)
     code, out, err = _run_verify(capsys, "--format", "json")
     assert code == cli.EXIT_NUMERICAL
-    rows = json.loads(out)["rows"]
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
     assert [r["name"] for r in rows] == NAMES
     assert [r["passed"] for r in rows] == [name != failing for name in NAMES]
     assert err == "verify failed: %s\n" % failing
+    # a NaN observed value is written as null; the detail text keeps it
+    nan_rows = [r for r in rows if r["detail"].endswith("= nan")]
+    assert [r["name"] for r in nan_rows] == ([failing] if binding == "c0_simple" else [])
+    assert all(r["observed"] is None for r in nan_rows)
+    assert all(r["observed"] is not None for r in rows if r not in nan_rows)
+
+
+def _reject_constant(token):
+    # json.loads calls this for NaN and Infinity, which strict JSON lacks
+    raise ValueError("non-standard JSON constant %s" % token)
 
 
 def test_json_rows_match_text_lines(capsys):
