@@ -32,8 +32,8 @@ from .spectrum import (
     enumerate_spectrum,
 )
 
-# numpy, the Floquet modules and xml.etree load inside the commands that use
-# them, so zeros and spectrum start without them
+# numpy and the Floquet modules load inside the commands that use them, so
+# zeros and spectrum start without them
 if TYPE_CHECKING:
     from .bands import BandInterval
     from .corrections import FloquetPoint
@@ -381,134 +381,66 @@ def cmd_gaps(count: int, config: RunConfig) -> int:
 
 
 def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
-    import xml.etree.ElementTree as ET
-
-    width, height = 460, 640
-    top, bottom, band_x, band_w = 50, 600, 170, 60
-    lo = min(b.lower for b in bands)
-    hi = max(b.upper for b in bands)
-    span = (hi - lo) or 1.0
-    lo -= 0.03 * span
-    hi += 0.03 * span
+    # every text and attribute value written here is a number, a mode label
+    # built from integers and a Parity value, or a fixed string, so nothing
+    # needs XML escaping
+    top, bottom = 50, 600
+    low = min(b.lower for b in bands)
+    high = max(b.upper for b in bands)
+    span = (high - low) or 1.0
+    lo = low - 0.03 * span
+    hi = high + 0.03 * span
 
     def ypos(v: float) -> float:
         return bottom - (v - lo) / (hi - lo) * (bottom - top)
 
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": "0 0 %d %d" % (width, height),
-        },
-    )
-    defs = ET.SubElement(root, "defs")
-    pattern = ET.SubElement(
-        defs,
-        "pattern",
-        {
-            "id": "hatch",
-            "patternUnits": "userSpaceOnUse",
-            "width": "6",
-            "height": "6",
-        },
-    )
-    ET.SubElement(
-        pattern,
-        "path",
-        {"d": "M0,6 L6,0", "stroke": "#666666", "stroke-width": "1"},
-    )
-    # spectral axis with end labels
-    ET.SubElement(
-        root,
-        "line",
-        {
-            "x1": "120",
-            "y1": "%.2f" % ypos(lo),
-            "x2": "120",
-            "y2": "%.2f" % ypos(hi),
-            "stroke": "#000000",
-            "stroke-width": "1",
-        },
-    )
-    for value in (min(b.lower for b in bands), max(b.upper for b in bands)):
-        tick = ET.SubElement(
-            root,
-            "text",
-            {"x": "112", "y": "%.2f" % (ypos(value) + 4), "font-size": "11",
-             "text-anchor": "end"},
+    # bands fill x 170..230 with their labels at 238; gap bars sit at 156
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" width="460" height="640" viewBox="0 0 460 640">'
+        '<defs><pattern id="hatch" patternUnits="userSpaceOnUse" width="6" height="6">'
+        '<path d="M0,6 L6,0" stroke="#666666" stroke-width="1" /></pattern></defs>'
+        # spectral axis with end labels
+        '<line x1="120" y1="%.2f" x2="120" y2="%.2f" stroke="#000000" stroke-width="1" />'
+        % (ypos(lo), ypos(hi))
+    ]
+    for value in (low, high):
+        out.append(
+            '<text x="112" y="%.2f" font-size="11" text-anchor="end">%s</text>'
+            % (ypos(value) + 4, _fmt(value))
         )
-        tick.text = _fmt(value)
     for b in bands:
         y_hi = ypos(b.upper)
         y_lo = ypos(b.lower)
-        ET.SubElement(
-            root,
-            "rect",
-            {
-                "class": "band band-undetermined" if b.undetermined else "band",
-                "x": str(band_x),
-                "y": "%.2f" % y_hi,
-                "width": str(band_w),
-                "height": "%.2f" % max(y_lo - y_hi, 0.75),
-                "fill": "url(#hatch)" if b.undetermined else "#4477aa",
-                "stroke": "#223355",
-                "stroke-width": "0.6",
-            },
+        out.append(
+            '<rect class="%s" x="170" y="%.2f" width="60" height="%.2f" fill="%s" stroke="#223355" stroke-width="0.6" />'
+            '<text x="238" y="%.2f" font-size="11">%s</text>'
+            % (
+                "band band-undetermined" if b.undetermined else "band",
+                y_hi,
+                max(y_lo - y_hi, 0.75),
+                "url(#hatch)" if b.undetermined else "#4477aa",
+                0.5 * (y_lo + y_hi) + 4,
+                b.mode.label(),
+            )
         )
-        label = ET.SubElement(
-            root,
-            "text",
-            {
-                "x": str(band_x + band_w + 8),
-                "y": "%.2f" % (0.5 * (y_lo + y_hi) + 4),
-                "font-size": "11",
-            },
-        )
-        label.text = b.mode.label()
     for rep in reports:
         if not rep.certified:
             continue
         y1 = ypos(rep.gap_lower)
         y2 = ypos(rep.gap_upper)
-        ET.SubElement(
-            root,
-            "line",
-            {
-                "class": "gap",
-                "x1": str(band_x - 14),
-                "y1": "%.2f" % y1,
-                "x2": str(band_x - 14),
-                "y2": "%.2f" % y2,
-                "stroke": "#aa3322",
-                "stroke-width": "2",
-            },
+        out.append(
+            '<line class="gap" x1="156" y1="%.2f" x2="156" y2="%.2f" stroke="#aa3322" stroke-width="2" />'
+            '<text x="150" y="%.2f" font-size="10" text-anchor="end" fill="#aa3322">gap %g..%g</text>'
+            % (y1, y2, 0.5 * (y1 + y2) + 4, _jnum(rep.gap_lower), _jnum(rep.gap_upper))
         )
-        note = ET.SubElement(
-            root,
-            "text",
-            {
-                "x": str(band_x - 20),
-                "y": "%.2f" % (0.5 * (y1 + y2) + 4),
-                "font-size": "10",
-                "text-anchor": "end",
-                "fill": "#aa3322",
-            },
-        )
-        note.text = "gap %g..%g" % (_jnum(rep.gap_lower), _jnum(rep.gap_upper))
     if uncertified:
-        warn = ET.SubElement(
-            root,
-            "text",
-            {"x": "16", "y": "24", "font-size": "12", "fill": "#aa3322"},
+        out.append(
+            '<text x="16" y="24" font-size="12" fill="#aa3322">'
+            "uncertified pads (error constant 0 for some modes)</text>"
         )
-        warn.text = "uncertified pads (error constant 0 for some modes)"
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        + ET.tostring(root, encoding="unicode")
-        + "\n"
-    )
+    out.append("</svg>\n")
+    return "".join(out)
 
 
 def _samples(m: ModeIndex, config: RunConfig):
@@ -606,7 +538,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, default) -> None:
     # the same flags hang off the main parser and every subcommand; the
     # subcommand copies use SUPPRESS so an absent flag does not clobber a
     # value parsed before the subcommand name
-    parser.add_argument("--epsilon", type=float, default=default, help="small parameter (default 1e-3)")
+    parser.add_argument("--epsilon", type=float, default=default, help="small parameter in (0, 1) (default 1e-3)")
     parser.add_argument("--m", type=float, default=default, help="density exponent in (0, 1/2) (default 0.25)")
     parser.add_argument("--grid", type=int, default=default, help="eta grid resolution per axis, 3 to %d (default 33)" % MAX_GRID)
     parser.add_argument("--format", choices=list(_FORMATS), default=default, help="output format (default csv; diagram defaults to svg)")

@@ -39,16 +39,16 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """Small parameter eps, density exponent m in (0, 1/2), and the error-pad
-    constant C (>= 0, 0 meaning an uncertified pad)."""
+    """Small parameter eps in (0, 1), density exponent m in (0, 1/2), and the
+    error-pad constant C (>= 0, 0 meaning an uncertified pad)."""
 
     epsilon: float
     m: float
     error_constant: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive, got %r" % (self.epsilon,))
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError("epsilon must lie in (0, 1), got %r" % (self.epsilon,))
         if not (0.0 < self.m < 0.5):
             raise ValueError(
                 "m must satisfy 0 < m < 1/2 (standing assumption of the "

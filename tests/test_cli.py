@@ -194,9 +194,17 @@ def test_usage_errors():
         ["bands", "--grid", "2"],
         ["nonsense"],
         ["bands", "--no-such-flag"],
+        ["bands", "--epsilon", "1"],
+        # the pad C eps^gamma overflows to infinity, which strict JSON
+        # cannot hold
+        ["bands", "--count", "2", "--epsilon", "1e300", "--m", "0.45",
+         "--error-constant", "1e10", "--format", "json"],
     ):
         proc = subprocess.run(CMD + args, capture_output=True, text=True)
         assert proc.returncode == 1, args
+        assert proc.stdout == "", args
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, args
 
 
 def test_config_errors(tmp_path):

@@ -127,6 +127,7 @@ def test_expansion_params_validation():
     for bad in (
         dict(epsilon=0.0, m=0.25),
         dict(epsilon=-1.0, m=0.25),
+        dict(epsilon=1.0, m=0.25),
         dict(epsilon=1e-3, m=0.0),
         dict(epsilon=1e-3, m=0.5),
         dict(epsilon=1e-3, m=0.25, error_constant=-1.0),

@@ -21,6 +21,10 @@ CASES = {
     "gaps_grid128.csv": ["gaps", "--grid", "128"],
     "gaps_grid128.json": ["gaps", "--grid", "128", "--format", "json"],
     "diagram.svg": ["diagram"],
+    # two undetermined (hatched) bands, four certified gaps, no banner
+    "diagram_count14_c5.svg": ["diagram", "--count", "14", "--error-constant", "5"],
+    # one band, no gap, the uncertified banner
+    "diagram_count1.svg": ["diagram", "--count", "1"],
     "diagram_grid9.csv": ["diagram", "--grid", "9", "--format", "csv"],
     "diagram_count4_grid5.json": [
         "diagram", "--count", "4", "--grid", "5", "--format", "json",
@@ -40,6 +44,11 @@ CASES = {
     "bands_modes_cfg.csv": ["bands", "--config", CONFIG],
     "gaps_modes_cfg.json": ["gaps", "--config", CONFIG, "--format", "json"],
 }
+
+
+def test_every_golden_has_a_case():
+    files = {p.name for p in GOLDEN.iterdir()} - {"modes.cfg"}
+    assert files == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,6 +1,6 @@
-"""The package's lazy exports, and the import floor of the zero commands:
-`diskbands zeros` and `diskbands spectrum` run without loading numpy or
-xml.etree."""
+"""The package's lazy exports, and the import floor of the commands:
+`diskbands zeros` and `diskbands spectrum` run without loading numpy, and no
+command loads xml.etree."""
 
 import json
 import subprocess
@@ -37,6 +37,18 @@ def test_zero_commands_load_no_numpy(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == {"exit": 0, "heavy": []}
+    assert proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["diagram"], ["diagram", "--format", "json"]])
+def test_diagram_loads_no_xml_etree(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["exit"] == 0
+    assert "xml.etree" not in report["heavy"]
     assert proc.stdout
 
 
