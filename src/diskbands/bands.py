@@ -49,14 +49,19 @@ def floquet_axis(resolution: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BandInterval:
     """[lower, upper] for one mode branch, pad already applied on both ends;
-    extrema_eta records where the unpadded minimum and maximum were found."""
+    length is eps^{2m} (max - min) Lambda1 (None when undetermined), taken
+    at extrema_eta, where the unpadded minimum and maximum were found."""
 
     mode: ModeIndex
     lower: float
     upper: float
     pad: float
-    undetermined: bool
+    length: float | None
     extrema_eta: tuple[FloquetPoint, FloquetPoint]
+
+    @property
+    def undetermined(self) -> bool:
+        return self.length is None
 
     @property
     def width(self) -> float:
@@ -97,7 +102,7 @@ def band_interval(
     corr = correction_for(mode)
     if corr.branch is Branch.UNDETERMINED:
         origin = FloquetPoint(0.0, 0.0)
-        return BandInterval(mode, lam0 - pad, lam0 + pad, pad, True, (origin, origin))
+        return BandInterval(mode, lam0 - pad, lam0 + pad, pad, None, (origin, origin))
 
     lo, lo_eta, hi, hi_eta = _extremes_over(corr, floquet_axis(grid_resolution))
 
@@ -131,7 +136,7 @@ def band_interval(
         lam0 + scalef * lo - pad,
         lam0 + scalef * hi + pad,
         pad,
-        False,
+        scalef * (hi - lo),
         (lo_eta, hi_eta),
     )
 
@@ -186,20 +191,15 @@ def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> 
 def swept_band_width(
     n: int, k: int, params: ExpansionParams, resolution: int = 33
 ) -> float:
-    """Grid-swept width of the union of branch bands of (n, k), pad excluded;
-    independent route to `band_length` for cross-checking."""
+    """Swept width of the union of branch bands of (n, k), pad excluded: the
+    simple or sine band's length, whose range holds the cosine branch's
+    Lambda1 = 0; independent route to `band_length` for cross-checking."""
     if n % 4 == 0 and n > 0:
         raise ValueError(
             "band width of (n, k) = (%d, %d) is undetermined at first order" % (n, k)
         )
     parity = Parity.SIMPLE if n == 0 else Parity.SINE
-    corr = correction_for(ModeIndex(n, k, parity))
-    values = lambda1_grid(corr, floquet_axis(resolution))
-    lo, hi = float(values.min()), float(values.max())
-    if n > 0:
-        # the cosine branch pins Lambda1 = 0 into the union
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
-    return params.first_order_scale * (hi - lo)
+    return band_interval(ModeIndex(n, k, parity), params, resolution).length
 
 
 @dataclass(frozen=True)
@@ -213,15 +213,6 @@ class GapReport:
     gap_upper: float
     certified: bool
     reason: str | None = None
-
-
-def _lambda1_range(interval: BandInterval) -> float:
-    # recompute from the stored extremizers: upper-lower-2*pad suffers float
-    # cancellation on first-order-flat bands
-    corr = correction_for(interval.mode)
-    lo = corr.lambda1_at(interval.extrema_eta[0])
-    hi = corr.lambda1_at(interval.extrema_eta[1])
-    return hi - lo
 
 
 def _first_order_flat_pair(below: ModeIndex, above: ModeIndex) -> bool:
@@ -238,22 +229,20 @@ def band_table(
     params: ExpansionParams,
     grid_resolution: int = 33,
     error_constants: dict[tuple[int, int], float] | None = None,
-) -> list[tuple[BandInterval, float | None]]:
-    """Band interval and first-order length (None when undetermined) of each
-    of the first `count` limit modes; each swept length is checked against
-    `band_length`.  Per-mode error constants override params.error_constant."""
-    table: list[tuple[BandInterval, float | None]] = []
+) -> list[BandInterval]:
+    """Band interval of each of the first `count` limit modes; each swept
+    length is checked against `band_length`.  Per-mode error constants
+    override params.error_constant."""
+    table: list[BandInterval] = []
     for pair in enumerate_spectrum(count):
         m = pair.mode
         mode_params = params
         if error_constants is not None and (m.n, m.k) in error_constants:
             mode_params = replace(params, error_constant=error_constants[(m.n, m.k)])
-        interval = band_interval(m, mode_params, grid_resolution)
-        length = None
-        if not interval.undetermined:
-            length = mode_params.first_order_scale * _lambda1_range(interval)
-            _check_band_length(m, mode_params, length)
-        table.append((interval, length))
+        band = band_interval(m, mode_params, grid_resolution)
+        if band.length is not None:
+            _check_band_length(m, mode_params, band.length)
+        table.append(band)
     return table
 
 
@@ -271,19 +260,19 @@ def detect_gaps(
         raise ValueError(
             "spectrum_prefix must be >= 2, got %r" % (spectrum_prefix,)
         )
-    table = band_table(spectrum_prefix, params, grid_resolution, error_constants)
-    return gap_reports(table, params)
+    bands = band_table(spectrum_prefix, params, grid_resolution, error_constants)
+    return gap_reports(bands, params)
 
 
 def gap_reports(
-    table: list[tuple[BandInterval, float | None]], params: ExpansionParams
+    bands: list[BandInterval], params: ExpansionParams
 ) -> list[GapReport]:
-    """Gap reports for each adjacent pair of the bands of `table`, as
-    `band_table` returns it; `params` supplies eps and m for the
-    pad-versus-first-order warning."""
+    """Gap reports for each adjacent pair of `bands`, as `band_table`
+    returns them; `params` supplies eps and m for the pad-versus-first-order
+    warning."""
     # asymptotic-regime guard: eps^gamma must stay below the first-order
     # widths eps^{2m} * range, else pads can swamp the model
-    lengths = [length for _, length in table if length is not None and length > 0.0]
+    lengths = [b.length for b in bands if b.length is not None and b.length > 0.0]
     if lengths and params.epsilon**params.gamma >= min(lengths):
         warnings.warn(
             "eps^gamma = %.3g is not below the smallest first-order band "
@@ -294,7 +283,7 @@ def gap_reports(
         )
 
     reports: list[GapReport] = []
-    for (below, _), (above, _) in zip(table, table[1:]):
+    for below, above in zip(bands, bands[1:]):
         lower, upper = below.upper, above.lower
         reason: str | None = None
         if below.undetermined or above.undetermined:

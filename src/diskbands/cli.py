@@ -106,7 +106,8 @@ class RunConfig:
 def _load_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark some editors write first
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -333,22 +334,22 @@ def cmd_bands(count: int, config: RunConfig) -> int:
     _reject_svg(config)
     from .bands import band_table
 
-    table = band_table(
+    bands = band_table(
         count, config.params(), config.grid_resolution, config.error_constants
     )
-    uncertified = _warn_uncertified(config, [b.mode for b, _ in table])
+    uncertified = _warn_uncertified(config, [b.mode for b in bands])
     rows = [
         {
             **_mode_fields(b.mode),
             "lower": _jnum(b.lower),
             "upper": _jnum(b.upper),
-            "length": None if length is None else _jnum(length),
+            "length": None if b.length is None else _jnum(b.length),
             "pad": _jnum(b.pad),
             "undetermined": b.undetermined,
             "eta_min": _eta(b.extrema_eta[0]),
             "eta_max": _eta(b.extrema_eta[1]),
         }
-        for b, length in table
+        for b in bands
     ]
     _write_table(config, rows, uncertified)
     return EXIT_OK
@@ -360,11 +361,11 @@ def cmd_gaps(count: int, config: RunConfig) -> int:
     _reject_svg(config)
     from .bands import band_table, gap_reports
 
-    table = band_table(
+    bands = band_table(
         count, config.params(), config.grid_resolution, config.error_constants
     )
-    reports = gap_reports(table, config.params())
-    uncertified = _warn_uncertified(config, [b.mode for b, _ in table])
+    reports = gap_reports(bands, config.params())
+    uncertified = _warn_uncertified(config, [b.mode for b in bands])
     rows = [
         {
             "below": _mode_fields(r.below),
@@ -464,12 +465,11 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
         )
     from .bands import band_table, gap_reports
 
-    table = band_table(
+    bands = band_table(
         count, config.params(), config.grid_resolution, config.error_constants
     )
-    bands = [b for b, _ in table]
     uncertified = _warn_uncertified(config, [b.mode for b in bands])
-    reports = gap_reports(table, config.params()) if count >= 2 else []
+    reports = gap_reports(bands, config.params()) if count >= 2 else []
     if config.output_format == "svg":
         _emit([_render_svg(bands, reports, uncertified)], config)
         return EXIT_OK

@@ -18,6 +18,7 @@ from diskbands import (
     UndeterminedCorrectionError,
     band_interval,
     band_length,
+    band_table,
     bessel_j,
     bessel_j_prime,
     bessel_zero,
@@ -112,6 +113,27 @@ def test_band_lengths_match_swept_widths():
         assert swept == pytest.approx(closed, rel=1e-8)
     with pytest.raises(ValueError):
         swept_band_width(4, 1, PARAMS)
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 33, 64])
+def test_swept_width_is_the_band_record_length(resolution):
+    # one sweep serves swept_band_width, band_interval and band_table; on
+    # even grids, which miss eta = 0, the sharpened extremes still give the
+    # closed-form length
+    table = band_table(20, PARAMS, resolution)
+    assert any(b.mode.n == 4 for b in table)
+    for band in table:
+        m = band.mode
+        if m.n == 4:
+            assert band.undetermined is (band.length is None)
+            assert band.undetermined
+        if m.parity is Parity.COSINE or (m.n % 4 == 0 and m.n > 0):
+            continue
+        swept = swept_band_width(m.n, m.k, PARAMS, resolution)
+        assert swept == band_interval(m, PARAMS, resolution).length == band.length
+        if resolution % 2 == 0:
+            closed = band_length(m, PARAMS).leading
+            assert abs(swept - closed) <= 1e-12 * abs(closed), m.label()
 
 
 def test_band_width_scaling_in_epsilon():

@@ -129,6 +129,11 @@ def test_config_file(tmp_path):
     assert float(rows[0]["pad"]) == pytest.approx(2.5 * 1e-2**0.9)
     assert float(rows[1]["pad"]) == pytest.approx(1.0 * 1e-2**0.9)
 
+    # a UTF-8 byte-order mark before the first key reads the same
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert run("bands", "--count", "2", "--config", str(bom)).stdout == proc.stdout
+
     # flags override config values
     proc2 = run("bands", "--count", "2", "--config", str(cfg), "--epsilon", "1e-4")
     rows2 = list(csv.DictReader(io.StringIO(proc2.stdout)))

@@ -4,11 +4,14 @@ check replaced at its binding in `diskbands.verify`."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diskbands import Check, ExpansionParams, cli, verify, verify_checks
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 NAMES = [
     "bessel-zero-residual",
@@ -54,8 +57,9 @@ def test_ratio_rule_equals_the_interval_test():
         assert Check("r", abs(r - 4.0), 0.5, "").passed == (3.5 <= r <= 4.5), r
 
 
-def test_suite_records():
-    checks = verify_checks(ExpansionParams(1e-3, 0.25), 33)
+@pytest.mark.parametrize("grid", [33, 8, 64])
+def test_suite_records(grid):
+    checks = verify_checks(ExpansionParams(1e-3, 0.25), grid)
     assert [c.name for c in checks] == NAMES
     for c in checks:
         assert type(c.observed) is float and type(c.bound) is float
@@ -103,6 +107,12 @@ def test_fail_path_json(monkeypatch, capsys, binding, replacement, failing):
     assert [r["name"] for r in nan_rows] == ([failing] if binding == "c0_simple" else [])
     assert all(r["observed"] is None for r in nan_rows)
     assert all(r["observed"] is not None for r in rows if r not in nan_rows)
+
+
+def test_even_grid_prints_the_golden_text(capsys):
+    code, out, _ = _run_verify(capsys, "--grid", "8")
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
 
 
 def _reject_constant(token):
