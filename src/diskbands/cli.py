@@ -12,14 +12,16 @@ internal fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
-import json
 import math
 import os
 import sys
 import traceback
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .bessel import ZeroFindingError, bessel_zero
@@ -50,8 +52,15 @@ _FORMATS = ("csv", "json", "svg")
 # about 130 MB RSS)
 MAX_GRID = 2049
 
+# largest --count, --n-max and --k-max accepted, each chosen so that its
+# command at that cap, with the other flags at their defaults, runs in a
+# few seconds (spectrum --count 5000 in about 2 s on a 2-vCPU Xeon)
+MAX_COUNT = 5000
+MAX_N = 200
+MAX_K = 200
+
 # largest count * grid^2 that diagram writes as csv or json, one row per
-# sample; json holds every sample in memory before it prints
+# sample; both stream their samples, so the cap bounds time, not memory
 MAX_DIAGRAM_SAMPLES = 513 * 513
 
 
@@ -210,7 +219,7 @@ def _emit(chunks, config: RunConfig) -> None:
 
 # ------------------------------------------------------------------ tables
 #
-# Every table is a list of rows in their JSON shape.  The CSV header and
+# Every table is an iterable of rows in their JSON shape.  The CSV header and
 # cells derive from that shape: a nested dict becomes <key>_<subkey>
 # columns, a list <key>_1, <key>_2, ...; None prints as an empty cell and
 # booleans as true/false.  Rows hold only JSON types (floats as Python
@@ -246,21 +255,118 @@ _CELL = {
 }
 
 
+# parts per write: a write per line made `diagram --count 10 --grid 65
+# --format csv` about 40% slower on one core
+_BATCH = 4096
+
+
 def _csv_chunks(rows):
-    # the header, then the rows a few thousand lines per write: a write per
-    # line made `diagram --count 10 --grid 65 --format csv` about 40% slower
-    # on one core
+    # the header, then the rows a few thousand lines per write
     rows = iter(rows)
     first = next(rows)
     yield ",".join(_columns(first)) + "\n"
     lines = map(_cells, map(dict.values, itertools.chain((first,), rows)))
-    while batch := list(itertools.islice(lines, 4096)):
+    while batch := list(itertools.islice(lines, _BATCH)):
         yield "\n".join(batch) + "\n"
 
 
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError("JSON has no value for the float %r" % x)
+
+
+# JSON text of each scalar type, as json.dumps writes it; keyed by exact
+# type, so a float subclass such as numpy.float64 raises rather than being
+# written as a float
+_SCALAR = {
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+_FLOATS = {float}
+
+
+@functools.lru_cache(maxsize=1024)
+def _template(keys: tuple, depth: int, spec: str) -> str:
+    # %-template of a dict with these keys, its brace at depth, and one spec
+    # per value
+    if not keys:
+        return "{}"
+    pad = "\n" + " " * (depth + 1)
+    members = [encode_basestring_ascii(k).replace("%", "%%") + ": " + spec for k in keys]
+    return "{" + pad + ("," + pad).join(members) + "\n" + " " * depth + "}"
+
+
+def _leaf(value, depth: int) -> str | None:
+    # the text of a scalar or of a dict of scalars, else None
+    if type(value) is not dict:
+        scalar = _SCALAR.get(type(value))
+        return None if scalar is None else scalar(value)
+    cells = tuple(value.values())
+    if set(map(type, cells)) == _FLOATS:
+        # %r is float.__repr__; a sum that is not finite holds a NaN or an
+        # infinity, or overflowed, and only then is each value checked
+        if not math.isfinite(sum(cells)):
+            for x in cells:
+                _float_text(x)
+        return _template(tuple(value), depth, "%r") % cells
+    try:
+        cells = tuple([_SCALAR[type(v)](v) for v in cells])
+    except KeyError:
+        return None
+    return _template(tuple(value), depth, "%s") % cells
+
+
+def _json_parts(value, depth: int, parts: list):
+    # append the text of a dict or a sequence to parts, member by member;
+    # yield whenever parts holds a batch
+    if type(value) is dict:
+        members = zip(map("%s: ".__mod__, map(encode_basestring_ascii, value)), value.values())
+        brackets = "{}"
+    elif type(value) is list or isinstance(value, Iterator):
+        members = zip(itertools.repeat(""), value)
+        brackets = "[]"
+    else:
+        raise TypeError("cannot write a %s as JSON" % type(value).__name__)
+    pad = "\n" + " " * (depth + 1)
+    sep = brackets[0] + pad
+    for prefix, v in members:
+        text = _leaf(v, depth + 1)
+        if text is None:
+            parts.append(sep + prefix)
+            yield from _json_parts(v, depth + 1, parts)
+        else:
+            parts.append(sep + prefix + text)
+        sep = "," + pad
+        if len(parts) >= _BATCH:
+            yield
+    # sep is still the opening bracket only when there was no member
+    parts.append("\n" + " " * depth + brackets[1] if sep[0] == "," else brackets)
+
+
+def _json_chunks(doc):
+    """Yield the text of `json.dumps(doc, indent=1) + "\n"` a batch of parts
+    at a time.  Lists may also be iterators, which are drawn as they are
+    written; keys must be strings, and a non-finite float or a value of any
+    type but dict, list, str, int, float, bool and None raises."""
+    parts: list[str] = []
+    text = _leaf(doc, 0)
+    if text is None:
+        for _ in _json_parts(doc, 0, parts):
+            yield "".join(parts)
+            parts.clear()
+    else:
+        parts.append(text)
+    parts.append("\n")
+    yield "".join(parts)
+
+
 def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> None:
-    """Emit `rows` as CSV lines, or as one JSON document with a meta block;
-    rows for JSON must be a list, rows for CSV may be any iterable."""
+    """Emit `rows`, any iterable of row dicts, as CSV lines or as one JSON
+    document with a meta block, writing as the rows are drawn."""
     if config.output_format == "csv":
         _emit(_csv_chunks(rows), config)
         return
@@ -272,7 +378,7 @@ def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> No
     }
     if uncertified is not None:
         meta["uncertified"] = uncertified
-    _emit([json.dumps({"meta": meta, "rows": rows}, indent=1), "\n"], config)
+    _emit(_json_chunks({"meta": meta, "rows": rows}), config)
 
 
 def _mode_fields(m: ModeIndex) -> dict:
@@ -301,11 +407,14 @@ def _reject_svg(config: RunConfig) -> None:
 # ---------------------------------------------------------------- commands
 
 
+def _check_range(name: str, value: int, least: int, most: int) -> None:
+    if not (least <= value <= most):
+        raise ConfigError("%s must lie in [%d, %d], got %r" % (name, least, most, value))
+
+
 def cmd_zeros(n_max: int, k_max: int, config: RunConfig) -> int:
-    if n_max < 0 or k_max < 1:
-        raise ConfigError(
-            "need n_max >= 0 and k_max >= 1, got (%r, %r)" % (n_max, k_max)
-        )
+    _check_range("--n-max", n_max, 0, MAX_N)
+    _check_range("--k-max", k_max, 1, MAX_K)
     _reject_svg(config)
     rows = [
         {"n": n, "k": k, "j": _jnum(bessel_zero(n, k).value)}
@@ -317,8 +426,7 @@ def cmd_zeros(n_max: int, k_max: int, config: RunConfig) -> int:
 
 
 def cmd_spectrum(count: int, config: RunConfig) -> int:
-    if count < 1:
-        raise ConfigError("count must be >= 1, got %r" % (count,))
+    _check_range("--count", count, 1, MAX_COUNT)
     _reject_svg(config)
     rows = [
         {**_mode_fields(p.mode), "lambda0": _jnum(p.lambda0)}
@@ -329,8 +437,7 @@ def cmd_spectrum(count: int, config: RunConfig) -> int:
 
 
 def cmd_bands(count: int, config: RunConfig) -> int:
-    if count < 1:
-        raise ConfigError("count must be >= 1, got %r" % (count,))
+    _check_range("--count", count, 1, MAX_COUNT)
     _reject_svg(config)
     from .bands import band_table
 
@@ -356,8 +463,7 @@ def cmd_bands(count: int, config: RunConfig) -> int:
 
 
 def cmd_gaps(count: int, config: RunConfig) -> int:
-    if count < 2:
-        raise ConfigError("count must be >= 2, got %r" % (count,))
+    _check_range("--count", count, 2, MAX_COUNT)
     _reject_svg(config)
     from .bands import band_table, gap_reports
 
@@ -455,8 +561,7 @@ def _samples(m: ModeIndex, config: RunConfig):
 
 
 def cmd_diagram(count: int, config: RunConfig) -> int:
-    if count < 1:
-        raise ConfigError("count must be >= 1, got %r" % (count,))
+    _check_range("--count", count, 1, MAX_COUNT)
     total = count * config.grid_resolution**2
     if config.output_format != "svg" and total > MAX_DIAGRAM_SAMPLES:
         raise ConfigError(
@@ -474,16 +579,16 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
         _emit([_render_svg(bands, reports, uncertified)], config)
         return EXIT_OK
     if config.output_format == "json":
-        rows = [
+        rows = (
             {
                 **_mode_fields(b.mode),
-                "samples": [
+                "samples": (
                     {"eta1": e1, "eta2": e2, "value": v}
                     for (e1, e2), v in _samples(b.mode, config)
-                ],
+                ),
             }
             for b in bands
-        ]
+        )
     else:
         rows = (
             {**fields, "eta1": e1, "eta2": e2, "value": v}
@@ -558,16 +663,16 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("zeros", parents=[common_sub], help="table of Bessel zeros j_{n,k}")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--k-max", type=int, default=5)
-    p = sub.add_parser("spectrum", parents=[common_sub], help="leading limit eigenvalues in order")
-    p.add_argument("--count", type=int, default=10)
-    p = sub.add_parser("bands", parents=[common_sub], help="band intervals with pads and lengths")
-    p.add_argument("--count", type=int, default=10)
-    p = sub.add_parser("gaps", parents=[common_sub], help="gap reports for adjacent band pairs")
-    p.add_argument("--count", type=int, default=10)
-    p = sub.add_parser("diagram", parents=[common_sub], help="band diagram (SVG) or sweep samples")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=8, help="largest order n, 0 to %d (default 8)" % MAX_N)
+    p.add_argument("--k-max", type=int, default=5, help="zeros per order, 1 to %d (default 5)" % MAX_K)
+    for name, least, text in (
+        ("spectrum", 1, "leading limit eigenvalues in order"),
+        ("bands", 1, "band intervals with pads and lengths"),
+        ("gaps", 2, "gap reports for adjacent band pairs"),
+        ("diagram", 1, "band diagram (SVG) or sweep samples"),
+    ):
+        p = sub.add_parser(name, parents=[common_sub], help=text)
+        p.add_argument("--count", type=int, default=10, help="modes, %d to %d (default 10)" % (least, MAX_COUNT))
     sub.add_parser("verify", parents=[common_sub], help="run the numerical cross-check suite")
     return parser
 

@@ -4,10 +4,12 @@ library function must be replaced, through `cli.main` in-process."""
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from diskbands import bands, cli, verify
@@ -309,3 +311,94 @@ def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, ca
     assert cli.main(["diagram", "--count", "3", "--grid", "5", "--format", "json"]) == cli.EXIT_USAGE
     assert cli.main(["diagram", "--count", "3", "--grid", "5"]) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("<?xml")
+
+
+def test_diagram_json_streams_its_samples(monkeypatch):
+    # the first chunk is written before the first mode's samples are all
+    # drawn, so neither a mode's samples nor the document is held whole
+    events = []
+    samples = cli._samples
+
+    def drawn(m, config):
+        yield from samples(m, config)
+        events.append("drawn")
+
+    class Stdout:
+        def writelines(self, chunks):
+            for chunk in chunks:
+                events.append(chunk)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "_samples", drawn)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    argv = ["diagram", "--count", "2", "--grid", "65", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert events.count("drawn") == 2
+    assert events[0] != "drawn"
+    # the chunks join to the json.dumps text of the document they hold
+    text = "".join(e for e in events if e != "drawn")
+    doc = json.loads(text)
+    assert [len(row["samples"]) for row in doc["rows"]] == [65 * 65, 65 * 65]
+    assert text == json.dumps(doc, indent=1) + "\n"
+
+
+def test_nonfinite_float_is_an_internal_failure(monkeypatch, capsys):
+    # strict JSON has no NaN or infinity, and json.dumps would write them as
+    # bare tokens; the emitter raises instead, in every position
+    for bad in (math.nan, math.inf, -math.inf):
+        for doc in (
+            {"eta1": 0.0, "value": bad},
+            {"name": "x", "value": bad},
+            {"rows": [1.0, [bad]]},
+            bad,
+        ):
+            with pytest.raises(ValueError):
+                "".join(cli._json_chunks(doc))
+    # a type json.dumps does not name, even a float subclass, is not guessed
+    for doc in ({"value": np.float64(1.0)}, [np.int64(1)], {"rows": {1, 2}}):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(doc))
+
+    for bad in (math.nan, math.inf):
+        monkeypatch.setattr(cli, "_samples", lambda m, config: zip([(0.0, 0.0)], [bad]))
+        argv = ["diagram", "--count", "1", "--grid", "3", "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal failure: ValueError" in err and "Traceback" in err
+
+
+def test_count_and_zero_caps_are_checked_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the command ran before its cap check")
+
+    too_many = str(cli.MAX_COUNT + 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "enumerate_spectrum", no_work)
+        patch.setattr(cli, "bessel_zero", no_work)
+        patch.setattr(bands, "band_table", no_work)
+        for argv in (
+            ["spectrum", "--count", too_many],
+            ["spectrum", "--count", "100000000000000000000"],
+            ["bands", "--count", too_many],
+            ["gaps", "--count", too_many],
+            ["diagram", "--count", too_many],
+            ["zeros", "--n-max", str(cli.MAX_N + 1)],
+            ["zeros", "--k-max", str(cli.MAX_K + 1)],
+        ):
+            assert cli.main(argv) == cli.EXIT_USAGE, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), argv
+
+    # every cap is inclusive
+    monkeypatch.setattr(cli, "MAX_COUNT", 3)
+    monkeypatch.setattr(cli, "MAX_N", 2)
+    monkeypatch.setattr(cli, "MAX_K", 3)
+    assert cli.main(["spectrum", "--count", "3"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+    assert cli.main(["gaps", "--count", "4"]) == cli.EXIT_USAGE
+    assert cli.main(["zeros", "--n-max", "2", "--k-max", "3"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3
+    assert cli.main(["zeros", "--n-max", "3", "--k-max", "3"]) == cli.EXIT_USAGE
+    assert cli.main(["zeros", "--n-max", "2", "--k-max", "4"]) == cli.EXIT_USAGE

@@ -1,12 +1,14 @@
 """Property tests (hypothesis, derandomized): spectrum prefixes, gap
 certification monotone in the error constant, the symmetries of Lambda1 on
-the square lattice, and the reduction of Floquet points into [-pi, pi)."""
+the square lattice, the reduction of Floquet points into [-pi, pi), and the
+streaming JSON emitter against json.dumps."""
 
+import json
 import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskbands import (
@@ -18,6 +20,7 @@ from diskbands import (
     detect_gaps,
     enumerate_spectrum,
 )
+from diskbands.cli import _json_chunks
 from diskbands.corrections import lambda1_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -113,3 +116,34 @@ def test_floquet_reduction_is_idempotent(a, b):
     assert -math.pi <= eta.eta1 < math.pi and -math.pi <= eta.eta2 < math.pi
     assert FloquetPoint(eta.eta1, eta.eta2) == eta
     assert FloquetPoint(math.pi, a) == FloquetPoint(-math.pi, a)
+
+
+# text with the characters JSON escapes, a % for the templates, and
+# non-ASCII letters
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\%\n\t\x00\x1f\x7f'), st.characters()), max_size=6
+)
+JSON_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e300]),
+    JSON_TEXT,
+)
+JSON_DOC = st.recursive(
+    JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@PROPERTY
+@given(JSON_DOC)
+@example({"meta": {}, "rows": [], "%s": [{}, []]})
+@example({"eta1": -0.0, "eta2": 5e-324, "value": 1e16, "%": 1e300})
+# floats whose sum overflows, though each one is finite
+@example([{"a": 1e308, "b": 1e308}, {"a": -1e308, "b": -1e308}])
+@example({'"q"': "a\\b%d\x01", "\u00e9\u03bb\U0001f600": [None, True, False, 0, -7]})
+def test_json_chunks_equal_json_dumps(doc):
+    assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=1) + "\n"
