@@ -7,6 +7,11 @@ verify prints the check records of `diskbands.verify` as PASS/FAIL lines
 identical inputs produce byte-identical output.  Exit codes: 0 ok, 1 usage or
 config error, 2 numerical failure, 3 internal consistency failure or other
 internal fault.
+
+Each subcommand names its handler in `_build_parser`, and each setting is one
+row of `_KEYS`: its config key, its `RunConfig` field and the flag of the
+same name.  Every size a command is asked for (`--count`, the zeros table,
+the sweep `count * grid^2`) is checked against its cap before any work.
 """
 
 from __future__ import annotations
@@ -59,6 +64,13 @@ MAX_COUNT = 5000
 MAX_N = 200
 MAX_K = 200
 
+# the caps above multiply, so the work is capped too: the zeros table
+# (n_max + 1) * k_max, which keeps each flag's cap legal with the other at its
+# default, and the sweep count * grid^2 of bands, gaps and diagram; at either
+# cap a command runs in a few seconds
+MAX_ZEROS = 2000
+MAX_SWEEP = 100 * MAX_GRID**2
+
 # largest count * grid^2 that diagram writes as csv or json, one row per
 # sample; both stream their samples, so the cap bounds time, not memory
 MAX_DIAGRAM_SAMPLES = 513 * 513
@@ -83,33 +95,45 @@ class RunConfig:
 
     epsilon: float = 1e-3
     m: float = 0.25
-    grid_resolution: int = 33
-    output_format: str = "csv"
-    output_path: str | None = None
+    grid: int = 33
+    # None until resolved: svg for diagram, csv for every other command
+    format: str | None = None
+    out: str | None = None
+    error_constant: float = 0.0
     error_constants: dict[tuple[int, int], float] = field(default_factory=dict)
-    default_constant: float = 0.0
 
     def validate(self) -> None:
         # ExpansionParams owns the rules for epsilon, m and error constants
-        for c in (self.default_constant, *self.error_constants.values()):
+        for c in (self.error_constant, *self.error_constants.values()):
             try:
                 ExpansionParams(self.epsilon, self.m, c)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if not (3 <= self.grid_resolution <= MAX_GRID):
+        if not (3 <= self.grid <= MAX_GRID):
             raise ConfigError(
-                "grid resolution must lie in [3, %d], got %r"
-                % (MAX_GRID, self.grid_resolution)
+                "grid resolution must lie in [3, %d], got %r" % (MAX_GRID, self.grid)
             )
-        if self.output_format not in _FORMATS:
-            raise ConfigError("unknown output format %r" % (self.output_format,))
+        if self.format not in _FORMATS:
+            raise ConfigError("unknown output format %r" % (self.format,))
 
     def constant_for(self, m: ModeIndex) -> float:
-        return self.error_constants.get((m.n, m.k), self.default_constant)
+        return self.error_constants.get((m.n, m.k), self.error_constant)
 
     def params(self) -> ExpansionParams:
         """Expansion parameters with the default error constant."""
-        return ExpansionParams(self.epsilon, self.m, self.default_constant)
+        return ExpansionParams(self.epsilon, self.m, self.error_constant)
+
+
+# config key -> (RunConfig field, which is also the dest of its flag; type of
+# the value); c.<n>.<k> keys set one mode's constant in error_constants
+_KEYS = {
+    "epsilon": ("epsilon", float),
+    "m": ("m", float),
+    "grid": ("grid", int),
+    "format": ("format", str),
+    "out": ("out", str),
+    "c.default": ("error_constant", float),
+}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -132,73 +156,55 @@ def _load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _parse_float(key: str, text: str) -> float:
+def _mode_key(key: str) -> tuple[int, int]:
+    # the (n, k) of a c.<n>.<k> key
+    if not key.startswith("c."):
+        raise ConfigError("unknown config key %r" % (key,))
+    parts = key.split(".")
+    if len(parts) != 3:
+        raise ConfigError("config key %r: error constants use c.<n>.<k>" % (key,))
     try:
-        return float(text)
+        n, k = int(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError("config key %s: bad number %r" % (key, text)) from exc
+        raise ConfigError("config key %r: n and k must be integers" % (key,)) from exc
+    if n < 0 or k < 1:
+        raise ConfigError("config key %r: need n >= 0 and k >= 1" % (key,))
+    return n, k
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     entries = _load_config_file(args.config) if args.config is not None else {}
-    for key, value in entries.items():
-        if key == "epsilon":
-            cfg.epsilon = _parse_float(key, value)
-        elif key == "m":
-            cfg.m = _parse_float(key, value)
-        elif key == "grid":
-            try:
-                cfg.grid_resolution = int(value)
-            except ValueError as exc:
-                raise ConfigError("config key grid: bad integer %r" % (value,)) from exc
-        elif key == "format":
-            cfg.output_format = value
-        elif key == "out":
-            cfg.output_path = value
-        elif key == "c.default":
-            cfg.default_constant = _parse_float(key, value)
-        elif key.startswith("c."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ConfigError(
-                    "config key %r: error constants use c.<n>.<k>" % (key,)
-                )
-            try:
-                n, k = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ConfigError(
-                    "config key %r: n and k must be integers" % (key,)
-                ) from exc
-            if n < 0 or k < 1:
-                raise ConfigError(
-                    "config key %r: need n >= 0 and k >= 1" % (key,)
-                )
-            cfg.error_constants[(n, k)] = _parse_float(key, value)
+    for key, text in entries.items():
+        name, kind = _KEYS.get(key) or (_mode_key(key), float)
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            word = "integer" if kind is int else "number"
+            raise ConfigError("config key %s: bad %s %r" % (key, word, text)) from exc
+        if key in _KEYS:
+            setattr(cfg, name, value)
         else:
-            raise ConfigError("unknown config key %r" % (key,))
-    if args.format is not None:
-        cfg.output_format = args.format
-    elif "format" not in entries and args.command == "diagram":
-        cfg.output_format = "svg"
-    if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
-    if args.m is not None:
-        cfg.m = args.m
-    if args.grid is not None:
-        cfg.grid_resolution = args.grid
-    if args.out is not None:
-        cfg.output_path = args.out
+            cfg.error_constants[name] = value
+    # flags override the file
+    for name, _ in _KEYS.values():
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     if args.error_constant is not None:
-        cfg.default_constant = args.error_constant
+        # one constant for every mode
         cfg.error_constants = {}
+    # svg is the diagram's default format, and only the diagram draws it
+    if cfg.format is None:
+        cfg.format = "svg" if args.command == "diagram" else "csv"
+    elif cfg.format == "svg" and args.command != "diagram":
+        raise ConfigError("format svg is only available for the diagram command")
     cfg.validate()
     return cfg
 
 
 def _emit(chunks, config: RunConfig) -> None:
     """Write the strings of `chunks` in turn to --out, or to stdout."""
-    if config.output_path is None or config.output_path == "-":
+    if config.out is None or config.out == "-":
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
@@ -209,12 +215,10 @@ def _emit(chunks, config: RunConfig) -> None:
             raise ConfigError("cannot write to standard output: %s" % exc) from exc
         return
     try:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
+        with open(config.out, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        raise ConfigError(
-            "cannot write output file %s: %s" % (config.output_path, exc)
-        ) from exc
+        raise ConfigError("cannot write output file %s: %s" % (config.out, exc)) from exc
 
 
 # ------------------------------------------------------------------ tables
@@ -367,14 +371,14 @@ def _json_chunks(doc):
 def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> None:
     """Emit `rows`, any iterable of row dicts, as CSV lines or as one JSON
     document with a meta block, writing as the rows are drawn."""
-    if config.output_format == "csv":
+    if config.format == "csv":
         _emit(_csv_chunks(rows), config)
         return
     meta: dict = {
         "epsilon": _jnum(config.epsilon),
         "m": _jnum(config.m),
         "gamma": _jnum(config.params().gamma),
-        "grid": config.grid_resolution,
+        "grid": config.grid,
     }
     if uncertified is not None:
         meta["uncertified"] = uncertified
@@ -389,19 +393,19 @@ def _eta(p: FloquetPoint) -> list[float]:
     return [_jnum(p.eta1), _jnum(p.eta2)]
 
 
-def _warn_uncertified(config: RunConfig, modes: list[ModeIndex]) -> bool:
-    uncertified = any(config.constant_for(m) == 0.0 for m in modes)
+def _band_table(count: int, config: RunConfig) -> tuple[list[BandInterval], bool]:
+    """The band records of the first `count` modes, and whether any pad is
+    uncertified, which a note on stderr reports."""
+    from .bands import band_table
+
+    bands = band_table(count, config.params(), config.grid, config.error_constants)
+    uncertified = any(config.constant_for(b.mode) == 0.0 for b in bands)
     if uncertified:
         print(
             "note: error constant C = 0 for some modes; pads are uncertified",
             file=sys.stderr,
         )
-    return uncertified
-
-
-def _reject_svg(config: RunConfig) -> None:
-    if config.output_format == "svg":
-        raise ConfigError("format svg is only available for the diagram command")
+    return bands, uncertified
 
 
 # ---------------------------------------------------------------- commands
@@ -412,39 +416,30 @@ def _check_range(name: str, value: int, least: int, most: int) -> None:
         raise ConfigError("%s must lie in [%d, %d], got %r" % (name, least, most, value))
 
 
-def cmd_zeros(n_max: int, k_max: int, config: RunConfig) -> int:
-    _check_range("--n-max", n_max, 0, MAX_N)
-    _check_range("--k-max", k_max, 1, MAX_K)
-    _reject_svg(config)
+def cmd_zeros(args: argparse.Namespace, config: RunConfig) -> int:
+    _check_range("--n-max", args.n_max, 0, MAX_N)
+    _check_range("--k-max", args.k_max, 1, MAX_K)
+    _check_range("(n-max + 1) * k-max", (args.n_max + 1) * args.k_max, 1, MAX_ZEROS)
     rows = [
         {"n": n, "k": k, "j": _jnum(bessel_zero(n, k).value)}
-        for n in range(n_max + 1)
-        for k in range(1, k_max + 1)
+        for n in range(args.n_max + 1)
+        for k in range(1, args.k_max + 1)
     ]
     _write_table(config, rows)
     return EXIT_OK
 
 
-def cmd_spectrum(count: int, config: RunConfig) -> int:
-    _check_range("--count", count, 1, MAX_COUNT)
-    _reject_svg(config)
+def cmd_spectrum(args: argparse.Namespace, config: RunConfig) -> int:
     rows = [
         {**_mode_fields(p.mode), "lambda0": _jnum(p.lambda0)}
-        for p in enumerate_spectrum(count)
+        for p in enumerate_spectrum(args.count)
     ]
     _write_table(config, rows)
     return EXIT_OK
 
 
-def cmd_bands(count: int, config: RunConfig) -> int:
-    _check_range("--count", count, 1, MAX_COUNT)
-    _reject_svg(config)
-    from .bands import band_table
-
-    bands = band_table(
-        count, config.params(), config.grid_resolution, config.error_constants
-    )
-    uncertified = _warn_uncertified(config, [b.mode for b in bands])
+def cmd_bands(args: argparse.Namespace, config: RunConfig) -> int:
+    bands, uncertified = _band_table(args.count, config)
     rows = [
         {
             **_mode_fields(b.mode),
@@ -462,16 +457,11 @@ def cmd_bands(count: int, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gaps(count: int, config: RunConfig) -> int:
-    _check_range("--count", count, 2, MAX_COUNT)
-    _reject_svg(config)
-    from .bands import band_table, gap_reports
+def cmd_gaps(args: argparse.Namespace, config: RunConfig) -> int:
+    from .bands import gap_reports
 
-    bands = band_table(
-        count, config.params(), config.grid_resolution, config.error_constants
-    )
+    bands, uncertified = _band_table(args.count, config)
     reports = gap_reports(bands, config.params())
-    uncertified = _warn_uncertified(config, [b.mode for b in bands])
     rows = [
         {
             "below": _mode_fields(r.below),
@@ -555,30 +545,26 @@ def _samples(m: ModeIndex, config: RunConfig):
     # eta1, every number rounded as _jnum does
     from .bands import brillouin_sweep
 
-    axis, values = brillouin_sweep(m, config.params(), config.grid_resolution)
+    axis, values = brillouin_sweep(m, config.params(), config.grid)
     axis = [_jnum(a) for a in axis]
     return zip(itertools.product(axis, axis), map(float, map(_fmt, values)))
 
 
-def cmd_diagram(count: int, config: RunConfig) -> int:
-    _check_range("--count", count, 1, MAX_COUNT)
-    total = count * config.grid_resolution**2
-    if config.output_format != "svg" and total > MAX_DIAGRAM_SAMPLES:
+def cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
+    total = args.count * config.grid**2
+    if config.format != "svg" and total > MAX_DIAGRAM_SAMPLES:
         raise ConfigError(
             "diagram --format %s writes count * grid^2 = %d samples, at most %d"
-            % (config.output_format, total, MAX_DIAGRAM_SAMPLES)
+            % (config.format, total, MAX_DIAGRAM_SAMPLES)
         )
-    from .bands import band_table, gap_reports
+    from .bands import gap_reports
 
-    bands = band_table(
-        count, config.params(), config.grid_resolution, config.error_constants
-    )
-    uncertified = _warn_uncertified(config, [b.mode for b in bands])
-    reports = gap_reports(bands, config.params()) if count >= 2 else []
-    if config.output_format == "svg":
+    bands, uncertified = _band_table(args.count, config)
+    reports = gap_reports(bands, config.params()) if args.count >= 2 else []
+    if config.format == "svg":
         _emit([_render_svg(bands, reports, uncertified)], config)
         return EXIT_OK
-    if config.output_format == "json":
+    if config.format == "json":
         rows = (
             {
                 **_mode_fields(b.mode),
@@ -600,12 +586,11 @@ def cmd_diagram(count: int, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    _reject_svg(config)
+def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     from .verify import verify_checks
 
-    checks = verify_checks(config.params(), config.grid_resolution)
-    if config.output_format == "json":
+    checks = verify_checks(config.params(), config.grid)
+    if config.format == "json":
         # strict JSON has no NaN or infinity: a non-finite observed value is
         # written as null, and the detail text keeps it
         rows = [
@@ -665,15 +650,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("zeros", parents=[common_sub], help="table of Bessel zeros j_{n,k}")
     p.add_argument("--n-max", type=int, default=8, help="largest order n, 0 to %d (default 8)" % MAX_N)
     p.add_argument("--k-max", type=int, default=5, help="zeros per order, 1 to %d (default 5)" % MAX_K)
-    for name, least, text in (
-        ("spectrum", 1, "leading limit eigenvalues in order"),
-        ("bands", 1, "band intervals with pads and lengths"),
-        ("gaps", 2, "gap reports for adjacent band pairs"),
-        ("diagram", 1, "band diagram (SVG) or sweep samples"),
+    p.set_defaults(handler=cmd_zeros)
+    for name, handler, least, text in (
+        ("spectrum", cmd_spectrum, 1, "leading limit eigenvalues in order"),
+        ("bands", cmd_bands, 1, "band intervals with pads and lengths"),
+        ("gaps", cmd_gaps, 2, "gap reports for adjacent band pairs"),
+        ("diagram", cmd_diagram, 1, "band diagram (SVG) or sweep samples"),
     ):
         p = sub.add_parser(name, parents=[common_sub], help=text)
         p.add_argument("--count", type=int, default=10, help="modes, %d to %d (default 10)" % (least, MAX_COUNT))
-    sub.add_parser("verify", parents=[common_sub], help="run the numerical cross-check suite")
+        p.set_defaults(handler=handler, least_count=least)
+    verify = sub.add_parser("verify", parents=[common_sub], help="run the numerical cross-check suite")
+    verify.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -697,17 +685,12 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         config = _resolve_config(args)
-        if args.command == "zeros":
-            return cmd_zeros(args.n_max, args.k_max, config)
-        if args.command == "spectrum":
-            return cmd_spectrum(args.count, config)
-        if args.command == "bands":
-            return cmd_bands(args.count, config)
-        if args.command == "gaps":
-            return cmd_gaps(args.count, config)
-        if args.command == "diagram":
-            return cmd_diagram(args.count, config)
-        return cmd_verify(config)
+        if "count" in args:
+            _check_range("--count", args.count, args.least_count, MAX_COUNT)
+            # spectrum lists modes; the other commands sweep grid^2 points per mode
+            if args.command != "spectrum":
+                _check_range("count * grid^2", args.count * config.grid**2, 1, MAX_SWEEP)
+        return args.handler(args, config)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -59,6 +59,10 @@ class ExpansionParams:
                 "error_constant must be finite and non-negative, got %r"
                 % (self.error_constant,)
             )
+        # -0.0 passes the sign check; stored as it is, it would print every
+        # pad as -0
+        if self.error_constant == 0.0:
+            object.__setattr__(self, "error_constant", 0.0)
 
     @property
     def gamma(self) -> float:

@@ -142,6 +142,95 @@ def test_config_file(tmp_path):
     assert float(rows2[0]["pad"]) == pytest.approx(2.5 * 1e-4**0.9)
 
 
+def main_json(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "key, text, flag, flag_text, read, from_file, from_flag",
+    [
+        ("epsilon", "0.01", "--epsilon", "0.02", lambda d: d["meta"]["epsilon"], 0.01, 0.02),
+        ("m", "0.3", "--m", "0.35", lambda d: d["meta"]["m"], 0.3, 0.35),
+        ("grid", "5", "--grid", "7", lambda d: d["meta"]["grid"], 5, 7),
+        ("c.default", "2", "--error-constant", "3",
+         lambda d: d["rows"][0]["pad"] / 1e-3**0.75, 2.0, 3.0),
+    ],
+)
+def test_config_key_then_its_flag(
+    tmp_path, capsys, key, text, flag, flag_text, read, from_file, from_flag
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = %s\n" % (key, text))
+    argv = ["bands", "--count", "1", "--format", "json", "--config", str(cfg)]
+    assert read(main_json(argv, capsys)) == pytest.approx(from_file, rel=1e-12)
+    assert read(main_json(argv + [flag, flag_text], capsys)) == pytest.approx(from_flag, rel=1e-12)
+
+
+def test_config_format_and_out_keys(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\nout = %s\n" % out)
+    argv = ["spectrum", "--count", "2", "--config", str(cfg)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert len(json.loads(out.read_text())["rows"]) == 2
+    # the flags override both keys; --out - is standard output
+    assert cli.main(argv + ["--format", "csv", "--out", "-"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("n,k,parity,lambda0\n")
+
+    # a format from the file overrides the diagram's svg default
+    cfg.write_text("format = json\n")
+    doc = main_json(["diagram", "--count", "1", "--grid", "3", "--config", str(cfg)], capsys)
+    assert len(doc["rows"][0]["samples"]) == 9
+    cfg.write_text("format = svg\n")
+    assert cli.main(["diagram", "--count", "1", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("<?xml")
+    assert cli.main(["zeros", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: format svg is only available for the diagram command\n"
+    )
+
+
+def test_error_constant_flag_drops_per_mode_constants(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c.0.1 = 2.5\nc.1.1 = 4\n")
+    argv = ["bands", "--count", "3", "--grid", "3", "--format", "json", "--config", str(cfg)]
+    pads = [r["pad"] / 1e-3**0.75 for r in main_json(argv, capsys)["rows"]]
+    assert pads == pytest.approx([2.5, 4.0, 4.0], rel=1e-12)
+    pads = [r["pad"] / 1e-3**0.75 for r in main_json(argv + ["--error-constant", "1"], capsys)["rows"]]
+    assert pads == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("grid = 3.5", "config key grid: bad integer '3.5'"),
+        ("epsilon = small", "config key epsilon: bad number 'small'"),
+        ("m = ", "config key m: bad number ''"),
+        ("c.default = x", "config key c.default: bad number 'x'"),
+        ("c.0.1 = 1e", "config key c.0.1: bad number '1e'"),
+    ],
+)
+def test_bad_config_values(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["bands", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_negative_zero_error_constant_prints_as_zero(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c.0.1 = -0\n")
+    for fmt in ("csv", "json"):
+        argv = ["bands", "--count", "2", "--grid", "3", "--format", fmt]
+        assert cli.main(argv + ["--error-constant", "0"]) == cli.EXIT_OK
+        expected = capsys.readouterr().out
+        for extra in (["--error-constant", "-0"], ["--config", str(cfg)]):
+            assert cli.main(argv + extra) == cli.EXIT_OK
+            assert capsys.readouterr().out == expected, (fmt, extra)
+
+
 def test_uncertified_note_on_stderr():
     proc = run("gaps", "--count", "4")
     assert "uncertified" in proc.stderr
@@ -386,6 +475,15 @@ def test_count_and_zero_caps_are_checked_before_any_work(monkeypatch, capsys):
             ["diagram", "--count", too_many],
             ["zeros", "--n-max", str(cli.MAX_N + 1)],
             ["zeros", "--k-max", str(cli.MAX_K + 1)],
+            # each flag within its cap, the zeros table above its own
+            ["zeros", "--n-max", str(cli.MAX_N), "--k-max", str(cli.MAX_K)],
+            ["zeros", "--n-max", "200", "--k-max", "10"],
+            # each flag within its cap, the sweep count * grid^2 above its own,
+            # in every format
+            ["bands", "--count", "101", "--grid", str(cli.MAX_GRID)],
+            ["gaps", "--count", "500", "--grid", "1025"],
+            ["diagram", "--count", "101", "--grid", str(cli.MAX_GRID)],
+            ["diagram", "--count", str(cli.MAX_COUNT), "--grid", "290", "--format", "json"],
         ):
             assert cli.main(argv) == cli.EXIT_USAGE, argv
             captured = capsys.readouterr()
@@ -402,3 +500,15 @@ def test_count_and_zero_caps_are_checked_before_any_work(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3
     assert cli.main(["zeros", "--n-max", "3", "--k-max", "3"]) == cli.EXIT_USAGE
     assert cli.main(["zeros", "--n-max", "2", "--k-max", "4"]) == cli.EXIT_USAGE
+    monkeypatch.setattr(cli, "MAX_ZEROS", 6)
+    assert cli.main(["zeros", "--n-max", "1", "--k-max", "3"]) == cli.EXIT_OK
+    assert cli.main(["zeros", "--n-max", "2", "--k-max", "2"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 2 * (1 + 6)
+    assert cli.main(["zeros", "--n-max", "2", "--k-max", "3"]) == cli.EXIT_USAGE
+    monkeypatch.setattr(cli, "MAX_SWEEP", 2 * 5 * 5)
+    assert cli.main(["bands", "--count", "2", "--grid", "5"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+    for command in ("bands", "gaps", "diagram"):
+        assert cli.main([command, "--count", "3", "--grid", "5"]) == cli.EXIT_USAGE, command
+        assert cli.main([command, "--count", "2", "--grid", "7"]) == cli.EXIT_USAGE, command
+    assert capsys.readouterr().out == ""
