@@ -22,6 +22,17 @@ def bessel_j_kernel(n: int, x: float) -> float:
     return _miller(n, x)
 
 
+def bessel_j_pair(n: int, x: float) -> tuple[float, float]:
+    """(J_n(x), J_{n+1}(x)) from one pass of the kernel's loop, the first
+    value bitwise equal to `bessel_j_kernel(n, x)` (arguments assumed
+    validated)."""
+    if x == 0.0:
+        return (1.0 if n == 0 else 0.0), 0.0
+    if x < _SERIES_CUTOFF:
+        return _series(n, x), _series(n + 1, x)
+    return _miller(n, x, True)
+
+
 def _series(n: int, x: float) -> float:
     # sum_t (-1)^t (x/2)^(n+2t) / (t! (n+t)!), summed until the next term is
     # negligible against the largest partial sum.
@@ -44,9 +55,10 @@ def _series(n: int, x: float) -> float:
     return total
 
 
-def _miller(n: int, x: float) -> float:
+def _miller(n: int, x: float, pair: bool = False):
     # Backward recurrence J_{i-1} = (2i/x) J_i - J_{i+1} from a start order
-    # well above both n and x, normalized by J_0 + 2 sum_t J_{2t} = 1.
+    # well above both n and x, normalized by J_0 + 2 sum_t J_{2t} = 1; with
+    # `pair`, J_{n+1} (the order above J_n when J_n is captured) comes too.
     m = int(x + 12.0 * x ** (1.0 / 3.0) + 25.0) + n
     if m % 2 == 1:
         m += 1
@@ -54,7 +66,7 @@ def _miller(n: int, x: float) -> float:
     jcur = 1e-30
     # even-order normalization sum, seeded with the start order (m is even)
     s = 2.0 * jcur
-    result = 0.0
+    result = above = 0.0
     # one pass per pair of steps from the even order i: to the odd order
     # i - 1, then to the even order i - 2, which enters the sum (J_0 once);
     # the values are rescaled whenever one exceeds 1e250 in magnitude, tested
@@ -67,22 +79,28 @@ def _miller(n: int, x: float) -> float:
         jcur = jlo
         if i == n1:
             result = jcur
+            above = jhi
         if jcur > 1e250 or jcur < -1e250:
             jcur *= 1e-250
             jhi *= 1e-250
             s *= 1e-250
             result *= 1e-250
+            above *= 1e-250
         jlo = (2.0 * (i - 1) / x) * jcur - jhi
         jhi = jcur
         jcur = jlo
         if i == n2:
             result = jcur
+            above = jhi
         s += 2.0 * jcur if i > 2 else jcur
         if jcur > 1e250 or jcur < -1e250:
             jcur *= 1e-250
             jhi *= 1e-250
             s *= 1e-250
             result *= 1e-250
+            above *= 1e-250
+    if pair:
+        return result / s, above / s
     return result / s
 
 

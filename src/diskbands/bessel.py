@@ -3,8 +3,27 @@
 Self-contained integer-order evaluation (power series for small argument,
 Miller backward recurrence otherwise) with absolute accuracy near machine
 precision for x <= 100, and a guaranteed-index zero finder: the k-th positive
-zero j_{n,k} is bracketed by counting sign changes on a pi/4 scan and
-polished by bisection plus a safeguarded Newton iteration.
+zero j_{n,k} is bracketed by counting sign changes on a pi/4 scan, then
+located, replayed and polished.
+
+- Locate: a safeguarded Newton iteration from the bracket's secant point
+  gives an estimate with |J_n| <= 1e-12.  Each step takes J_n and J_{n+1}
+  from one Miller pass (`bessel_j_pair`) and the slope as
+  J_n' = (n/x) J_n - J_{n+1}.
+- Replay: the bisection of the bracket down to width 1e-3 reads J_n only
+  through its sign at each midpoint, and a midpoint more than 1e-7 from the
+  estimate takes its sign from the side of the estimate it lies on.  This
+  is safe: near every zero the command line can list (n <= 200,
+  x <= 1030) |J_n'| >= 0.02, so the estimate lies within 1e-10 of the zero,
+  and 1e-7 away |J_n| > 1e-9, far above the kernel's error, so the kernel
+  would have given the same sign.  Only a midpoint inside the window calls
+  the kernel, and if the locating run missed its tolerance, every midpoint
+  does.
+- Polish: the same Newton iteration from the midpoint of the replayed
+  interval, which is the interval the evaluated bisection ends on.  The
+  paired slope differs from `bessel_j_prime`'s in the last bits only, and
+  moves none of the zeros that tests/test_bessel.py compares bitwise with
+  the finder that evaluated every midpoint and took that slope.
 
 The scan walks each order once.  `_WALKS[n]` keeps where the walk of J_n
 stands and the sign-change brackets it has passed, so j_{n,k} costs only the
@@ -20,13 +39,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._core import bessel_j_kernel
+from ._core import bessel_j_kernel, bessel_j_pair
 
 _SCAN_STEP = math.pi / 4
 _RESIDUAL_TOL = 1e-12
 _MAX_BISECT = 100
 _MAX_NEWTON = 50
 _MAX_SCAN = 100000
+# half-width of the window around the located zero inside which the
+# bisection replay still evaluates J_n
+_REPLAY_GUARD = 1e-7
 
 
 class ZeroFindingError(RuntimeError):
@@ -113,27 +135,47 @@ def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
 @lru_cache(maxsize=None)
 def _zero_value(n: int, k: int) -> float:
     a, fa, b, fb = _bracket(n, k)
+    est, fe = _newton(n, a, fa, b, a - fa * (b - a) / (fb - fa))
+    # with no trusted estimate, the window spans every midpoint
+    guard = _REPLAY_GUARD if abs(fe) <= _RESIDUAL_TOL else math.inf
+    lo, hi = est - guard, est + guard
 
+    # the replayed bisection: the sign of J_n is known outside [lo, hi]
     for _ in range(_MAX_BISECT):
         if b - a < 1e-3:
             break
         mid = 0.5 * (a + b)
-        fm = bessel_j_kernel(n, mid)
-        if (fa > 0.0) != (fm > 0.0):
-            b, fb = mid, fm
+        if mid < lo:
+            a = mid
+        elif mid > hi:
+            b = mid
         else:
-            a, fa = mid, fm
+            fm = bessel_j_kernel(n, mid)
+            if (fa > 0.0) != (fm > 0.0):
+                b = mid
+            else:
+                a, fa = mid, fm
 
-    root = 0.5 * (a + b)
+    root, fr = _newton(n, a, fa, b, 0.5 * (a + b))
+    if abs(fr) > _RESIDUAL_TOL:
+        raise ZeroFindingError(
+            "residual tolerance unmet after iteration cap (n=%d, k=%d)" % (n, k)
+        )
+    return root
+
+
+def _newton(n: int, a: float, fa: float, b: float, root: float) -> tuple[float, float]:
+    """Safeguarded Newton iteration for the zero of J_n in the sign bracket
+    [a, b] from `root`; returns the last iterate and J_n there."""
     for _ in range(_MAX_NEWTON):
-        fr = bessel_j_kernel(n, root)
+        fr, above = bessel_j_pair(n, root)
         if (fa > 0.0) != (fr > 0.0):
-            b, fb = root, fr
+            b = root
         else:
             a, fa = root, fr
         if abs(fr) <= 1e-14:
             break
-        slope = bessel_j_prime(n, root)
+        slope = (n / root) * fr - above  # J_n' = (n/x) J_n - J_{n+1}
         step = fr / slope if slope != 0.0 else 0.0
         nxt = root - step
         if step == 0.0 or nxt <= a or nxt >= b:
@@ -143,9 +185,4 @@ def _zero_value(n: int, k: int) -> float:
         root = nxt
     else:
         fr = bessel_j_kernel(n, root)  # root moved after the last evaluation
-
-    if abs(fr) > _RESIDUAL_TOL:
-        raise ZeroFindingError(
-            "residual tolerance unmet after iteration cap (n=%d, k=%d)" % (n, k)
-        )
-    return root
+    return root, fr

@@ -92,9 +92,9 @@ class ModeIndex:
     parity: Parity
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError("n must be a non-negative integer, got %r" % (self.n,))
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError("k must be a positive integer, got %r" % (self.k,))
         if (self.n == 0) != (self.parity is Parity.SIMPLE):
             raise ValueError(
@@ -162,7 +162,7 @@ def eigenfunction_eval(f: DiskEigenfunction, r: float, theta: float) -> complex:
 def enumerate_spectrum(count: int) -> list[LimitEigenpair]:
     """The first `count` eigenpairs ascending by eigenvalue, double ones
     expanded into adjacent (cosine, sine) entries."""
-    if not isinstance(count, int) or count < 1:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError("count must be a positive integer, got %r" % (count,))
     # merge the ascending zero sequences of the orders n = 0, 1, ...; since
     # j_{n,1} < j_{n+1,1}, order n + 1 need not enter the heap before j_{n,1}

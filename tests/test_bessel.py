@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from functools import lru_cache
 
 import pytest
 
@@ -196,13 +197,15 @@ def cold_zeros():
 
 
 def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
-    orders = (0, 1, 2, 7, 29)
-    reference = {(n, k): _fresh_scan_zero(n, k) for n in orders for k in range(1, 41)}
+    keys = [(n, k) for n in (0, 1, 2, 7, 29) for k in range(1, 41)]
+    # the corners of the `zeros` table caps: n = 200 and k up to 200
+    keys += [(200, k) for k in range(1, 10)]
+    keys += [(n, k) for n in (0, 9) for k in range(195, 201)]
+    reference = {key: _fresh_scan_zero(*key) for key in keys}
     # k descending, orders interleaved: the first request walks each order
-    # to k = 40 and every later one reads a bracket already passed
-    for k in range(40, 0, -1):
-        for n in orders:
-            assert bessel_zero(n, k).value == reference[n, k], (n, k)
+    # to its deepest k and every later one reads a bracket already passed
+    for n, k in sorted(reference, key=lambda key: (-key[1], key[0])):
+        assert bessel_zero(n, k).value == reference[n, k], (n, k)
     # scattered requests, so that walks stop and resume at every depth
     bessel._zero_value.cache_clear()
     bessel._WALKS.clear()
@@ -210,6 +213,78 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     random.Random(5).shuffle(keys)
     for n, k in keys:
         assert bessel_zero(n, k).value == reference[n, k], (n, k)
+
+
+_TABLE = [(n, k) for n in range(30) for k in range(1, 21)]
+
+
+@lru_cache(maxsize=None)
+def _table_reference() -> dict:
+    return {key: _fresh_scan_zero(*key) for key in _TABLE}
+
+
+def _count_kernel_calls_outside_walk(monkeypatch) -> list[int]:
+    # counts the bessel_j_kernel calls the zero finder makes outside
+    # _bracket, i.e. in the bisection replay and the Newton iterations
+    calls = [0]
+    walking = [False]
+    kernel, bracket = bessel.bessel_j_kernel, bessel._bracket
+
+    def counted(n, x):
+        if not walking[0]:
+            calls[0] += 1
+        return kernel(n, x)
+
+    def walk(n, k):
+        walking[0] = True
+        try:
+            return bracket(n, k)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(bessel, "bessel_j_kernel", counted)
+    monkeypatch.setattr(bessel, "_bracket", walk)
+    return calls
+
+
+def test_replay_calls_no_kernel_outside_the_walk(cold_zeros, monkeypatch):
+    # every bisection midpoint of the n <= 29, k <= 20 table lies more than
+    # _REPLAY_GUARD from the located zero, and Newton runs on the pair kernel
+    reference = _table_reference()
+    calls = _count_kernel_calls_outside_walk(monkeypatch)
+    for n, k in _TABLE:
+        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+    assert calls[0] == 0
+
+
+def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
+    reference = _table_reference()
+    monkeypatch.setattr(bessel, "_REPLAY_GUARD", math.inf)
+    calls = _count_kernel_calls_outside_walk(monkeypatch)
+    for n, k in _TABLE:
+        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+    # a pi/4 bracket halves 10 times before it is narrower than 1e-3
+    assert calls[0] == 10 * len(_TABLE)
+
+
+def test_unconverged_locate_falls_back_to_evaluated_bisection(cold_zeros, monkeypatch):
+    reference = _table_reference()
+    newton = bessel._newton
+    missed = [0]
+
+    def locate_misses(n, a, fa, b, root):
+        est, fe = newton(n, a, fa, b, root)
+        if b - a > 1e-3:  # the locating run starts on the whole pi/4 bracket
+            missed[0] += 1
+            return est, 1.0
+        return est, fe
+
+    monkeypatch.setattr(bessel, "_newton", locate_misses)
+    calls = _count_kernel_calls_outside_walk(monkeypatch)
+    for n, k in _TABLE:
+        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+    assert missed[0] == len(_TABLE)
+    assert calls[0] == 10 * len(_TABLE)
 
 
 def _failing_kernel(fail_at: int, exc: BaseException):

@@ -113,6 +113,30 @@ def test_paired_miller_equals_one_step_loop_bitwise():
     assert rescales[0] > 100
 
 
+def test_pair_kernel_against_one_step_loop_and_next_order():
+    # the first value is the one-step loop's J_n bitwise (the kernel's value
+    # on the series and zero-argument branches, rescales included); the
+    # second is J_{n+1} from the same pass
+    rng = random.Random(13)
+    pairs = [(rng.randrange(60), rng.uniform(4.0, 100.0)) for _ in range(3000)]
+    rescales = [0]
+    for n, x in pairs:
+        value, above = _core.bessel_j_pair(n, x)
+        assert value == _reference_miller(n, x, rescales), (n, x)
+        assert abs(above - bessel_j_kernel(n + 1, x)) <= 1e-14, (n, x)
+    for n in range(0, 301, 6):
+        for x in (4.0, 4.5, 7.25, 20.0, 64.0):
+            value, above = _core.bessel_j_pair(n, x)
+            assert value == _reference_miller(n, x, rescales), (n, x)
+            assert abs(above - bessel_j_kernel(n + 1, x)) <= 1e-14, (n, x)
+    assert rescales[0] > 100
+    for n in range(0, 61, 3):
+        for x in (0.0, 1e-3, 0.5, 1.0, 2.5, 3.9999):
+            value, above = _core.bessel_j_pair(n, x)
+            assert value == bessel_j_kernel(n, x), (n, x)
+            assert abs(above - bessel_j_kernel(n + 1, x)) <= 1e-14, (n, x)
+
+
 def _reference_sturm_count(d, e, x):
     # the Sturm sweep squaring the off-diagonal entry at every row
     q = d[0] - x

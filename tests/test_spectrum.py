@@ -71,6 +71,19 @@ def test_mode_index_validation():
     assert ModeIndex(3, 2, Parity.SINE).label() == "3,2,s"
 
 
+def test_bool_orders_and_counts_rejected():
+    # bool is an int subclass; bessel_zero rejects it, and so do these
+    for n, k, parity in ((True, 1, Parity.COSINE), (False, 1, Parity.SIMPLE),
+                         (1, True, Parity.COSINE), (0, True, Parity.SIMPLE)):
+        with pytest.raises(ValueError):
+            ModeIndex(n, k, parity)
+    with pytest.raises(ValueError):
+        ModeIndex(True, 1, "c")
+    for count in (True, False):
+        with pytest.raises(ValueError):
+            enumerate_spectrum(count)
+
+
 def test_eigenfunction_vanishes_on_boundary():
     f = DiskEigenfunction(ModeIndex(2, 1, Parity.COSINE), 1.0, 0.5)
     for theta in (0.0, 0.9, 2.2, 4.0):
