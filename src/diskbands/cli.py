@@ -228,7 +228,51 @@ def _emit(chunks, config: RunConfig) -> None:
 # columns, a list <key>_1, <key>_2, ...; None prints as an empty cell and
 # booleans as true/false.  Rows hold only JSON types (floats as Python
 # floats), and every float is stored rounded by _jnum, so the 15 significant
-# digits of the CSV and the JSON numbers agree.
+# digits of the CSV and the JSON numbers agree.  Neither format has a text
+# for a NaN or an infinity, so a non-finite float raises ValueError.
+#
+# The one other value kind is a _Block, a function sampled on the eta grid,
+# which holds its floats raw.  JSON writes it as the list of
+# {eta1, eta2, value} dicts of its samples, each float rounded by _jnum.
+# CSV writes one line per sample, the row's other cells first, under the
+# block's key names as columns, so a block must be the last value of its
+# row.  Both format each eta once per axis and write one eta1 row of the grid
+# at a time through one %-template, mapped over the (eta2, value) pairs.  CSV
+# prints the raw floats: %.15g prints a float as it prints its _jnum (DBL_DIG
+# is 15).
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Samples of a function on the grid `axis` x `axis`: `values` holds the
+    value at (axis[i], axis[j]) at index i * len(axis) + j, and `keys` names
+    the eta1, eta2 and value of a sample."""
+
+    keys: tuple[str, str, str]
+    axis: list[float]
+    values: list[float]
+
+
+def _check_block(block: _Block) -> None:
+    # every sample is checked once, in bulk, before any of it is written
+    if len(block.values) != len(block.axis) ** 2:
+        raise ValueError("a block on %d grid points holds %d values"
+                         % (len(block.axis), len(block.values)))
+    for floats in (block.axis, block.values):
+        odd = set(map(type, floats)) - _FLOATS
+        if odd:
+            raise TypeError("a block holds a %s, not a float" % odd.pop().__name__)
+        _check_finite(floats)
+
+
+def _block_rows(block: _Block, eta_text):
+    # (eta1 text, eta2 texts, values) of each eta1 row of the block, each eta
+    # formatted once by eta_text
+    _check_block(block)
+    etas = list(map(eta_text, block.axis))
+    size = len(etas)
+    for i, eta1 in enumerate(etas):
+        yield eta1, etas, block.values[i * size:(i + 1) * size]
 
 
 def _columns(row: dict) -> list[str]:
@@ -238,6 +282,8 @@ def _columns(row: dict) -> list[str]:
             names += ["%s_%s" % (key, sub) for sub in v]
         elif isinstance(v, list):
             names += ["%s_%d" % (key, i) for i in range(1, len(v) + 1)]
+        elif type(v) is _Block:
+            names += v.keys
         else:
             names.append(key)
     return names
@@ -247,9 +293,23 @@ def _cells(values) -> str:
     return ",".join([_CELL[type(v)](v) for v in values])
 
 
+def _float_text(x: float, text=float.__repr__) -> str:
+    if math.isfinite(x):
+        return text(x)
+    raise ValueError("a table has no text for the float %r" % x)
+
+
+def _check_finite(floats) -> None:
+    # a sum that is not finite holds a NaN or an infinity, or overflowed, and
+    # only then is each value checked
+    if not math.isfinite(sum(floats)):
+        for x in floats:
+            _float_text(x)
+
+
 # CSV text of each JSON value type; a dict or a list spans one cell per member
 _CELL = {
-    float: _fmt,
+    float: functools.partial(_float_text, text=_fmt),
     int: str,
     str: str,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -259,25 +319,37 @@ _CELL = {
 }
 
 
-# parts per write: a write per line made `diagram --count 10 --grid 65
+# lines per write: a write per line made `diagram --count 10 --grid 65
 # --format csv` about 40% slower on one core
 _BATCH = 4096
 
 
+def _csv_lines(row: dict):
+    # the lines of a row: one, or those of each eta1 row of its block
+    *cells, last = row.values()
+    if type(last) is not _Block:
+        return ([_cells(row.values())],)
+    head = (_cells(cells) + ",").replace("%", "%%") if cells else ""
+    return (
+        map((head + eta1.replace("%", "%%") + ",%s,%.15g").__mod__, zip(etas, values))
+        for eta1, etas, values in _block_rows(last, _fmt)
+    )
+
+
 def _csv_chunks(rows):
-    # the header, then the rows a few thousand lines per write
+    # the header, then the lines a few thousand at a time, so no write waits
+    # for a whole block
     rows = iter(rows)
     first = next(rows)
     yield ",".join(_columns(first)) + "\n"
-    lines = map(_cells, map(dict.values, itertools.chain((first,), rows)))
-    while batch := list(itertools.islice(lines, _BATCH)):
-        yield "\n".join(batch) + "\n"
-
-
-def _float_text(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    raise ValueError("JSON has no value for the float %r" % x)
+    lines: list[str] = []
+    for group in itertools.chain.from_iterable(map(_csv_lines, itertools.chain((first,), rows))):
+        lines += group
+        if len(lines) >= _BATCH:
+            yield "\n".join(lines) + "\n"
+            lines.clear()
+    if lines:
+        yield "\n".join(lines) + "\n"
 
 
 # JSON text of each scalar type, as json.dumps writes it; keyed by exact
@@ -311,11 +383,8 @@ def _leaf(value, depth: int) -> str | None:
         return None if scalar is None else scalar(value)
     cells = tuple(value.values())
     if set(map(type, cells)) == _FLOATS:
-        # %r is float.__repr__; a sum that is not finite holds a NaN or an
-        # infinity, or overflowed, and only then is each value checked
-        if not math.isfinite(sum(cells)):
-            for x in cells:
-                _float_text(x)
+        # %r is float.__repr__
+        _check_finite(cells)
         return _template(tuple(value), depth, "%r") % cells
     try:
         cells = tuple([_SCALAR[type(v)](v) for v in cells])
@@ -324,9 +393,39 @@ def _leaf(value, depth: int) -> str | None:
     return _template(tuple(value), depth, "%s") % cells
 
 
+def _json_eta(x: float) -> str:
+    return float.__repr__(_jnum(x))
+
+
+def _json_block(block: _Block, depth: int, parts: list):
+    # append the text of the block's list of sample dicts to parts, one part
+    # per sample and one eta1 row at a time; yield whenever parts holds a
+    # batch
+    pad = "\n" + " " * (depth + 1)
+    inner = "\n" + " " * (depth + 2)
+    k1, k2, k3 = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": " for k in block.keys]
+    opening = "["
+    for eta1, etas, values in _block_rows(block, _json_eta):
+        # a comma and a sample dict at depth + 1, whose eta2 text and value
+        # fill %s and %r
+        template = "," + pad + "{" + k1 + eta1.replace("%", "%%") + "," + k2 + "%s," + k3 + "%r" + pad + "}"
+        first = len(parts)
+        parts += map(template.__mod__, zip(etas, map(float, map(_fmt, values))))
+        if opening:
+            # the first sample follows the opening bracket, not a comma
+            parts[first] = opening + parts[first][1:]
+            opening = ""
+        if len(parts) >= _BATCH:
+            yield
+    parts.append("[]" if opening else "\n" + " " * depth + "]")
+
+
 def _json_parts(value, depth: int, parts: list):
-    # append the text of a dict or a sequence to parts, member by member;
-    # yield whenever parts holds a batch
+    # append the text of a dict, a sequence or a block to parts, member by
+    # member; yield whenever parts holds a batch
+    if type(value) is _Block:
+        yield from _json_block(value, depth, parts)
+        return
     if type(value) is dict:
         members = zip(map("%s: ".__mod__, map(encode_basestring_ascii, value)), value.values())
         brackets = "{}"
@@ -355,7 +454,10 @@ def _json_chunks(doc):
     """Yield the text of `json.dumps(doc, indent=1) + "\n"` a batch of parts
     at a time.  Lists may also be iterators, which are drawn as they are
     written; keys must be strings, and a non-finite float or a value of any
-    type but dict, list, str, int, float, bool and None raises."""
+    type but dict, list, str, int, float, bool and None raises.  A _Block is
+    written as the list of its samples, `{eta1, eta2, value}` dicts under its
+    keys with every float rounded by _jnum, one eta1 row at a time, so a
+    batch holds about _BATCH samples."""
     parts: list[str] = []
     text = _leaf(doc, 0)
     if text is None:
@@ -540,16 +642,6 @@ def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
     return "".join(out)
 
 
-def _samples(m: ModeIndex, config: RunConfig):
-    # ((eta1, eta2), value) at each sweep point of mode m, row-major over
-    # eta1, every number rounded as _jnum does
-    from .bands import brillouin_sweep
-
-    axis, values = brillouin_sweep(m, config.params(), config.grid)
-    axis = [_jnum(a) for a in axis]
-    return zip(itertools.product(axis, axis), map(float, map(_fmt, values)))
-
-
 def cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
     total = args.count * config.grid**2
     if config.format != "svg" and total > MAX_DIAGRAM_SAMPLES:
@@ -557,31 +649,24 @@ def cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
             "diagram --format %s writes count * grid^2 = %d samples, at most %d"
             % (config.format, total, MAX_DIAGRAM_SAMPLES)
         )
-    from .bands import gap_reports
+    from .bands import brillouin_sweep, gap_reports
 
     bands, uncertified = _band_table(args.count, config)
     reports = gap_reports(bands, config.params()) if args.count >= 2 else []
     if config.format == "svg":
         _emit([_render_svg(bands, reports, uncertified)], config)
         return EXIT_OK
-    if config.format == "json":
-        rows = (
-            {
-                **_mode_fields(b.mode),
-                "samples": (
-                    {"eta1": e1, "eta2": e2, "value": v}
-                    for (e1, e2), v in _samples(b.mode, config)
-                ),
-            }
-            for b in bands
-        )
-    else:
-        rows = (
-            {**fields, "eta1": e1, "eta2": e2, "value": v}
-            for b in bands
-            for fields in (_mode_fields(b.mode),)
-            for (e1, e2), v in _samples(b.mode, config)
-        )
+    # each mode is swept only when the writer reaches its row
+    rows = (
+        {
+            **_mode_fields(b.mode),
+            "samples": _Block(
+                ("eta1", "eta2", "value"),
+                *brillouin_sweep(b.mode, config.params(), config.grid),
+            ),
+        }
+        for b in bands
+    )
     _write_table(config, rows, uncertified)
     return EXIT_OK
 

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from diskbands import bands, cli, verify
+from diskbands import ExpansionParams, ModeIndex, Parity, bands, cli, verify
 
 CMD = [sys.executable, "-m", "diskbands"]
 
@@ -420,40 +420,51 @@ def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out.startswith("<?xml")
 
 
-def test_diagram_json_streams_its_samples(monkeypatch):
-    # the first chunk is written before the first mode's samples are all
-    # drawn, so neither a mode's samples nor the document is held whole
+def test_diagram_streams_its_samples(monkeypatch):
+    # the first chunk is written before the modes' samples are all drawn, so
+    # neither the samples nor the document is held whole, and no chunk
+    # holds much more than a batch
     events = []
-    samples = cli._samples
+    sweep = bands.brillouin_sweep
 
-    def drawn(m, config):
-        yield from samples(m, config)
+    def drawn(*args):
         events.append("drawn")
+        return sweep(*args)
 
     class Stdout:
         def writelines(self, chunks):
-            for chunk in chunks:
-                events.append(chunk)
+            events.extend(chunks)
 
         def flush(self):
             pass
 
-    monkeypatch.setattr(cli, "_samples", drawn)
+    monkeypatch.setattr(bands, "brillouin_sweep", drawn)
     monkeypatch.setattr(sys, "stdout", Stdout())
-    argv = ["diagram", "--count", "2", "--grid", "65", "--format", "json"]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert events.count("drawn") == 2
-    assert events[0] != "drawn"
-    # the chunks join to the json.dumps text of the document they hold
-    text = "".join(e for e in events if e != "drawn")
-    doc = json.loads(text)
-    assert [len(row["samples"]) for row in doc["rows"]] == [65 * 65, 65 * 65]
-    assert text == json.dumps(doc, indent=1) + "\n"
+    for fmt in ("csv", "json"):
+        events.clear()
+        argv = ["diagram", "--count", "2", "--grid", "65", "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert events.count("drawn") == 2, fmt
+        second = events.index("drawn", events.index("drawn") + 1)
+        assert any(e != "drawn" for e in events[:second]), fmt
+        chunks = [e for e in events if e != "drawn"]
+        text = "".join(chunks)
+        if fmt == "json":
+            # a batch counts samples, and a sample dict is five lines
+            assert max(c.count('"value"') for c in chunks) <= cli._BATCH + 65
+            # the chunks join to the json.dumps text of the document they hold
+            doc = json.loads(text)
+            assert [len(row["samples"]) for row in doc["rows"]] == [65 * 65, 65 * 65]
+            assert text == json.dumps(doc, indent=1) + "\n"
+        else:
+            assert max(c.count("\n") for c in chunks) <= cli._BATCH + 65
+            assert len(text.splitlines()) == 1 + 2 * 65 * 65
 
 
 def test_nonfinite_float_is_an_internal_failure(monkeypatch, capsys):
     # strict JSON has no NaN or infinity, and json.dumps would write them as
-    # bare tokens; the emitter raises instead, in every position
+    # bare tokens; the emitter raises instead, in every position, and so does
+    # the CSV writer
     for bad in (math.nan, math.inf, -math.inf):
         for doc in (
             {"eta1": 0.0, "value": bad},
@@ -463,17 +474,91 @@ def test_nonfinite_float_is_an_internal_failure(monkeypatch, capsys):
         ):
             with pytest.raises(ValueError):
                 "".join(cli._json_chunks(doc))
+        for row in (
+            {"name": "x", "value": bad},
+            {"below": {"n": 1, "gap": bad}},
+            {"eta": [0.0, bad]},
+        ):
+            with pytest.raises(ValueError):
+                "".join(cli._csv_chunks([row]))
     # a type json.dumps does not name, even a float subclass, is not guessed
     for doc in ({"value": np.float64(1.0)}, [np.int64(1)], {"rows": {1, 2}}):
         with pytest.raises(TypeError):
             "".join(cli._json_chunks(doc))
 
-    for bad in (math.nan, math.inf):
-        monkeypatch.setattr(cli, "_samples", lambda m, config: zip([(0.0, 0.0)], [bad]))
-        argv = ["diagram", "--count", "1", "--grid", "3", "--format", "json"]
-        assert cli.main(argv) == cli.EXIT_INTERNAL
-        err = capsys.readouterr().err
-        assert "internal failure: ValueError" in err and "Traceback" in err
+    for fmt in ("csv", "json"):
+        for bad in (math.nan, math.inf):
+            monkeypatch.setattr(
+                bands, "brillouin_sweep", lambda m, params, grid: ([0.0] * grid, [bad] * grid**2)
+            )
+            argv = ["diagram", "--count", "1", "--grid", "3", "--format", fmt]
+            assert cli.main(argv) == cli.EXIT_INTERNAL
+            err = capsys.readouterr().err
+            assert "internal failure: ValueError" in err and "Traceback" in err
+
+
+def _block_case(grid, kind):
+    # the axis and values of a block: a swept mode, the lam0 * n values of
+    # an undetermined mode, or floats of every magnitude with 17 digits
+    params = ExpansionParams(1e-3, 0.25, 1.5)
+    if kind == "swept":
+        return bands.brillouin_sweep(ModeIndex(1, 1, Parity.COSINE), params, grid)
+    if kind == "undetermined":
+        return bands.brillouin_sweep(ModeIndex(4, 1, Parity.COSINE), params, grid)
+    rng = np.random.default_rng(grid)
+    values = rng.uniform(-1.0, 1.0, grid * grid) * 10.0 ** rng.integers(-320, 308, grid * grid)
+    return [float(a) for a in rng.uniform(-4.0, 4.0, grid)], values.tolist()
+
+
+# a % and a %-spec in a key and in the cells baked into the templates
+BLOCK_HEAD = {"n": 4, "name": "100% %s%%d", "pair": {"a": 0.1 + 0.2, "b": None}, "on": [True, 7]}
+
+
+@pytest.mark.parametrize("kind", ["swept", "undetermined", "random"])
+@pytest.mark.parametrize("grid", [3, 4, 8, 9, 65])
+def test_block_writes_its_expanded_samples(grid, kind):
+    axis, values = _block_case(grid, kind)
+    keys = ("eta1", "e%ta2", "value")
+    block = cli._Block(keys, axis, values)
+    samples = [
+        {keys[0]: cli._jnum(a), keys[1]: cli._jnum(b), keys[2]: cli._jnum(values[i * grid + j])}
+        for i, a in enumerate(axis)
+        for j, b in enumerate(axis)
+    ]
+    # json: the list of sample dicts json.dumps writes, at any depth
+    for doc, expanded in (
+        ({"rows": [{**BLOCK_HEAD, "samples": block}] * 2}, {"rows": [{**BLOCK_HEAD, "samples": samples}] * 2}),
+        (block, samples),
+    ):
+        assert "".join(cli._json_chunks(doc)) == json.dumps(expanded, indent=1) + "\n"
+    # csv: the lines of the flattened rows, the head cells first
+    chunks = list(cli._csv_chunks([{**BLOCK_HEAD, "samples": block}] * 2))
+    flat = [{**BLOCK_HEAD, **sample} for sample in samples] * 2
+    assert "".join(chunks) == "".join(cli._csv_chunks(flat))
+    assert max(c.count("\n") for c in chunks) <= cli._BATCH + grid
+
+
+def test_block_guards():
+    axis = [0.0, 1.0, 2.0]
+    assert "".join(cli._json_chunks(cli._Block(("a", "b", "c"), [], []))) == "[]\n"
+    for axis_, values, error in (
+        (axis, [1.0] * 8, ValueError),
+        (axis, [1.0] * 8 + [math.nan], ValueError),
+        (axis, [1.0] * 8 + [-math.inf], ValueError),
+        # finite floats whose sum overflows pass
+        (axis, [1e308, 1e308] + [1.0] * 7, None),
+        ([0.0, math.inf, 2.0], [1.0] * 9, ValueError),
+        (axis, [np.float64(1.0)] * 9, TypeError),
+        (axis, [1.0] * 8 + [1], TypeError),
+        ([0.0, np.float64(1.0), 2.0], [1.0] * 9, TypeError),
+    ):
+        block = cli._Block(("eta1", "eta2", "value"), axis_, values)
+        for write in (cli._json_chunks, lambda b: cli._csv_chunks([{"n": 1, "samples": b}])):
+            if error is None:
+                "".join(write(block))
+            else:
+                with pytest.raises(error):
+                    "".join(write(block))
 
 
 def test_count_and_zero_caps_are_checked_before_any_work(monkeypatch, capsys):

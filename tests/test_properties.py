@@ -1,7 +1,8 @@
 """Property tests (hypothesis, derandomized): spectrum prefixes, gap
 certification monotone in the error constant, the symmetries of Lambda1 on
-the square lattice, the reduction of Floquet points into [-pi, pi), and the
-streaming JSON emitter against json.dumps."""
+the square lattice, the reduction of Floquet points into [-pi, pi), the
+streaming JSON emitter against json.dumps, and the 15-digit rounding of
+printed floats."""
 
 import json
 import math
@@ -20,7 +21,7 @@ from diskbands import (
     detect_gaps,
     enumerate_spectrum,
 )
-from diskbands.cli import _json_chunks
+from diskbands.cli import _fmt, _jnum, _json_chunks
 from diskbands.corrections import lambda1_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -147,3 +148,32 @@ JSON_DOC = st.recursive(
 @example({'"q"': "a\\b%d\x01", "\u00e9\u03bb\U0001f600": [None, True, False, 0, -7]})
 def test_json_chunks_equal_json_dumps(doc):
     assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=1) + "\n"
+
+
+# the largest float whose 15-digit text reads back as a finite float: the
+# four floats above it print as 1.79769313486232e+308, past the largest one
+TOP = 1.797693134862315e308
+
+
+@settings(PROPERTY, max_examples=2000)
+@given(st.floats(-TOP, TOP))
+@example(5e-324)
+@example(-1.2345678901234567e-310)
+@example(2.2250738585072014e-308)
+@example(math.nextafter(2.2250738585072014e-308, 0.0))
+@example(TOP)
+@example(-TOP)
+@example(-0.0)
+@example(0.1 + 0.2)
+def test_fifteen_digits_read_back(x):
+    # DBL_DIG is 15: a float's 15-digit text reads back as a float with the
+    # same text, so the CSV writer may print a raw sample as it prints its
+    # _jnum, and _jnum rounds only once
+    assert _fmt(_jnum(x)) == _fmt(x)
+    assert _jnum(_jnum(x)) == _jnum(x)
+
+
+def test_fifteen_digits_overflow_above_top():
+    above = math.nextafter(TOP, math.inf)
+    assert _fmt(above) == "1.79769313486232e+308"
+    assert _jnum(above) == math.inf and _jnum(-above) == -math.inf
