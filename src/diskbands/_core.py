@@ -7,6 +7,8 @@ tridiagonal matrix by Sturm-count bisection.
 
 from __future__ import annotations
 
+import math
+
 # Series/recurrence switch.  Above this argument the alternating power series
 # amplifies cancellation beyond ~1e-14 absolute, so Miller's backward
 # recurrence takes over.
@@ -119,17 +121,31 @@ def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
             lo = dl[i] - r
         if dl[i] + r > hi:
             hi = dl[i] + r
+    # every (x, count) swept so far; the computed count is monotone in x
+    # (Kahan; Demmel, Dhillon & Ren 1995), so a midpoint at or above a point
+    # counting >= k, or at or below one counting < k, needs no sweep and the
+    # bisection takes the same steps as one that sweeps every midpoint
+    known: list[tuple[float, int]] = []
     out = []
     for k in range(1, count + 1):
+        above = min((x for x, c in known if c >= k), default=math.inf)
+        below = max((x for x, c in known if c < k), default=-math.inf)
         a, b = lo, hi
         for _ in range(120):
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break
-            if _sturm_count(dl, e2, mid) >= k:
+            if mid >= above:
                 b = mid
-            else:
+            elif mid <= below:
                 a = mid
+            else:
+                c = _sturm_count(dl, e2, mid)
+                known.append((mid, c))
+                if c >= k:
+                    b = above = mid
+                else:
+                    a = below = mid
             if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
                 break
         out.append(0.5 * (a + b))
@@ -138,14 +154,16 @@ def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
 
 
 def _sturm_count(d, e2, x: float) -> int:
-    # number of eigenvalues strictly below x (LDL^T pivot sign count); e2
-    # holds the squared off-diagonal
+    # number of eigenvalues below x (LDL^T pivot sign count); e2 holds the
+    # squared off-diagonal.  A zero pivot counts as negative, like the
+    # -1e-290 that replaces it in the next row: the count is then the one
+    # just above x, which keeps it monotone in x
     q = d[0] - x
-    count = 1 if q < 0.0 else 0
-    for i in range(1, len(d)):
-        if q == 0.0:
+    count = 1 if q <= 0.0 else 0
+    for di, ei in zip(d[1:], e2):
+        if not q:
             q = -1e-290
-        q = d[i] - x - e2[i - 1] / q
-        if q < 0.0:
+        q = di - x - ei / q
+        if q <= 0.0:
             count += 1
     return count

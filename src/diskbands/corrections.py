@@ -198,16 +198,29 @@ def lambda1_simple(k: int, eta: FloquetPoint) -> float:
     return float(_lambda1_table(0, k, (eta.eta1,), (eta.eta2,))[0, 0])
 
 
+@functools.lru_cache(maxsize=None)
+def _arc_trig_dots(n: int, panels: int) -> tuple[tuple[float, float], ...]:
+    # (int cos(n theta), int sin(n theta)) over each quarter-arc Q1..Q4 by
+    # `panels` Gauss-Legendre panels; eta-independent
+    dots = []
+    for idx in range(4):
+        theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
+        dots.append(
+            (float(np.dot(w, np.cos(n * theta))), float(np.dot(w, np.sin(n * theta))))
+        )
+    return tuple(dots)
+
+
 def _arc_trig_integrals(n: int, eta: FloquetPoint, panels: int) -> tuple[complex, complex]:
     # I_c = int_Gamma g cos(n theta) dtheta, I_s likewise with sin, the four
     # quarter-arcs carrying their quadrant's constant phase
     ic = 0j
     isn = 0j
-    for idx, q in enumerate((Quadrant.Q1, Quadrant.Q2, Quadrant.Q3, Quadrant.Q4)):
-        theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
+    quadrants = (Quadrant.Q1, Quadrant.Q2, Quadrant.Q3, Quadrant.Q4)
+    for q, (dot_c, dot_s) in zip(quadrants, _arc_trig_dots(n, panels)):
         phase = quadrant_phase(q, eta)
-        ic += phase * float(np.dot(w, np.cos(n * theta)))
-        isn += phase * float(np.dot(w, np.sin(n * theta)))
+        ic += phase * dot_c
+        isn += phase * dot_s
     return ic, isn
 
 

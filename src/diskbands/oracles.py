@@ -8,12 +8,17 @@ solve knows nothing of Bessel zeros, and the quadrature rebuilds the phase
 from node coordinates instead of reusing the quadrant tables.
 
 The quadrature caches its eta-independent node geometry once per
-(n, panels): each node's weight, cos(n t), sin(n t) and the sign pair of
-(cos t, sin t), read from the node itself.  A call rebuilds the four phases
-from those node signs and eta, then sums the nodes in order.  Each mode's
-prefactor is cached per (n, k).  `disk_mesh_doubling` solves a mesh and its
-doubled mesh once each, so the eigenvalue check, the Richardson guard and
-the convergence ratios share two solves.
+(n, panels) as four arrays: each node's weight, cos(n t), sin(n t) and
+sign slot, the slot naming the sign pair of (cos t, sin t) read from the node
+itself.  A call rebuilds the four phases from eta, gives each node the phase
+of its slot, forms the node terms with the real products of CPython's
+complex arithmetic, and sums them in node order from 0 with
+`np.add.accumulate`, so the value is bitwise that of the per-node loop.  Each
+mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a mesh
+and its doubled mesh once each, so the eigenvalue check, the Richardson guard
+and the convergence ratios share two solves; each solve's bisection reuses
+the Sturm counts it has taken, sweeping only midpoints whose side they leave
+open.
 """
 
 from __future__ import annotations
@@ -141,10 +146,10 @@ _SIGN_PAIRS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 @lru_cache(maxsize=None)
-def _node_table(n: int, panels: int) -> tuple[tuple[float, float, float, int], ...]:
-    # (w, cos n t, sin n t, sign slot) per node of the four quarter-arcs, in
-    # summation order; the signs of cos/sin t decide the (+-eta1/2 +- eta2/2)
-    # combination, read from the boundary point itself
+def _node_table(n: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # weights, cos n t, sin n t and sign slots of the nodes of the four
+    # quarter-arcs, in summation order; the signs of cos/sin t decide the
+    # (+-eta1/2 +- eta2/2) combination, read from the boundary point itself
     rows = []
     for quarter in range(4):
         theta, w = panel_rule(
@@ -155,20 +160,32 @@ def _node_table(n: int, panels: int) -> tuple[tuple[float, float, float, int], .
             s2 = 1.0 if math.sin(t) > 0.0 else -1.0
             slot = _SIGN_PAIRS.index((s1, s2))
             rows.append((wt, math.cos(n * t), math.sin(n * t), slot))
-    return tuple(rows)
+    weights, cos_nt, sin_nt, slots = zip(*rows)
+    return np.array(weights), np.array(cos_nt), np.array(sin_nt), np.array(slots)
 
 
 def _boundary_integral(
     n: int, eta: FloquetPoint, coeff_c: complex, coeff_s: complex, panels: int
 ) -> complex:
-    phases = [
-        cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2)) for s1, s2 in _SIGN_PAIRS
-    ]
-    total = 0j
-    for wt, cos_nt, sin_nt, slot in _node_table(n, panels):
-        angular = coeff_c * cos_nt + coeff_s * sin_nt
-        total += wt * phases[slot] * angular
-    return total
+    # sum over nodes of w * phase * (C_c cos n t + C_s sin n t), each product
+    # in real arrays with the roundings of CPython's complex product
+    # (x * a: re = xr ar - xi ai, im = xr ai + xi ar), summed in node order
+    # from 0 by add.accumulate (np.sum would sum pairwise)
+    weights, cos_nt, sin_nt, slots = _node_table(n, panels)
+    phase = np.array(
+        [cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2)) for s1, s2 in _SIGN_PAIRS]
+    )[slots]
+    xr = weights * phase.real
+    xi = weights * phase.imag
+    cc, cs = complex(coeff_c), complex(coeff_s)
+    ar = cc.real * cos_nt + cs.real * sin_nt
+    ai = cc.imag * cos_nt + cs.imag * sin_nt
+    terms = np.empty((2, weights.size + 1))
+    terms[:, 0] = 0.0
+    terms[0, 1:] = xr * ar - xi * ai
+    terms[1, 1:] = xr * ai + xi * ar
+    re, im = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    return complex(re, im)
 
 
 @lru_cache(maxsize=None)

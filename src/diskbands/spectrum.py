@@ -40,7 +40,7 @@ class InternalConsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class ExpansionParams:
     """Small parameter eps in (0, 1), density exponent m in (0, 1/2), and the
-    error-pad constant C (>= 0, 0 meaning an uncertified pad)."""
+    error-pad constant C in [0, 1e300] (0 meaning an uncertified pad)."""
 
     epsilon: float
     m: float
@@ -54,10 +54,11 @@ class ExpansionParams:
                 "m must satisfy 0 < m < 1/2 (standing assumption of the "
                 "two-term expansion), got %r" % (self.m,)
             )
-        if not (math.isfinite(self.error_constant) and self.error_constant >= 0.0):
+        # the cap keeps every pad C eps^gamma, and a band padded by it, well
+        # inside the floats that print and read back at 15 digits
+        if not (0.0 <= self.error_constant <= 1e300):
             raise ValueError(
-                "error_constant must be finite and non-negative, got %r"
-                % (self.error_constant,)
+                "error_constant must lie in [0, 1e+300], got %r" % (self.error_constant,)
             )
         # -0.0 passes the sign check; stored as it is, it would print every
         # pad as -0

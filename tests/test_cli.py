@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -247,6 +248,41 @@ def test_negative_zero_error_constant_prints_as_zero(tmp_path, capsys):
         for extra in (["--error-constant", "-0"], ["--config", str(cfg)]):
             assert cli.main(argv + extra) == cli.EXIT_OK
             assert capsys.readouterr().out == expected, (fmt, extra)
+
+
+# eps just below 1 leaves a pad of almost C; the largest accepted C keeps
+# every padded band finite, the largest float does not
+@pytest.mark.parametrize(
+    "command, formats",
+    [("bands", ("csv", "json")), ("gaps", ("csv", "json")), ("diagram", ("svg", "csv", "json"))],
+)
+def test_largest_error_constant_prints_finite_numbers(capsys, command, formats):
+    argv = [command, "--count", "6", "--grid", "5", "--epsilon", "0.9999999999999999",
+            "--error-constant", "1e300"]
+    for fmt in formats:
+        assert cli.main(argv + ["--format", fmt]) == cli.EXIT_OK, fmt
+        out = capsys.readouterr().out
+        assert re.search(r"(?i)\b(inf|infinity|nan)\b", out) is None, fmt
+        if fmt == "json":
+            json.loads(out)
+
+
+def test_error_constant_above_cap_is_a_usage_error(tmp_path, capsys):
+    top = "1.7976931348623157e308"
+    argv = ["bands", "--count", "1", "--epsilon", "0.9999999999999999"]
+    default = tmp_path / "default.cfg"
+    default.write_text("c.default = %s\n" % top)
+    per_mode = tmp_path / "per_mode.cfg"
+    per_mode.write_text("c.0.1 = %s\n" % top)
+    for extra in (["--error-constant", top], ["--config", str(default)],
+                  ["--config", str(per_mode)]):
+        for fmt in ("csv", "json"):
+            assert cli.main(argv + extra + ["--format", fmt]) == cli.EXIT_USAGE, extra
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: error_constant must lie in [0, 1e+300], got 1.7976931348623157e+308\n"
+            )
 
 
 def test_uncertified_note_on_stderr():

@@ -24,6 +24,7 @@ from diskbands import (
     cell_map_T,
     correction_for,
     correction_matrix,
+    floquet_axis,
     lambda1_multiple,
     lambda1_simple,
     lambda_expansion,
@@ -31,6 +32,8 @@ from diskbands import (
     quadrant_of,
     quadrant_phase,
 )
+from diskbands import corrections
+from diskbands._quad import panel_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +127,7 @@ def test_expansion_params_validation():
     assert p.pad == 0.0
     assert ExpansionParams(1e-2, 0.4).gamma == pytest.approx(1.0)
     assert ExpansionParams(1e-2, 0.4, 2.0).pad == pytest.approx(2.0 * 1e-2)
+    assert ExpansionParams(1e-2, 0.4, 1e300).error_constant == 1e300
     for bad in (
         dict(epsilon=0.0, m=0.25),
         dict(epsilon=-1.0, m=0.25),
@@ -131,6 +135,8 @@ def test_expansion_params_validation():
         dict(epsilon=1e-3, m=0.0),
         dict(epsilon=1e-3, m=0.5),
         dict(epsilon=1e-3, m=0.25, error_constant=-1.0),
+        dict(epsilon=1e-3, m=0.25, error_constant=math.nextafter(1e300, math.inf)),
+        dict(epsilon=1e-3, m=0.25, error_constant=1.7976931348623157e308),
     ):
         with pytest.raises(ValueError):
             ExpansionParams(**bad)
@@ -211,6 +217,58 @@ def test_correction_matrix_trace_matches_closed_form():
             corr = lambda1_multiple(n, 1, eta)
             assert np.trace(M).real == pytest.approx(corr.cosine + corr.sine, abs=1e-8)
             assert abs(np.trace(M).imag) < 1e-10
+
+
+def _reference_arc_trig_integrals(n, eta, panels):
+    # the arc integrals as they were before the per-(n, panels) cache: the
+    # panel rule and the cos/sin dot products rebuilt at every call
+    ic = 0j
+    isn = 0j
+    for idx, q in enumerate((Quadrant.Q1, Quadrant.Q2, Quadrant.Q3, Quadrant.Q4)):
+        theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
+        phase = quadrant_phase(q, eta)
+        ic += phase * float(np.dot(w, np.cos(n * theta)))
+        isn += phase * float(np.dot(w, np.sin(n * theta)))
+    return ic, isn
+
+
+def _reference_correction_matrix(n, k, eta):
+    # correction_matrix's panel doubling over the reference integrals; also
+    # returns the panel count it stopped at
+    z, gap = corrections._derivative_gap(n, k)
+    pref = gap / (z * SOFT_CELL_AREA)
+    panels = 8
+    prev = None
+    while True:
+        cur = _reference_arc_trig_integrals(n, eta, panels)
+        if prev is not None and max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1])) < 1e-10:
+            ic, isn = cur
+            matrix = pref * np.array([[ic * ic, ic * isn], [ic * isn, isn * isn]], dtype=complex)
+            return matrix, panels
+        prev = cur
+        panels *= 2
+
+
+def test_correction_matrix_equals_uncached_loop_bitwise(monkeypatch):
+    depth = []
+    cached = corrections._arc_trig_integrals
+
+    def recorded(n, eta, panels):
+        depth.append(panels)
+        return cached(n, eta, panels)
+
+    monkeypatch.setattr(corrections, "_arc_trig_integrals", recorded)
+    axis = floquet_axis(9)
+    for n in range(1, 8):
+        for e1 in axis:
+            for e2 in axis:
+                eta = FloquetPoint(e1, e2)
+                got = correction_matrix(n, 1, eta)
+                ref, panels = _reference_correction_matrix(n, 1, eta)
+                case = (n, e1, e2)
+                assert depth[-1] == panels, case
+                assert got.real.tobytes() == ref.real.tobytes(), case
+                assert got.imag.tobytes() == ref.imag.tobytes(), case
 
 
 def test_lambda1_multiple_branches():

@@ -122,7 +122,7 @@ def _reference_boundary_integral(n, eta, coeff_c, coeff_s, panels):
 
 def test_node_table_integral_equals_per_node_loop_bitwise():
     axis = floquet_axis(9)
-    pairs = ((1.0, 0.0), (0.0, 1.0), (1 + 0j, 0j), (0.3 - 0.4j, 0.9 + 0.2j))
+    pairs = ((1.0, 0.0), (0.0, 1.0), (1, 0), (1 + 0j, 0j), (0.3 - 0.4j, 0.9 + 0.2j))
     for n in range(7):
         for panels in (16, 32):
             for e1 in axis:

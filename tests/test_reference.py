@@ -2,13 +2,15 @@
 mpmath at 30 digits for J_n and its zeros, LAPACK (`numpy.linalg.eigvalsh`)
 for the tridiagonal eigensolver.  The bounds sit a few times above the
 largest errors observed on these samples.  The plain loops that the Miller
-recurrence and the Sturm count were tuned from are kept here as bitwise
-references."""
+recurrence, the Sturm count and the bisection were tuned from are kept here
+as bitwise references."""
 
 import random
 
 import mpmath
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskbands import _core
 from diskbands._core import bessel_j_kernel, tridiag_smallest_eigenvalues
@@ -66,6 +68,22 @@ def test_tridiag_against_eigvalsh():
     ref = np.linalg.eigvalsh(matrix)[:5]
     assert len(got) == 5
     assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12
+
+
+def test_tridiag_with_exact_zero_pivots_against_eigvalsh():
+    # bisection midpoints land on a diagonal value, so a Sturm pivot is
+    # exactly 0; counted as non-negative it made the count drop by one there
+    # and gave 0.618 for the second eigenvalue of the first matrix
+    cases = (
+        ([0.0] * 4, [1.0] * 3),
+        ([1.0, 1.0 + 1e-13, 1.0, 1.0 - 1e-13] * 3, [0.0, 1e-9, 0.0] * 3 + [0.0, 1e-9]),
+        ([2.0] * 8, [0.0] * 7),
+    )
+    for diag, off in cases:
+        got = tridiag_smallest_eigenvalues(diag, off, len(diag))
+        matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        ref = np.linalg.eigvalsh(matrix)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12, diag
 
 
 def _reference_miller(n, x, rescales):
@@ -138,14 +156,15 @@ def test_pair_kernel_against_one_step_loop_and_next_order():
 
 
 def _reference_sturm_count(d, e, x):
-    # the Sturm sweep squaring the off-diagonal entry at every row
+    # the Sturm sweep squaring the off-diagonal entry at every row; a zero
+    # pivot counts, as the -1e-290 that replaces it
     q = d[0] - x
-    count = 1 if q < 0.0 else 0
+    count = 1 if q <= 0.0 else 0
     for i in range(1, len(d)):
         if q == 0.0:
             q = -1e-290
         q = d[i] - x - e[i - 1] * e[i - 1] / q
-        if q < 0.0:
+        if q <= 0.0:
             count += 1
     return count
 
@@ -168,4 +187,91 @@ def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
         for n in (0, 1, 2):
             diag, off = (a.tolist() for a in _assemble(n, mesh))
             tridiag_smallest_eigenvalues(diag, off, 2)
-    assert len(sweeps) > 600
+    # the bisection reuses the counts it has taken: 684 sweeps when every
+    # midpoint was swept
+    assert len(sweeps) == 592
+
+
+def _reference_bisection(d, e, count):
+    # the solver before it reused its counts: every midpoint of every
+    # eigenvalue's bisection takes a squaring sweep
+    n = len(d)
+    lo = hi = d[0]
+    for i in range(n):
+        r = (abs(e[i - 1]) if i > 0 else 0.0) + (abs(e[i]) if i < n - 1 else 0.0)
+        if d[i] - r < lo:
+            lo = d[i] - r
+        if d[i] + r > hi:
+            hi = d[i] + r
+    out = []
+    for k in range(1, count + 1):
+        a, b = lo, hi
+        for _ in range(120):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            if _reference_sturm_count(d, e, mid) >= k:
+                b = mid
+            else:
+                a = mid
+            if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
+                break
+        out.append(0.5 * (a + b))
+        lo = a
+    return out
+
+
+def _assert_solver_is_reference(d, e, count):
+    got = tridiag_smallest_eigenvalues(d, e, count)
+    ref = _reference_bisection(d, e, count)
+    assert [v.hex() for v in got] == [v.hex() for v in ref], (d, e, count)
+
+
+def test_solver_equals_plain_bisection_on_the_disk_meshes():
+    for mesh in (RadialMesh(512), RadialMesh(512).doubled()):
+        for n in range(4):
+            diag, off = (a.tolist() for a in _assemble(n, mesh))
+            for count in range(1, 6):
+                _assert_solver_is_reference(diag, off, count)
+
+
+# per matrix, diagonals spread out, clustered on a few nearby values, or
+# small integers that bisection midpoints hit exactly (a zero pivot); off-
+# diagonals spread out, or drawn from values that vanish (splitting the
+# matrix, so eigenvalues may repeat exactly), square to nothing or are small
+# integers
+_DIAGONALS = (
+    st.floats(-100.0, 100.0),
+    st.builds(
+        lambda base, step: base + 1e-13 * step,
+        st.sampled_from((-3.0, 1.0, 1.5)),
+        st.integers(-3, 3),
+    ),
+    st.integers(-4, 4).map(float),
+)
+_OFF_DIAGONALS = (
+    st.floats(-10.0, 10.0),
+    st.sampled_from((0.0, -0.0, 1.0, -2.0, 1e-160, -1e-200)),
+)
+
+
+@st.composite
+def _tridiagonals(draw):
+    size = draw(st.integers(1, 40))
+    diag = draw(st.sampled_from(_DIAGONALS))
+    off = draw(st.sampled_from(_OFF_DIAGONALS))
+    return (
+        draw(st.lists(diag, min_size=size, max_size=size)),
+        draw(st.lists(off, min_size=size - 1, max_size=size - 1)),
+        draw(st.integers(1, min(size, 6))),
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_tridiagonals())
+@example(([0.0] * 4, [1.0] * 3, 4))
+@example(([2.0] * 8, [0.0] * 7, 6))
+@example(([1.0, 1.0 + 1e-13, 1.0, 1.0 - 1e-13] * 3, [0.0, 1e-9, 0.0] * 3 + [0.0, 1e-9], 6))
+@example(([5.0, -1.0, 5.0, -1.0, 5.0], [1.0, 0.0, 1.0, 0.0], 5))
+def test_solver_equals_plain_bisection_on_drawn_matrices(case):
+    _assert_solver_is_reference(*case)
