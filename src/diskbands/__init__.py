@@ -8,8 +8,9 @@ cross-checked by independent numerics in `diskbands.oracles`, run as one
 suite by `diskbands.verify`.
 
 The names in `__all__` load on first access (PEP 562), so importing the
-package loads none of its modules, and the zero and spectrum commands run
-without numpy.
+package loads none of its modules.  Only `verify`, whose oracles use numpy,
+loads numpy: the zero, spectrum, band, gap and diagram commands run without
+it.
 """
 
 import importlib

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .corrections import (
     SOFT_CELL_AREA,
     Branch,
@@ -22,6 +20,8 @@ from .corrections import (
     ExpansionParams,
     FloquetPoint,
     _derivative_gap,
+    _half_angle_factors,
+    _lambda1_table,
     _reduce_angle,
     _simple_amplitude,
     correction_for,
@@ -38,12 +38,14 @@ from .spectrum import (
 )
 
 
-def floquet_axis(resolution: int) -> np.ndarray:
-    """Uniform closed grid [-pi, pi] with `resolution` points per axis; odd
-    resolutions sample -pi, 0, and pi exactly."""
+def floquet_axis(resolution: int) -> list[float]:
+    """Uniform closed grid [-pi, pi] with `resolution` points per axis, as a
+    list; odd resolutions sample -pi, 0, and pi exactly.  Bitwise the values
+    of numpy.linspace(-pi, pi, resolution): i * step - pi, then pi."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2, got %r" % (resolution,))
-    return np.linspace(-math.pi, math.pi, resolution)
+    step = 2.0 * math.pi / (resolution - 1)
+    return [i * step - math.pi for i in range(resolution - 1)] + [math.pi]
 
 
 @dataclass(frozen=True)
@@ -73,19 +75,67 @@ class BandInterval:
 _EXTREME_AXIS = (0.0, math.pi, -math.pi)
 
 
+# _extremes_over scans a row in full when its slope in w = sin^2(eta2/2) is
+# below _FLAT_ROW times its scale, or below _TINY_SLOPE, where subnormal
+# rounding (up to 2.5e-324 per entry) is no longer small against the scale;
+# other rows only at the columns whose w lies within _W_WINDOW of the least
+# or the greatest w
+_FLAT_ROW = 1e-3
+_TINY_SLOPE = 1e-290
+_W_WINDOW = 1e-6
+
+
 def _extremes_over(
     corr: CorrectionValue, axis
 ) -> tuple[float, FloquetPoint, float, FloquetPoint]:
-    # argmin/argmax return the first extremizer in row-major order, as a
-    # strict `<` / `>` scan of the points would
-    values = lambda1_grid(corr, axis)
+    # The first minimum and the first maximum of lambda1_grid(corr, axis) in
+    # row-major order, as a strict `<` / `>` scan (argmin/argmax) finds them,
+    # from O(len(axis)) table entries.
+    #
+    # Why that is exact: every Lambda1 is a product of cos/sin of eta_i/2, so
+    # row i is alpha_i + beta_i w_j in exact arithmetic, w_j = sin^2(eta_j/2)
+    # (simple: beta = -alpha; n = 2 mod 4: alpha = 0; odd n: beta is
+    # proportional to cos eta1).  Its extremes lie at the columns of least
+    # and greatest w.  The computed entries carry a few ulps of the row scale
+    # |alpha_i| + |beta_i|, about 1e-15 of it.  A column whose w lies more
+    # than _W_WINDOW from both ends sits at least |beta_i| * 1e-6 > 1e-9 of
+    # the scale from the row's extreme once |beta_i| > _FLAT_ROW times the
+    # scale, so it cannot tie the computed extreme and only the window
+    # columns are evaluated.  Rows with a smaller slope (odd n near
+    # eta1 = +-pi/2, the all-zero n = 2 mod 4 row at eta1 = 0) and rows with
+    # a subnormal slope (n = 2 mod 4 at |eta1| below about 1e-145) are
+    # scanned in full; there are O(1) of them.  The first row holding the global
+    # extreme and its first such column then give argmin/argmax's order.
+    if corr.branch is Branch.COSINE:
+        origin = FloquetPoint(axis[0], axis[0])
+        return 0.0, origin, 0.0, origin
+    n, k = corr.mode.n, corr.mode.k
     size = len(axis)
+    s, c = _half_angle_factors(axis)
+    w = [x * x for x in s]
+    w_lo, w_hi = min(w), max(w)
+    window = [j for j, x in enumerate(w) if x - w_lo <= _W_WINDOW or w_hi - x <= _W_WINDOW]
+    # each row at w = 0 and w = 1 first, alpha_i and alpha_i + beta_i, then
+    # at the window columns
+    ends_and_window = ([0.0, 1.0] + [s[j] for j in window], [1.0, 0.0] + [c[j] for j in window])
+    table = _lambda1_table(n, k, (s, c), ends_and_window)
+    rows = [row[2:] for row in table]
+    columns = [window] * size
+    for i, (alpha, top, *_) in enumerate(table):
+        beta = abs(top - alpha)
+        if not (beta > _FLAT_ROW * (abs(alpha) + beta) and beta > _TINY_SLOPE):
+            rows[i] = _lambda1_table(n, k, ([s[i]], [c[i]]), (s, c))[0]
+            columns[i] = range(size)
 
-    def point(index: int) -> FloquetPoint:
-        return FloquetPoint(float(axis[index // size]), float(axis[index % size]))
+    def first(extreme) -> tuple[float, FloquetPoint]:
+        # the first row holding the extreme of all rows, then its first
+        # column holding it
+        tops = [extreme(row) for row in rows]
+        i = tops.index(extreme(tops))
+        j = rows[i].index(tops[i])
+        return rows[i][j], FloquetPoint(axis[i], axis[columns[i][j]])
 
-    lo, hi = int(np.argmin(values)), int(np.argmax(values))
-    return float(values[lo]), point(lo), float(values[hi]), point(hi)
+    return (*first(min), *first(max))
 
 
 def band_interval(
@@ -216,9 +266,13 @@ class GapReport:
 
 
 def _first_order_flat_pair(below: ModeIndex, above: ModeIndex) -> bool:
-    # band-direction convention: odd-n bands extend downward from Lambda0,
-    # simple and n = 2 (mod 4) bands extend upward, so the facing edges of
-    # such a pair are both flat at first order
+    # a fixed parity convention: an odd-n band below a simple or n = 2 (mod 4)
+    # band is labelled first-order-flat.  The swept bands do not follow it,
+    # since each band's direction is the sign of J_n'(j_{n,k}) and flips with
+    # k: at the defaults (1,1s) spans [58.728, 59.224], above its Lambda0, and
+    # (2,1s) spans [105.187, 105.498], below its Lambda0.  Acceptance
+    # criterion 7 and three goldens pin the label as it stands; ROADMAP item
+    # 1 examines the signs involved
     below_odd = below.n % 2 == 1
     above_up = above.n == 0 or above.n % 4 == 2
     return below_odd and above_up
@@ -313,5 +367,5 @@ def brillouin_sweep(
     corr = correction_for(mode)
     if corr.branch is Branch.UNDETERMINED:
         return axis, [lam0] * (resolution * resolution)
-    values = lam0 + params.first_order_scale * lambda1_grid(corr, axis)
-    return axis, values.tolist()
+    scale = params.first_order_scale
+    return axis, [lam0 + scale * v for v in lambda1_grid(corr, axis)]

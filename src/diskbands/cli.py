@@ -39,8 +39,8 @@ from .spectrum import (
     enumerate_spectrum,
 )
 
-# numpy and the Floquet modules load inside the commands that use them, so
-# zeros and spectrum start without them
+# the Floquet modules load inside the commands that use them, so zeros and
+# spectrum start without them; numpy loads only with verify's oracles
 if TYPE_CHECKING:
     from .bands import BandInterval
     from .corrections import FloquetPoint
@@ -52,9 +52,10 @@ EXIT_INTERNAL = 3
 
 _FORMATS = ("csv", "json", "svg")
 
-# largest --grid accepted: a sweep holds a few grid^2 float arrays per mode,
-# so time and memory grow as grid^2 (bands --count 10 at this size peaks at
-# about 130 MB RSS)
+# largest --grid accepted: a band's extremes take O(grid) table entries, and
+# only diagram's csv and json samples, capped below, hold grid^2 values per
+# mode (bands --count 100 at this size runs in 0.3-0.6 s and peaks at about
+# 18 MB RSS)
 MAX_GRID = 2049
 
 # largest --count, --n-max and --k-max accepted, each chosen so that its
@@ -66,8 +67,9 @@ MAX_K = 200
 
 # the caps above multiply, so the work is capped too: the zeros table
 # (n_max + 1) * k_max, which keeps each flag's cap legal with the other at its
-# default, and the sweep count * grid^2 of bands, gaps and diagram; at either
-# cap a command runs in a few seconds
+# default, and the sweep count * grid^2 of bands, gaps and diagram, kept as it
+# was when every band swept its whole grid; at either cap a command runs in a
+# few seconds
 MAX_ZEROS = 2000
 MAX_SWEEP = 100 * MAX_GRID**2
 

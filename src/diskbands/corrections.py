@@ -17,10 +17,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._quad import panel_rule
 from .bessel import bessel_j, bessel_zero
 # ExpansionParams and QuadratureConvergenceError live in the numpy-free
 # spectrum module and are re-exported here
@@ -31,6 +29,9 @@ from .spectrum import (
     QuadratureConvergenceError,
     limit_eigenvalue,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 # area of the unit cell outside the inscribed disk of radius 1/2
@@ -163,45 +164,61 @@ def c0_multiple(
     return -1j * base * (sign * coeff_c * sa * cb + coeff_s * ca * sb)
 
 
-def _half_angle_factors(axis) -> tuple[np.ndarray, np.ndarray]:
-    # sin and cos of eta_i/2 at each reduced axis value; math.sin/math.cos
-    # rather than np.sin/np.cos, whose results may differ in the last bit
+def _half_angle_factors(axis) -> tuple[list[float], list[float]]:
+    # sin and cos of eta_i/2 at each reduced axis value
     halves = [0.5 * _reduce_angle(a) for a in axis]
-    return (
-        np.array([math.sin(h) for h in halves]),
-        np.array([math.cos(h) for h in halves]),
-    )
+    return [math.sin(h) for h in halves], [math.cos(h) for h in halves]
 
 
-def _lambda1_table(n: int, k: int, axis1, axis2) -> np.ndarray:
+def _lambda1_table(n: int, k: int, rows, columns) -> list[list[float]]:
     # Lambda1 of the simple mode (n = 0) or of the sine branch of the double
-    # mode (n, k), n != 0 (mod 4), on the tensor grid axis1 x axis2 (row i at
-    # eta1 = axis1[i]).  Each entry takes the float operations of the
-    # one-point formula in the same order, so a 1x1 table is the scalar value.
-    s1, c1 = _half_angle_factors(axis1)
-    s2, c2 = _half_angle_factors(axis2)
+    # mode (n, k), n != 0 (mod 4), on a tensor grid, one list per row; `rows`
+    # and `columns` are the (sin, cos) lists of _half_angle_factors for eta1
+    # and eta2.  Each entry takes the float operations of the one-point
+    # formula in the same order, so a 1x1 table is the scalar value.
+    s1, c1 = rows
+    s2, c2 = columns
     if n == 0:
-        amp = (_simple_amplitude(k)[1] * c1)[:, None] * c2
-        return (2.0 * math.pi / SOFT_CELL_AREA) * amp * amp
+        j1 = _simple_amplitude(k)[1]
+        scale = 2.0 * math.pi / SOFT_CELL_AREA
+        return [
+            [(scale * amp) * amp for amp in [u * b for b in c2]]
+            for u in [j1 * a for a in c1]
+        ]
     z, gap = _derivative_gap(n, k)
     pref = gap / (z * SOFT_CELL_AREA)
     if n % 4 == 2:
-        return (pref * (64.0 / (n * n)) * (s1 * s1))[:, None] * (s2 * s2)
-    return -pref * (16.0 / (n * n)) * (
-        (s1 * s1)[:, None] * c2 * c2 + (c1 * c1)[:, None] * s2 * s2
-    )
+        q = pref * (64.0 / (n * n))
+        w2 = [b * b for b in s2]
+        return [[u * w for w in w2] for u in [q * (a * a) for a in s1]]
+    coef = -pref * (16.0 / (n * n))
+    return [
+        [coef * ((p * c) * c + (r * s) * s) for s, c in zip(s2, c2)]
+        for p, r in [(a * a, b * b) for a, b in zip(s1, c1)]
+    ]
+
+
+def _lambda1_point(n: int, k: int, eta: FloquetPoint) -> float:
+    rows = _half_angle_factors((eta.eta1,))
+    return _lambda1_table(n, k, rows, _half_angle_factors((eta.eta2,)))[0][0]
 
 
 def lambda1_simple(k: int, eta: FloquetPoint) -> float:
     """First-order correction of the simple mode (0, k):
     (2 pi / (1 - pi/4)) (J_1(j_{0,k}) cos(eta1/2) cos(eta2/2))^2."""
-    return float(_lambda1_table(0, k, (eta.eta1,), (eta.eta2,))[0, 0])
+    return _lambda1_point(0, k, eta)
 
 
 @functools.lru_cache(maxsize=None)
 def _arc_trig_dots(n: int, panels: int) -> tuple[tuple[float, float], ...]:
     # (int cos(n theta), int sin(n theta)) over each quarter-arc Q1..Q4 by
-    # `panels` Gauss-Legendre panels; eta-independent
+    # `panels` Gauss-Legendre panels; eta-independent.  numpy and the panel
+    # rule load here, on verify's path only, so the sweep commands run
+    # without numpy
+    import numpy as np
+
+    from ._quad import panel_rule
+
     dots = []
     for idx in range(4):
         theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
@@ -228,6 +245,8 @@ def correction_matrix(n: int, k: int, eta: FloquetPoint) -> np.ndarray:
     """Rank-one matrix M whose eigenvalues {0, tr M} split the first-order
     correction of the double mode (n, k); the arc integrals I_c, I_s are
     computed by composite Gauss-Legendre, panels doubled until stable."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1 for double modes, got %r" % (n,))
     z, gap = _derivative_gap(n, k)
@@ -272,7 +291,7 @@ def lambda1_multiple(n: int, k: int, eta: FloquetPoint) -> MultipleCorrection:
         raise ValueError("double modes need n >= 1 and k >= 1, got (%r, %r)" % (n, k))
     if n % 4 == 0:
         return MultipleCorrection(0.0, 0.0, True)
-    trace = float(_lambda1_table(n, k, (eta.eta1,), (eta.eta2,))[0, 0])
+    trace = _lambda1_point(n, k, eta)
     return MultipleCorrection(0.0, trace, False)
 
 
@@ -314,14 +333,16 @@ class CorrectionValue:
             )
 
 
-def lambda1_grid(corr: CorrectionValue, axis) -> np.ndarray:
+def lambda1_grid(corr: CorrectionValue, axis) -> list[float]:
     """Lambda1 of one branch at every point (axis[i], axis[j]) of the tensor
-    grid, flattened row-major over eta1 (index i * len(axis) + j); equal,
-    value for value, to `corr.lambda1_at` at the reduced point."""
+    grid, as a list flattened row-major over eta1 (index i * len(axis) + j);
+    equal, value for value, to `corr.lambda1_at` at the reduced point."""
     corr._require_determined()
     if corr.branch is Branch.COSINE:
-        return np.zeros(len(axis) * len(axis))
-    return _lambda1_table(corr.mode.n, corr.mode.k, axis, axis).ravel()
+        return [0.0] * (len(axis) * len(axis))
+    factors = _half_angle_factors(axis)
+    table = _lambda1_table(corr.mode.n, corr.mode.k, factors, factors)
+    return [v for row in table for v in row]
 
 
 def correction_for(mode: ModeIndex) -> CorrectionValue:

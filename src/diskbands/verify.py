@@ -71,7 +71,7 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
     detail = "error ratios under mesh doubling: %s" % ", ".join("%.2f" % r for r in ratios)
     checks.append(Check("disk-fd-convergence", worst, 0.5, detail))
 
-    axis = floquet_axis(5).tolist()  # -pi, -pi/2, 0, pi/2, pi
+    axis = floquet_axis(5)  # -pi, -pi/2, 0, pi/2, pi
     etas = [FloquetPoint(a, b) for a in axis for b in axis]
     worst = 0.0
     for n in range(0, 5):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskbands import (
     SOFT_CELL_AREA,
@@ -31,13 +33,21 @@ from diskbands import (
     swept_band_width,
 )
 from diskbands import bands
-from diskbands.corrections import lambda1_grid
+from diskbands.corrections import _derivative_gap, _simple_amplitude, lambda1_grid
 
 PARAMS = ExpansionParams(1e-3, 0.25)
 
 
 def _mode(n, k, parity):
     return ModeIndex(n, k, parity)
+
+
+def test_floquet_axis_equals_linspace_bitwise():
+    for resolution in range(2, 4098):
+        got = floquet_axis(resolution)
+        assert type(got) is list and all(type(a) is float for a in got)
+        want = np.linspace(-math.pi, math.pi, resolution)
+        assert np.array(got).tobytes() == want.tobytes(), resolution
 
 
 def test_floquet_axis_shape():
@@ -341,8 +351,8 @@ def test_lambda1_grid_equals_scalar_bitwise(resolution):
                 lambda1_grid(corr, axis)
             continue
         grid = lambda1_grid(corr, axis)
-        assert grid.shape == (resolution * resolution,)
-        for value, eta in zip(grid.tolist(), points):
+        assert len(grid) == resolution * resolution
+        for value, eta in zip(grid, points):
             assert value == corr.lambda1_at(eta), (mode.label(), eta)
             assert value == _reference_lambda1(mode, eta), (mode.label(), eta)
 
@@ -382,3 +392,130 @@ def test_band_interval_extremizers_match_strict_scan(resolution):
         lam0 = limit_eigenvalue(mode).lambda0
         assert band.lower == lam0 + scale * lo - params.pad
         assert band.upper == lam0 + scale * hi + params.pad
+
+
+# every determined branch with n <= 15 and k <= 3, cosine branches included
+BRANCHES = [
+    mode
+    for n in range(16)
+    for k in (1, 2, 3)
+    for mode in (
+        [ModeIndex(0, k, Parity.SIMPLE)]
+        if n == 0
+        else [ModeIndex(n, k, Parity.COSINE), ModeIndex(n, k, Parity.SINE)]
+    )
+    if n == 0 or n % 4 != 0
+]
+
+
+def _first_extremes(values, axis):
+    # argmin/argmax order: the first row-major index of the least and of the
+    # greatest value
+    size = len(axis)
+
+    def at(index):
+        return values[index], FloquetPoint(axis[index // size], axis[index % size])
+
+    return (*at(values.index(min(values))), *at(values.index(max(values))))
+
+
+def _bits(extremes):
+    lo, lo_eta, hi, hi_eta = extremes
+    return (lo.hex(), lo_eta.eta1.hex(), lo_eta.eta2.hex(),
+            hi.hex(), hi_eta.eta1.hex(), hi_eta.eta2.hex())
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [floquet_axis(r) for r in range(3, 67)],
+        [floquet_axis(r) for r in range(67, 131)],
+        [floquet_axis(r) for r in range(255, 258)],
+        [bands._EXTREME_AXIS],
+    ],
+    ids=["grids-3-66", "grids-67-130", "grids-255-257", "candidate-axis"],
+)
+def test_extremes_equal_first_occurrence_scan(axes):
+    # the O(grid) candidate scan against the whole table, bitwise, values
+    # and extremizer points alike
+    for axis in axes:
+        for mode in BRANCHES:
+            corr = correction_for(mode)
+            want = _first_extremes(lambda1_grid(corr, axis), axis)
+            got = bands._extremes_over(corr, axis)
+            assert _bits(got) == _bits(want), (mode.label(), len(axis))
+
+
+def _numpy_table(mode, axis):
+    # the row-major table as numpy arrays, with the float operations of
+    # corrections._lambda1_table in the same order
+    halves = [0.5 * FloquetPoint(a, 0.0).eta1 for a in axis]
+    s = np.array([math.sin(h) for h in halves])
+    c = np.array([math.cos(h) for h in halves])
+    n = mode.n
+    if mode.parity is Parity.COSINE:
+        return np.zeros(len(axis) * len(axis))
+    if n == 0:
+        amp = (_simple_amplitude(mode.k)[1] * c)[:, None] * c
+        return ((2.0 * math.pi / SOFT_CELL_AREA) * amp * amp).ravel()
+    z, gap = _derivative_gap(n, mode.k)
+    pref = gap / (z * SOFT_CELL_AREA)
+    if n % 4 == 2:
+        return ((pref * (64.0 / (n * n)) * (s * s))[:, None] * (s * s)).ravel()
+    return (-pref * (16.0 / (n * n)) * (
+        (s * s)[:, None] * c * c + (c * c)[:, None] * s * s
+    )).ravel()
+
+
+def test_numpy_table_equals_lambda1_grid_bitwise():
+    for resolution in (129, 130):
+        axis = floquet_axis(resolution)
+        for mode in BRANCHES:
+            want = lambda1_grid(correction_for(mode), axis)
+            got = _numpy_table(mode, axis).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want], mode.label()
+
+
+@pytest.mark.parametrize("resolution", [511, 512, 513, 2048, 2049])
+def test_extremes_equal_argmin_on_large_grids(resolution):
+    # a pure-Python table at 2049^2 takes about a second per branch, so the
+    # reference here is the same table in numpy (pinned bitwise equal to
+    # lambda1_grid above) with argmin/argmax
+    axis = floquet_axis(resolution)
+    size = len(axis)
+    for mode in BRANCHES:
+        values = _numpy_table(mode, axis)
+        lo, hi = int(np.argmin(values)), int(np.argmax(values))
+        want = (
+            float(values[lo]), FloquetPoint(axis[lo // size], axis[lo % size]),
+            float(values[hi]), FloquetPoint(axis[hi // size], axis[hi % size]),
+        )
+        got = bands._extremes_over(correction_for(mode), axis)
+        assert _bits(got) == _bits(want), mode.label()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    st.sampled_from(BRANCHES),
+    st.lists(
+        st.one_of(
+            st.floats(-10.0, 10.0, allow_nan=False),
+            st.sampled_from([0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi]),
+        ),
+        min_size=3,
+        max_size=40,
+    ),
+)
+# the eta1 = 7.7e-162 row has a subnormal slope: its entry at eta2 = 0.378
+# rounds to 0 and ties the global minimum ahead of the w = min column
+@example(ModeIndex(2, 2, Parity.SINE), [0.37781125918186925, 7.699862174152832e-162, math.pi])
+@example(ModeIndex(2, 3, Parity.SINE), [0.14512552250891497, 2.514764455524206e-161, math.pi])
+@example(ModeIndex(1, 1, Parity.SINE), [0.5 * math.pi, 1.0, -0.5 * math.pi, 1.0, 1e-200])
+# every row near eta1 = pi/2, where a row is flat up to rounding and its
+# extreme may sit at any column
+@example(ModeIndex(1, 1, Parity.SINE), [0.5 * math.pi + 1e-3 * j for j in range(6)])
+@example(ModeIndex(3, 2, Parity.SINE), [-0.5 * math.pi - 1e-3 * j for j in range(6)])
+def test_extremes_equal_first_occurrence_scan_on_drawn_axes(mode, axis):
+    corr = correction_for(mode)
+    want = _first_extremes(lambda1_grid(corr, axis), axis)
+    assert _bits(bands._extremes_over(corr, axis)) == _bits(want)

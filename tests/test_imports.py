@@ -1,6 +1,7 @@
 """The package's lazy exports, and the import floor of the commands:
-`diskbands zeros` and `diskbands spectrum` run without loading numpy, and no
-command loads xml.etree."""
+`diskbands zeros`, `spectrum`, `bands`, `gaps` and `diagram` (every format)
+run without loading numpy, `zeros` and `spectrum` also without the Floquet
+modules, and no command loads xml.etree."""
 
 import json
 import subprocess
@@ -37,6 +38,25 @@ def test_zero_commands_load_no_numpy(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr) == {"exit": 0, "heavy": []}
+    assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--count", "10", "--grid", "129"],
+        ["gaps", "--count", "10", "--grid", "128", "--format", "json"],
+        ["diagram", "--count", "4", "--grid", "9", "--format", "csv"],
+        ["diagram", "--count", "4", "--grid", "9", "--format", "json"],
+        ["diagram", "--count", "14", "--format", "svg"],
+    ],
+)
+def test_sweep_commands_load_no_numpy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "heavy": ["diskbands.bands"]}
     assert proc.stdout
 
 

@@ -99,15 +99,15 @@ def _assert_close(values, reference):
 def test_lambda1_grid_symmetries(mode, axis, turns):
     corr = correction_for(mode)
     size = len(axis)
-    base = lambda1_grid(corr, axis)
+    base = np.asarray(lambda1_grid(corr, axis))
     # eta -> -eta
-    _assert_close(lambda1_grid(corr, [-a for a in axis]), base)
+    _assert_close(np.asarray(lambda1_grid(corr, [-a for a in axis])), base)
     # eta1 <-> eta2: the grid is (axis[i], axis[j]) row-major
     square = base.reshape(size, size)
     _assert_close(square.T, square)
     # 2 pi shifts: point (i, j) moves by turns[i] in eta1 and turns[j] in eta2
     shifted = [a + 2.0 * math.pi * t for a, t in zip(axis, turns)]
-    _assert_close(lambda1_grid(corr, shifted), base)
+    _assert_close(np.asarray(lambda1_grid(corr, shifted)), base)
 
 
 @PROPERTY
