@@ -8,9 +8,9 @@ cross-checked by independent numerics in `diskbands.oracles`, run as one
 suite by `diskbands.verify`.
 
 The names in `__all__` load on first access (PEP 562), so importing the
-package loads none of its modules.  Only `verify`, whose oracles use numpy,
-loads numpy: the zero, spectrum, band, gap and diagram commands run without
-it.
+package loads none of its modules.  The package needs nothing beyond the
+standard library: every command, `verify`'s oracles included, runs without
+numpy.
 """
 
 import importlib

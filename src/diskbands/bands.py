@@ -27,8 +27,8 @@ from .corrections import (
     correction_for,
     lambda1_grid,
 )
-# InternalConsistencyError lives in the numpy-free spectrum module and is
-# re-exported here
+# InternalConsistencyError lives in the spectrum module and is re-exported
+# here
 from .spectrum import (
     InternalConsistencyError,
     ModeIndex,

@@ -40,7 +40,7 @@ from .spectrum import (
 )
 
 # the Floquet modules load inside the commands that use them, so zeros and
-# spectrum start without them; numpy loads only with verify's oracles
+# spectrum start without them
 if TYPE_CHECKING:
     from .bands import BandInterval
     from .corrections import FloquetPoint
@@ -153,7 +153,7 @@ def _load_config_file(path: str) -> dict[str, str]:
                     )
                 key, _, value = line.partition("=")
                 entries[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from exc
     return entries
 

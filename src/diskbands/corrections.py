@@ -17,11 +17,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .bessel import bessel_j, bessel_zero
-# ExpansionParams and QuadratureConvergenceError live in the numpy-free
-# spectrum module and are re-exported here
+from ._quad import panel_rule
+# ExpansionParams and QuadratureConvergenceError live in the spectrum module
+# and are re-exported here
 from .spectrum import (
     ExpansionParams,
     ModeIndex,
@@ -29,9 +29,6 @@ from .spectrum import (
     QuadratureConvergenceError,
     limit_eigenvalue,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 # area of the unit cell outside the inscribed disk of radius 1/2
@@ -212,18 +209,16 @@ def lambda1_simple(k: int, eta: FloquetPoint) -> float:
 @functools.lru_cache(maxsize=None)
 def _arc_trig_dots(n: int, panels: int) -> tuple[tuple[float, float], ...]:
     # (int cos(n theta), int sin(n theta)) over each quarter-arc Q1..Q4 by
-    # `panels` Gauss-Legendre panels; eta-independent.  numpy and the panel
-    # rule load here, on verify's path only, so the sweep commands run
-    # without numpy
-    import numpy as np
-
-    from ._quad import panel_rule
-
+    # `panels` Gauss-Legendre panels, each sum correctly rounded by fsum;
+    # eta-independent
     dots = []
     for idx in range(4):
         theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
         dots.append(
-            (float(np.dot(w, np.cos(n * theta))), float(np.dot(w, np.sin(n * theta))))
+            (
+                math.fsum(wt * math.cos(n * t) for t, wt in zip(theta, w)),
+                math.fsum(wt * math.sin(n * t) for t, wt in zip(theta, w)),
+            )
         )
     return tuple(dots)
 
@@ -241,12 +236,11 @@ def _arc_trig_integrals(n: int, eta: FloquetPoint, panels: int) -> tuple[complex
     return ic, isn
 
 
-def correction_matrix(n: int, k: int, eta: FloquetPoint) -> np.ndarray:
-    """Rank-one matrix M whose eigenvalues {0, tr M} split the first-order
-    correction of the double mode (n, k); the arc integrals I_c, I_s are
-    computed by composite Gauss-Legendre, panels doubled until stable."""
-    import numpy as np
-
+def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
+    """Rank-one 2x2 matrix M, as nested lists, whose eigenvalues {0, tr M}
+    split the first-order correction of the double mode (n, k); the arc
+    integrals I_c, I_s are computed by composite Gauss-Legendre, panels
+    doubled until stable."""
     if n < 1:
         raise ValueError("n must be >= 1 for double modes, got %r" % (n,))
     z, gap = _derivative_gap(n, k)
@@ -259,9 +253,8 @@ def correction_matrix(n: int, k: int, eta: FloquetPoint) -> np.ndarray:
             abs(cur[0] - prev[0]), abs(cur[1] - prev[1])
         ) < _QUAD_TOL:
             ic, isn = cur
-            return pref * np.array(
-                [[ic * ic, ic * isn], [ic * isn, isn * isn]], dtype=complex
-            )
+            off = pref * (ic * isn)
+            return [[pref * (ic * ic), off], [off, pref * (isn * isn)]]
         prev = cur
         panels *= 2
     raise QuadratureConvergenceError(

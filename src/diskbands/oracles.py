@@ -8,17 +8,14 @@ solve knows nothing of Bessel zeros, and the quadrature rebuilds the phase
 from node coordinates instead of reusing the quadrant tables.
 
 The quadrature caches its eta-independent node geometry once per
-(n, panels) as four arrays: each node's weight, cos(n t), sin(n t) and
-sign slot, the slot naming the sign pair of (cos t, sin t) read from the node
-itself.  A call rebuilds the four phases from eta, gives each node the phase
-of its slot, forms the node terms with the real products of CPython's
-complex arithmetic, and sums them in node order from 0 with
-`np.add.accumulate`, so the value is bitwise that of the per-node loop.  Each
-mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a mesh
-and its doubled mesh once each, so the eigenvalue check, the Richardson guard
-and the convergence ratios share two solves; each solve's bisection reuses
-the Sturm counts it has taken, sweeping only midpoints whose side they leave
-open.
+(n, panels): each node's weight, cos(n t), sin(n t) and sign slot, the slot
+naming the sign pair of (cos t, sin t) read from the node itself.  A call
+rebuilds the four phases from eta and sums the node terms in node order.
+Each mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a
+mesh and its doubled mesh once each, so the eigenvalue check, the Richardson
+guard and the convergence ratios share two solves; each solve's bisection
+reuses the Sturm counts it has taken, sweeping only midpoints whose side they
+leave open.
 """
 
 from __future__ import annotations
@@ -28,14 +25,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ._core import tridiag_smallest_eigenvalues
 from ._quad import panel_rule
 from .bessel import bessel_j_prime, bessel_zero
 from .corrections import FloquetPoint
-# OracleConvergenceError lives in the numpy-free spectrum module and is
-# re-exported here
+# OracleConvergenceError lives in the spectrum module and is re-exported here
 from .spectrum import ModeIndex, OracleConvergenceError
 
 _SOFT_AREA = 1.0 - math.pi / 4.0
@@ -61,30 +55,28 @@ class RadialMesh:
         return RadialMesh(2 * self.points + 1)
 
 
-def _assemble(n: int, mesh: RadialMesh) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(n: int, mesh: RadialMesh) -> tuple[list[float], list[float]]:
     # finite volumes for -(r u')'/r + (n^2/r^2) u = lambda u on (0, 1/2),
     # u(1/2) = 0; rows are weighted by the cell mass r_i h, then the
     # generalized problem A u = lambda D u is symmetrized through D^{1/2}
-    npts = mesh.points
     h = mesh.h
-    r = h * np.arange(1, npts + 1)
-    r_plus = r + 0.5 * h
-    r_minus = r - 0.5 * h
-
-    diag = (r_minus + r_plus) / (h * h)
+    hh = h * h
+    r = [h * i for i in range(1, mesh.points + 1)]
+    r_plus = [v + 0.5 * h for v in r]
+    diag = [(v - 0.5 * h + p) / hh for v, p in zip(r, r_plus)]
     if n > 0:
-        diag = diag + (n * n) / r
-    mass = r.copy()
+        diag = [d + (n * n) / v for d, v in zip(diag, r)]
+    mass = list(r)
     if n == 0:
         # merged origin cell [0, 3h/2]: zero flux through r = 0, mass
         # integral of r dr gives 9h/8 after the 1/h row scaling
-        diag[0] = r_plus[0] / (h * h)
+        diag[0] = r_plus[0] / hh
         mass[0] = 9.0 * h / 8.0
-    off = -r_plus[:-1] / (h * h)
-
-    sym_diag = diag / mass
-    sym_off = off / np.sqrt(mass[:-1] * mass[1:])
-    return np.ascontiguousarray(sym_diag), np.ascontiguousarray(sym_off)
+    sym_diag = [d / m for d, m in zip(diag, mass)]
+    sym_off = [
+        -p / hh / math.sqrt(m0 * m1) for p, m0, m1 in zip(r_plus, mass, mass[1:])
+    ]
+    return sym_diag, sym_off
 
 
 def disk_dirichlet_eigenvalues(n: int, count: int, mesh: RadialMesh) -> list[float]:
@@ -146,8 +138,8 @@ _SIGN_PAIRS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 @lru_cache(maxsize=None)
-def _node_table(n: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # weights, cos n t, sin n t and sign slots of the nodes of the four
+def _node_table(n: int, panels: int) -> tuple[tuple[float, float, float, int], ...]:
+    # (weight, cos n t, sin n t, sign slot) of each node of the four
     # quarter-arcs, in summation order; the signs of cos/sin t decide the
     # (+-eta1/2 +- eta2/2) combination, read from the boundary point itself
     rows = []
@@ -155,37 +147,25 @@ def _node_table(n: int, panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         theta, w = panel_rule(
             quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
         )
-        for t, wt in zip(theta.tolist(), w.tolist()):
+        for t, wt in zip(theta, w):
             s1 = 1.0 if math.cos(t) > 0.0 else -1.0
             s2 = 1.0 if math.sin(t) > 0.0 else -1.0
             slot = _SIGN_PAIRS.index((s1, s2))
             rows.append((wt, math.cos(n * t), math.sin(n * t), slot))
-    weights, cos_nt, sin_nt, slots = zip(*rows)
-    return np.array(weights), np.array(cos_nt), np.array(sin_nt), np.array(slots)
+    return tuple(rows)
 
 
 def _boundary_integral(
     n: int, eta: FloquetPoint, coeff_c: complex, coeff_s: complex, panels: int
 ) -> complex:
-    # sum over nodes of w * phase * (C_c cos n t + C_s sin n t), each product
-    # in real arrays with the roundings of CPython's complex product
-    # (x * a: re = xr ar - xi ai, im = xr ai + xi ar), summed in node order
-    # from 0 by add.accumulate (np.sum would sum pairwise)
-    weights, cos_nt, sin_nt, slots = _node_table(n, panels)
-    phase = np.array(
-        [cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2)) for s1, s2 in _SIGN_PAIRS]
-    )[slots]
-    xr = weights * phase.real
-    xi = weights * phase.imag
-    cc, cs = complex(coeff_c), complex(coeff_s)
-    ar = cc.real * cos_nt + cs.real * sin_nt
-    ai = cc.imag * cos_nt + cs.imag * sin_nt
-    terms = np.empty((2, weights.size + 1))
-    terms[:, 0] = 0.0
-    terms[0, 1:] = xr * ar - xi * ai
-    terms[1, 1:] = xr * ai + xi * ar
-    re, im = np.add.accumulate(terms, axis=1)[:, -1].tolist()
-    return complex(re, im)
+    # sum over nodes of w * phase * (C_c cos n t + C_s sin n t), in node order
+    phases = [
+        cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2)) for s1, s2 in _SIGN_PAIRS
+    ]
+    total = 0j
+    for wt, cos_nt, sin_nt, slot in _node_table(n, panels):
+        total += wt * phases[slot] * (coeff_c * cos_nt + coeff_s * sin_nt)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -230,5 +210,5 @@ def boundary_arc_length(panels: int = 8) -> float:
         _, w = panel_rule(
             quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
         )
-        total += 0.5 * float(np.sum(w))  # ds = r dtheta with r = 1/2
+        total += 0.5 * math.fsum(w)  # ds = r dtheta with r = 1/2
     return total

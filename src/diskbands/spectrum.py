@@ -9,8 +9,8 @@ a heap, and finds j_{n,k+1} only once j_{n,k} is listed, and j_{n+1,1} only
 once j_{n,1} is.
 
 The module also holds the expansion parameters and the error types that the
-command line maps to exit codes; they need neither numpy nor the Floquet
-modules, so `diskbands zeros` and `diskbands spectrum` never load them.
+command line maps to exit codes; they need none of the Floquet modules, so
+`diskbands zeros` and `diskbands spectrum` never load them.
 """
 
 from __future__ import annotations

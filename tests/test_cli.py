@@ -378,6 +378,18 @@ def test_config_errors(tmp_path):
     assert proc2.returncode == 1
 
 
+def test_config_file_not_utf8_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"m = 0.25\xff\n")
+    proc = run("bands", "--config", str(bad), expect=1)
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [line for line in proc.stderr.splitlines() if line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: cannot read config file %s: " % bad)
+    assert "Traceback" not in proc.stderr
+
+
 def test_nonfinite_constants_and_grid_cap_are_config_errors(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("c.1.1 = inf\n")

@@ -1,11 +1,12 @@
-"""The package's lazy exports, and the import floor of the commands:
-`diskbands zeros`, `spectrum`, `bands`, `gaps` and `diagram` (every format)
-run without loading numpy, `zeros` and `spectrum` also without the Floquet
-modules, and no command loads xml.etree."""
+"""The package's lazy exports, and the import floor of the commands: every
+command, `verify` included, runs without loading numpy, and with numpy
+blocked `verify` still writes its golden output; `zeros` and `spectrum` also
+run without the Floquet modules, and no command loads xml.etree."""
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,8 @@ def test_zero_commands_load_no_numpy(argv):
         ["diagram", "--count", "4", "--grid", "9", "--format", "csv"],
         ["diagram", "--count", "4", "--grid", "9", "--format", "json"],
         ["diagram", "--count", "14", "--format", "svg"],
+        ["verify"],
+        ["verify", "--format", "json"],
     ],
 )
 def test_sweep_commands_load_no_numpy(argv):
@@ -58,6 +61,29 @@ def test_sweep_commands_load_no_numpy(argv):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "heavy": ["diskbands.bands"]}
     assert proc.stdout
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# runs verify in-process with numpy blocked: importing it raises ImportError
+BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+from diskbands.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["verify"], "verify.txt"), (["verify", "--format", "json"], "verify.json")],
+)
+def test_verify_with_numpy_blocked_matches_golden(argv, golden):
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED, *argv], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["diagram"], ["diagram", "--format", "json"]])

@@ -1,11 +1,13 @@
 """Independent numerical routes: radial solver and boundary quadrature."""
 
+import array
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from diskbands import cli, oracles
+from diskbands import _quad, cli, oracles
 from diskbands._quad import panel_rule
 from diskbands import (
     FloquetPoint,
@@ -24,6 +26,69 @@ from diskbands import (
     error_ratios,
     floquet_axis,
 )
+
+
+def _bits(values):
+    return array.array("d", values).tobytes()
+
+
+_LEGGAUSS = np.polynomial.legendre.leggauss(4)
+
+
+def test_base_rule_equals_leggauss_bitwise():
+    x, w = _LEGGAUSS
+    assert _bits(_quad._NODES) == x.tobytes()
+    assert _bits(_quad._WEIGHTS) == w.tobytes()
+
+
+def _reference_panel_rule(a, b, panels):
+    # the panel rule as numpy broadcast it from leggauss(4)
+    x, w = _LEGGAUSS
+    width = (b - a) / panels
+    half = 0.5 * width
+    centers = a + width * np.arange(panels) + half
+    nodes = (centers[:, None] + half * x[None, :]).ravel()
+    weights = np.broadcast_to(half * w, (panels, x.size)).ravel()
+    return nodes, weights
+
+
+def test_panel_rule_equals_broadcast_construction_bitwise():
+    # every panel count up to the correction matrix's 1024-panel cap and
+    # beyond, on the four quarter-arcs that both quadratures integrate over
+    for q in range(4):
+        a, b = q * math.pi / 2.0, (q + 1) * math.pi / 2.0
+        for panels in range(1, 2049):
+            nodes, weights = panel_rule(a, b, panels)
+            ref_nodes, ref_weights = _reference_panel_rule(a, b, panels)
+            assert _bits(nodes) == ref_nodes.tobytes(), (a, b, panels)
+            assert _bits(weights) == ref_weights.tobytes(), (a, b, panels)
+
+
+def _reference_assemble(n, mesh):
+    # the finite-volume assembly as numpy arrays
+    h = mesh.h
+    r = h * np.arange(1, mesh.points + 1)
+    r_plus = r + 0.5 * h
+    r_minus = r - 0.5 * h
+    diag = (r_minus + r_plus) / (h * h)
+    if n > 0:
+        diag = diag + (n * n) / r
+    mass = r.copy()
+    if n == 0:
+        diag[0] = r_plus[0] / (h * h)
+        mass[0] = 9.0 * h / 8.0
+    off = -r_plus[:-1] / (h * h)
+    return diag / mass, off / np.sqrt(mass[:-1] * mass[1:])
+
+
+def test_assemble_equals_array_assembly_bitwise():
+    for points in (16, 512, 1025, 2049):
+        mesh = RadialMesh(points)
+        for n in range(4):
+            diag, off = oracles._assemble(n, mesh)
+            ref_diag, ref_off = _reference_assemble(n, mesh)
+            assert _bits(diag) == ref_diag.tobytes(), (points, n)
+            assert _bits(off) == ref_off.tobytes(), (points, n)
 
 
 def test_mesh_spacing():
