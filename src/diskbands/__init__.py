@@ -47,13 +47,11 @@ _EXPORTS = {
         "branch_for",
         "c0_multiple",
         "c0_simple",
-        "cell_map_T",
         "correction_for",
         "correction_matrix",
         "lambda1_multiple",
         "lambda1_simple",
         "lambda_expansion",
-        "quadrant_of",
         "quadrant_phase",
     ),
     "bands": (

@@ -17,16 +17,14 @@ the sweep `count * grid^2`) is checked against its cap before any work.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
+import json
 import math
 import os
 import sys
 import traceback
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .bessel import ZeroFindingError, bessel_zero
@@ -210,9 +208,10 @@ def _emit(chunks, config: RunConfig) -> None:
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except BrokenPipeError as exc:
-            # the reader closed the pipe; point stdout at devnull so that the
-            # flush at interpreter exit does not fail a second time
+        except OSError as exc:
+            # the reader closed the pipe, or the device is full; point stdout
+            # at devnull so that the flush at interpreter exit does not fail
+            # a second time
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise ConfigError("cannot write to standard output: %s" % exc) from exc
         return
@@ -225,23 +224,25 @@ def _emit(chunks, config: RunConfig) -> None:
 
 # ------------------------------------------------------------------ tables
 #
-# Every table is an iterable of rows in their JSON shape.  The CSV header and
-# cells derive from that shape: a nested dict becomes <key>_<subkey>
-# columns, a list <key>_1, <key>_2, ...; None prints as an empty cell and
-# booleans as true/false.  Rows hold only JSON types (floats as Python
-# floats), and every float is stored rounded by _jnum, so the 15 significant
-# digits of the CSV and the JSON numbers agree.  Neither format has a text
-# for a NaN or an infinity, so a non-finite float raises ValueError.
+# Every table is a non-empty iterable of rows in their JSON shape.  JSON
+# writes each row with json.dumps.  The CSV header and cells derive from that
+# shape: a nested dict becomes <key>_<subkey> columns, a list <key>_1,
+# <key>_2, ...; None prints as an empty cell and booleans as true/false.
+# Rows hold only JSON types (floats as Python floats), and every float is
+# stored rounded by _jnum, so the 15 significant digits of the CSV and the
+# JSON numbers agree.  Neither format has a text for a NaN or an infinity,
+# so a non-finite float raises ValueError.
 #
 # The one other value kind is a _Block, a function sampled on the eta grid,
-# which holds its floats raw.  JSON writes it as the list of
-# {eta1, eta2, value} dicts of its samples, each float rounded by _jnum.
-# CSV writes one line per sample, the row's other cells first, under the
-# block's key names as columns, so a block must be the last value of its
-# row.  Both format each eta once per axis and write one eta1 row of the grid
-# at a time through one %-template, mapped over the (eta2, value) pairs.  CSV
-# prints the raw floats: %.15g prints a float as it prints its _jnum (DBL_DIG
-# is 15).
+# which holds its floats raw and must be the last value of its row.  JSON
+# writes it as the list of {eta1, eta2, value} dicts of its samples, each
+# float rounded by _jnum.  CSV writes one line per sample, the row's other
+# cells first, under the block's key names as columns.  Both format each eta
+# once per axis and write one eta1 row of the grid at a time through one
+# %-template, mapped over the (eta2, value) pairs; a block is the one part of
+# a table not written by json.dumps, as a sweep writes up to 513^2 samples.
+# CSV prints the raw floats: %.15g prints a float as it prints its _jnum
+# (DBL_DIG is 15).
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def _check_block(block: _Block) -> None:
         raise ValueError("a block on %d grid points holds %d values"
                          % (len(block.axis), len(block.values)))
     for floats in (block.axis, block.values):
-        odd = set(map(type, floats)) - _FLOATS
+        odd = set(map(type, floats)) - {float}
         if odd:
             raise TypeError("a block holds a %s, not a float" % odd.pop().__name__)
         _check_finite(floats)
@@ -295,9 +296,9 @@ def _cells(values) -> str:
     return ",".join([_CELL[type(v)](v) for v in values])
 
 
-def _float_text(x: float, text=float.__repr__) -> str:
+def _float_text(x: float) -> str:
     if math.isfinite(x):
-        return text(x)
+        return _fmt(x)
     raise ValueError("a table has no text for the float %r" % x)
 
 
@@ -311,7 +312,7 @@ def _check_finite(floats) -> None:
 
 # CSV text of each JSON value type; a dict or a list spans one cell per member
 _CELL = {
-    float: functools.partial(_float_text, text=_fmt),
+    float: _float_text,
     int: str,
     str: str,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -321,7 +322,7 @@ _CELL = {
 }
 
 
-# lines per write: a write per line made `diagram --count 10 --grid 65
+# CSV lines per write: a write per line made `diagram --count 10 --grid 65
 # --format csv` about 40% slower on one core
 _BATCH = 4096
 
@@ -354,122 +355,47 @@ def _csv_chunks(rows):
         yield "\n".join(lines) + "\n"
 
 
-# JSON text of each scalar type, as json.dumps writes it; keyed by exact
-# type, so a float subclass such as numpy.float64 raises rather than being
-# written as a float
-_SCALAR = {
-    float: _float_text,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda v: "null",
-}
-_FLOATS = {float}
+# every row is written by one encoder, as json.dumps(row, indent=1) writes it
+_JSON = json.JSONEncoder(indent=1, allow_nan=False)
 
 
-@functools.lru_cache(maxsize=1024)
-def _template(keys: tuple, depth: int, spec: str) -> str:
-    # %-template of a dict with these keys, its brace at depth, and one spec
-    # per value
-    if not keys:
-        return "{}"
-    pad = "\n" + " " * (depth + 1)
-    members = [encode_basestring_ascii(k).replace("%", "%%") + ": " + spec for k in keys]
-    return "{" + pad + ("," + pad).join(members) + "\n" + " " * depth + "}"
-
-
-def _leaf(value, depth: int) -> str | None:
-    # the text of a scalar or of a dict of scalars, else None
-    if type(value) is not dict:
-        scalar = _SCALAR.get(type(value))
-        return None if scalar is None else scalar(value)
-    cells = tuple(value.values())
-    if set(map(type, cells)) == _FLOATS:
-        # %r is float.__repr__
-        _check_finite(cells)
-        return _template(tuple(value), depth, "%r") % cells
-    try:
-        cells = tuple([_SCALAR[type(v)](v) for v in cells])
-    except KeyError:
-        return None
-    return _template(tuple(value), depth, "%s") % cells
-
-
-def _json_eta(x: float) -> str:
-    return float.__repr__(_jnum(x))
-
-
-def _json_block(block: _Block, depth: int, parts: list):
-    # append the text of the block's list of sample dicts to parts, one part
-    # per sample and one eta1 row at a time; yield whenever parts holds a
-    # batch
-    pad = "\n" + " " * (depth + 1)
-    inner = "\n" + " " * (depth + 2)
-    k1, k2, k3 = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": " for k in block.keys]
+def _json_samples(block: _Block):
+    # the text of a block's list of sample dicts as the last value of a row,
+    # its samples at depth 4, one eta1 row of the grid per string
+    k1, k2, k3 = ["\n     " + _JSON.encode(k).replace("%", "%%") + ": " for k in block.keys]
     opening = "["
-    for eta1, etas, values in _block_rows(block, _json_eta):
-        # a comma and a sample dict at depth + 1, whose eta2 text and value
-        # fill %s and %r
-        template = "," + pad + "{" + k1 + eta1.replace("%", "%%") + "," + k2 + "%s," + k3 + "%r" + pad + "}"
-        first = len(parts)
-        parts += map(template.__mod__, zip(etas, map(float, map(_fmt, values))))
-        if opening:
-            # the first sample follows the opening bracket, not a comma
-            parts[first] = opening + parts[first][1:]
-            opening = ""
-        if len(parts) >= _BATCH:
-            yield
-    parts.append("[]" if opening else "\n" + " " * depth + "]")
+    for eta1, etas, values in _block_rows(block, lambda x: repr(_jnum(x))):
+        # a sample dict whose eta2 text and value fill %s and %r
+        template = "\n    {" + k1 + eta1.replace("%", "%%") + "," + k2 + "%s," + k3 + "%r\n    }"
+        yield opening + ",".join(map(template.__mod__, zip(etas, map(float, map(_fmt, values)))))
+        opening = ","
+    yield "[]" if opening == "[" else "\n   ]"
 
 
-def _json_parts(value, depth: int, parts: list):
-    # append the text of a dict, a sequence or a block to parts, member by
-    # member; yield whenever parts holds a batch
-    if type(value) is _Block:
-        yield from _json_block(value, depth, parts)
-        return
-    if type(value) is dict:
-        members = zip(map("%s: ".__mod__, map(encode_basestring_ascii, value)), value.values())
-        brackets = "{}"
-    elif type(value) is list or isinstance(value, Iterator):
-        members = zip(itertools.repeat(""), value)
-        brackets = "[]"
-    else:
-        raise TypeError("cannot write a %s as JSON" % type(value).__name__)
-    pad = "\n" + " " * (depth + 1)
-    sep = brackets[0] + pad
-    for prefix, v in members:
-        text = _leaf(v, depth + 1)
-        if text is None:
-            parts.append(sep + prefix)
-            yield from _json_parts(v, depth + 1, parts)
+def _json_chunks(meta: dict, rows):
+    """Yield the text of `json.dumps({"meta": meta, "rows": rows}, indent=1)
+    + "\n"`, drawing the row dicts of `rows`, which is never empty, as they
+    are written.  A row is written by json.dumps and indented to its depth
+    line by line, which is exact because JSON text never holds a raw newline
+    inside a string; a non-finite float raises ValueError, and a value that
+    json.dumps cannot write raises TypeError.  A _Block, the last value of
+    its row, is written as the list of its samples, `{eta1, eta2, value}`
+    dicts under its keys with every float rounded by _jnum, one eta1 row of
+    the grid per string."""
+    head, _, tail = _JSON.encode({"meta": meta, "rows": [None]}).rpartition("null")
+    sep = head
+    for row in rows:
+        key, last = next(reversed(row.items()), (None, None))
+        if type(last) is _Block:
+            # the row's text up to the value of its last key
+            text = _JSON.encode({**row, key: None})[:-len("null\n}")]
+            yield sep + text.replace("\n", "\n  ")
+            yield from _json_samples(last)
+            yield "\n  }"
         else:
-            parts.append(sep + prefix + text)
-        sep = "," + pad
-        if len(parts) >= _BATCH:
-            yield
-    # sep is still the opening bracket only when there was no member
-    parts.append("\n" + " " * depth + brackets[1] if sep[0] == "," else brackets)
-
-
-def _json_chunks(doc):
-    """Yield the text of `json.dumps(doc, indent=1) + "\n"` a batch of parts
-    at a time.  Lists may also be iterators, which are drawn as they are
-    written; keys must be strings, and a non-finite float or a value of any
-    type but dict, list, str, int, float, bool and None raises.  A _Block is
-    written as the list of its samples, `{eta1, eta2, value}` dicts under its
-    keys with every float rounded by _jnum, one eta1 row at a time, so a
-    batch holds about _BATCH samples."""
-    parts: list[str] = []
-    text = _leaf(doc, 0)
-    if text is None:
-        for _ in _json_parts(doc, 0, parts):
-            yield "".join(parts)
-            parts.clear()
-    else:
-        parts.append(text)
-    parts.append("\n")
-    yield "".join(parts)
+            yield sep + _JSON.encode(row).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield tail + "\n"
 
 
 def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> None:
@@ -486,7 +412,7 @@ def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> No
     }
     if uncertified is not None:
         meta["uncertified"] = uncertified
-    _emit(_json_chunks({"meta": meta, "rows": rows}), config)
+    _emit(_json_chunks(meta, rows), config)
 
 
 def _mode_fields(m: ModeIndex) -> dict:

@@ -2,12 +2,12 @@
 
 The two-scale expansion of an eigenvalue reads Lambda0 + eps^{2m} Lambda1(eta)
 with an error pad C * eps^gamma, gamma = min(3m, 1).  This module carries the
-quadrant phase g_x(eta), the half-period cell map T, the boundary
-compatibility constants c0(eta), the rank-one correction matrix M of a double
-eigenvalue (assembled by quadrature over the four quarter-arcs), and the
-correction eigenvalues: Lambda1 of a simple mode, and the pair {0, tr M} of a
-double mode.  For n = 0 (mod 4) every first-order quantity vanishes and the
-correction is undetermined at this order.
+quadrant phase g_x(eta), the boundary compatibility constants c0(eta), the
+rank-one correction matrix M of a double eigenvalue (assembled by quadrature
+over the four quarter-arcs), and the correction eigenvalues: Lambda1 of a
+simple mode, and the pair {0, tr M} of a double mode.  For n = 0 (mod 4)
+every first-order quantity vanishes and the correction is undetermined at
+this order.
 """
 
 from __future__ import annotations
@@ -79,40 +79,10 @@ _PHASE_SIGNS = {
     Quadrant.Q4: (1.0, -1.0),
 }
 
-# half-period shifts applied by the cell map T
-_T_SHIFTS = {
-    Quadrant.Q1: (-0.5, -0.5),
-    Quadrant.Q2: (0.5, -0.5),
-    Quadrant.Q3: (0.5, 0.5),
-    Quadrant.Q4: (-0.5, 0.5),
-}
-
-
-def quadrant_of(x: tuple[float, float]) -> Quadrant:
-    """Open quadrant of a cell point; axis points are domain errors."""
-    x1, x2 = float(x[0]), float(x[1])
-    if abs(x1) > 0.5 or abs(x2) > 0.5:
-        raise ValueError("point %r lies outside the periodicity cell" % (x,))
-    if x1 == 0.0 or x2 == 0.0:
-        raise ValueError(
-            "point %r lies on a coordinate axis; quadrants are open" % (x,)
-        )
-    if x1 > 0.0:
-        return Quadrant.Q1 if x2 > 0.0 else Quadrant.Q4
-    return Quadrant.Q2 if x2 > 0.0 else Quadrant.Q3
-
-
 def quadrant_phase(q: Quadrant, eta: FloquetPoint) -> complex:
     """g_x(eta) = exp(i(+-eta1/2 +- eta2/2)) with the quadrant's sign pair."""
     s1, s2 = _PHASE_SIGNS[q]
     return cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
-
-
-def cell_map_T(x: tuple[float, float]) -> tuple[float, float]:
-    """Half-period shift gluing the four disk quarters into one cell; an
-    involution on each quadrant pair."""
-    s1, s2 = _T_SHIFTS[quadrant_of(x)]
-    return (float(x[0]) + s1, float(x[1]) + s2)
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,8 +28,8 @@ class Check:
     detail: str
 
     def __post_init__(self):
-        # the JSON emitter keys scalars by exact type, so a float subclass
-        # (or an int) would not be written as a float
+        # passed must be a bool, which json.dumps writes; a numpy.float64
+        # observed value would make it a numpy.bool_, which it cannot write
         object.__setattr__(self, "observed", float(self.observed))
 
     @property

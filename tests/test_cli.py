@@ -2,10 +2,12 @@
 library function must be replaced, through `cli.main` in-process."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -444,6 +446,37 @@ def test_closed_stdout_is_one_error_line():
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_full_stdout_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a write to stdout that fails for any reason, not only a closed pipe,
+    # is reported once, without a traceback, and exits 1
+    class FullStdout:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def writelines(self, chunks):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", FullStdout(handle.fileno()))
+        assert cli.main(["spectrum", "--count", "5"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to standard output: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_stdout_to_a_full_device_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            CMD + ["spectrum", "--count", "5"], stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=120,
+        )
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("diagram computed bands before its sample check")
@@ -498,8 +531,8 @@ def test_diagram_streams_its_samples(monkeypatch):
         chunks = [e for e in events if e != "drawn"]
         text = "".join(chunks)
         if fmt == "json":
-            # a batch counts samples, and a sample dict is five lines
-            assert max(c.count('"value"') for c in chunks) <= cli._BATCH + 65
+            # a chunk holds at most one eta1 row of samples
+            assert max(c.count('"value"') for c in chunks) <= 65
             # the chunks join to the json.dumps text of the document they hold
             doc = json.loads(text)
             assert [len(row["samples"]) for row in doc["rows"]] == [65 * 65, 65 * 65]
@@ -511,17 +544,16 @@ def test_diagram_streams_its_samples(monkeypatch):
 
 def test_nonfinite_float_is_an_internal_failure(monkeypatch, capsys):
     # strict JSON has no NaN or infinity, and json.dumps would write them as
-    # bare tokens; the emitter raises instead, in every position, and so does
-    # the CSV writer
+    # bare tokens by default; the emitter raises instead, in every position,
+    # and so does the CSV writer
     for bad in (math.nan, math.inf, -math.inf):
-        for doc in (
+        for row in (
             {"eta1": 0.0, "value": bad},
             {"name": "x", "value": bad},
             {"rows": [1.0, [bad]]},
-            bad,
         ):
             with pytest.raises(ValueError):
-                "".join(cli._json_chunks(doc))
+                "".join(cli._json_chunks({}, [row]))
         for row in (
             {"name": "x", "value": bad},
             {"below": {"n": 1, "gap": bad}},
@@ -529,10 +561,10 @@ def test_nonfinite_float_is_an_internal_failure(monkeypatch, capsys):
         ):
             with pytest.raises(ValueError):
                 "".join(cli._csv_chunks([row]))
-    # a type json.dumps does not name, even a float subclass, is not guessed
-    for doc in ({"value": np.float64(1.0)}, [np.int64(1)], {"rows": {1, 2}}):
+    # a type json.dumps does not name is not guessed
+    for row in ({"value": [np.int64(1)]}, {"rows": {1, 2}}):
         with pytest.raises(TypeError):
-            "".join(cli._json_chunks(doc))
+            "".join(cli._json_chunks({}, [row]))
 
     for fmt in ("csv", "json"):
         for bad in (math.nan, math.inf):
@@ -573,12 +605,11 @@ def test_block_writes_its_expanded_samples(grid, kind):
         for i, a in enumerate(axis)
         for j, b in enumerate(axis)
     ]
-    # json: the list of sample dicts json.dumps writes, at any depth
-    for doc, expanded in (
-        ({"rows": [{**BLOCK_HEAD, "samples": block}] * 2}, {"rows": [{**BLOCK_HEAD, "samples": samples}] * 2}),
-        (block, samples),
-    ):
-        assert "".join(cli._json_chunks(doc)) == json.dumps(expanded, indent=1) + "\n"
+    # json: the list of sample dicts json.dumps writes
+    meta = {"grid": grid}
+    text = "".join(cli._json_chunks(meta, [{**BLOCK_HEAD, "samples": block}] * 2))
+    expanded = {"meta": meta, "rows": [{**BLOCK_HEAD, "samples": samples}] * 2}
+    assert text == json.dumps(expanded, indent=1) + "\n"
     # csv: the lines of the flattened rows, the head cells first
     chunks = list(cli._csv_chunks([{**BLOCK_HEAD, "samples": block}] * 2))
     flat = [{**BLOCK_HEAD, **sample} for sample in samples] * 2
@@ -588,7 +619,9 @@ def test_block_writes_its_expanded_samples(grid, kind):
 
 def test_block_guards():
     axis = [0.0, 1.0, 2.0]
-    assert "".join(cli._json_chunks(cli._Block(("a", "b", "c"), [], []))) == "[]\n"
+    empty = {"n": 1, "samples": cli._Block(("a", "b", "c"), [], [])}
+    text = "".join(cli._json_chunks({}, [empty]))
+    assert text == json.dumps({"meta": {}, "rows": [{"n": 1, "samples": []}]}, indent=1) + "\n"
     for axis_, values, error in (
         (axis, [1.0] * 8, ValueError),
         (axis, [1.0] * 8 + [math.nan], ValueError),
@@ -601,7 +634,10 @@ def test_block_guards():
         ([0.0, np.float64(1.0), 2.0], [1.0] * 9, TypeError),
     ):
         block = cli._Block(("eta1", "eta2", "value"), axis_, values)
-        for write in (cli._json_chunks, lambda b: cli._csv_chunks([{"n": 1, "samples": b}])):
+        for write in (
+            lambda b: cli._json_chunks({}, [{"n": 1, "samples": b}]),
+            lambda b: cli._csv_chunks([{"n": 1, "samples": b}]),
+        ):
             if error is None:
                 "".join(write(block))
             else:

@@ -21,7 +21,6 @@ from diskbands import (
     c0_multiple,
     c0_quadrature,
     c0_simple,
-    cell_map_T,
     correction_for,
     correction_matrix,
     floquet_axis,
@@ -29,7 +28,6 @@ from diskbands import (
     lambda1_simple,
     lambda_expansion,
     limit_eigenvalue,
-    quadrant_of,
     quadrant_phase,
 )
 from diskbands import corrections
@@ -57,22 +55,6 @@ def test_floquet_point_negation():
     assert FloquetPoint(-math.pi, 0.0).negated().eta1 == -math.pi
 
 
-def test_quadrant_classification():
-    assert quadrant_of((0.2, 0.3)) is Quadrant.Q1
-    assert quadrant_of((-0.2, 0.3)) is Quadrant.Q2
-    assert quadrant_of((-0.2, -0.3)) is Quadrant.Q3
-    assert quadrant_of((0.2, -0.3)) is Quadrant.Q4
-
-
-def test_quadrant_rejects_axes_and_outside():
-    with pytest.raises(ValueError):
-        quadrant_of((0.0, 0.2))
-    with pytest.raises(ValueError):
-        quadrant_of((0.2, 0.0))
-    with pytest.raises(ValueError):
-        quadrant_of((0.6, 0.1))
-
-
 def test_quadrant_phase_values():
     origin = FloquetPoint(0.0, 0.0)
     for q in Quadrant:
@@ -96,28 +78,6 @@ def test_opposite_quadrant_phases_conjugate():
     assert p2 * p4 == pytest.approx(1.0)
     for q in Quadrant:
         assert abs(quadrant_phase(q, eta)) == pytest.approx(1.0)
-
-
-def test_cell_map_examples():
-    assert cell_map_T((0.3, 0.3)) == pytest.approx((-0.2, -0.2))
-    assert cell_map_T((-0.1, 0.4)) == pytest.approx((0.4, -0.1))
-    assert cell_map_T((-0.3, -0.2)) == pytest.approx((0.2, 0.3))
-    assert cell_map_T((0.4, -0.1)) == pytest.approx((-0.1, 0.4))
-
-
-def test_cell_map_is_an_involution():
-    for x in ((0.3, 0.3), (-0.07, 0.21), (0.44, -0.02), (-0.11, -0.37)):
-        assert cell_map_T(cell_map_T(x)) == pytest.approx(x)
-
-
-def test_cell_map_sends_arc_to_vertex_circle():
-    # boundary points in the first quadrant land on the quarter circle of
-    # radius 1/2 around the shifted vertex (-1/2, -1/2)
-    for theta in (0.2, 0.7, 1.2):
-        x = (0.5 * math.cos(theta), 0.5 * math.sin(theta))
-        y = cell_map_T(x)
-        d = math.hypot(y[0] + 0.5, y[1] + 0.5)
-        assert d == pytest.approx(0.5, abs=1e-15)
 
 
 def test_expansion_params_validation():

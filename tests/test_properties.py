@@ -119,8 +119,7 @@ def test_floquet_reduction_is_idempotent(a, b):
     assert FloquetPoint(math.pi, a) == FloquetPoint(-math.pi, a)
 
 
-# text with the characters JSON escapes, a % for the templates, and
-# non-ASCII letters
+# text with the characters JSON escapes, a %, and non-ASCII letters
 JSON_TEXT = st.text(
     st.one_of(st.sampled_from('"\\%\n\t\x00\x1f\x7f'), st.characters()), max_size=6
 )
@@ -137,17 +136,21 @@ JSON_DOC = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=24,
 )
+JSON_ROW = st.dictionaries(JSON_TEXT, JSON_DOC, max_size=4)
 
 
 @PROPERTY
-@given(JSON_DOC)
-@example({"meta": {}, "rows": [], "%s": [{}, []]})
-@example({"eta1": -0.0, "eta2": 5e-324, "value": 1e16, "%": 1e300})
+@given(JSON_ROW, st.lists(JSON_ROW, min_size=1, max_size=4))
+@example({}, [{}])
+# a "null" in the meta, and rows that end in one, before the rows' own null
+@example({"null": "null\n}", "%s": [{}, []]}, [{"rows": []}, {"null": None}])
+@example({}, [{"eta1": -0.0, "eta2": 5e-324, "value": 1e16, "%": 1e300}])
 # floats whose sum overflows, though each one is finite
-@example([{"a": 1e308, "b": 1e308}, {"a": -1e308, "b": -1e308}])
-@example({'"q"': "a\\b%d\x01", "\u00e9\u03bb\U0001f600": [None, True, False, 0, -7]})
-def test_json_chunks_equal_json_dumps(doc):
-    assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=1) + "\n"
+@example({}, [{"a": 1e308, "b": 1e308}, {"a": -1e308, "b": -1e308}])
+@example({'"q"': "a\\b%d\x01"}, [{"\u00e9\u03bb\U0001f600": [None, True, False, 0, -7]}])
+def test_json_chunks_equal_json_dumps(meta, rows):
+    text = "".join(_json_chunks(meta, rows))
+    assert text == json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
 
 
 # the largest float whose 15-digit text reads back as a finite float: the
