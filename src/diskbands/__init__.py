@@ -33,7 +33,6 @@ _EXPORTS = {
         "eigenfunction_eval",
         "enumerate_spectrum",
         "limit_eigenvalue",
-        "mode",
     ),
     "corrections": (
         "SOFT_CELL_AREA",

@@ -9,9 +9,12 @@ config error, 2 numerical failure, 3 internal consistency failure or other
 internal fault.
 
 Each subcommand names its handler in `_build_parser`, and each setting is one
-row of `_KEYS`: its config key, its `RunConfig` field and the flag of the
-same name.  Every size a command is asked for (`--count`, the zeros table,
-the sweep `count * grid^2`) is checked against its cap before any work.
+row of `_KEYS`: its config key, the dest, type, default and help of its flag,
+which `_add_common_flags` generates from the row.  A handler reads every
+setting from its parsed arguments, which `_resolve_config` fills in from the
+flags, then the config file, then the defaults.  Every size a command is
+asked for (`--count`, the zeros table, the sweep `count * grid^2`) is checked
+against its cap before any work.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import os
 import sys
 import traceback
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bessel import ZeroFindingError, bessel_zero
@@ -89,70 +92,48 @@ def _jnum(x: float) -> float:
     return float(_fmt(x))
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters (defaults, then config file, then flags)."""
-
-    epsilon: float = 1e-3
-    m: float = 0.25
-    grid: int = 33
-    # None until resolved: svg for diagram, csv for every other command
-    format: str | None = None
-    out: str | None = None
-    error_constant: float = 0.0
-    error_constants: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        # ExpansionParams owns the rules for epsilon, m and error constants
-        for c in (self.error_constant, *self.error_constants.values()):
-            try:
-                ExpansionParams(self.epsilon, self.m, c)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if not (3 <= self.grid <= MAX_GRID):
-            raise ConfigError(
-                "grid resolution must lie in [3, %d], got %r" % (MAX_GRID, self.grid)
-            )
-        if self.format not in _FORMATS:
-            raise ConfigError("unknown output format %r" % (self.format,))
-
-    def constant_for(self, m: ModeIndex) -> float:
-        return self.error_constants.get((m.n, m.k), self.error_constant)
-
-    def params(self) -> ExpansionParams:
-        """Expansion parameters with the default error constant."""
-        return ExpansionParams(self.epsilon, self.m, self.error_constant)
-
-
-# config key -> (RunConfig field, which is also the dest of its flag; type of
-# the value); c.<n>.<k> keys set one mode's constant in error_constants
+# config key -> (dest of its flag, type, default, help); the flag is the
+# dest with "-" for "_", so c.default sets --error-constant, and c.<n>.<k>
+# keys set one mode's constant in args.error_constants; a format of None
+# means svg for diagram and csv for every other command
 _KEYS = {
-    "epsilon": ("epsilon", float),
-    "m": ("m", float),
-    "grid": ("grid", int),
-    "format": ("format", str),
-    "out": ("out", str),
-    "c.default": ("error_constant", float),
+    "epsilon": ("epsilon", float, 1e-3, "small parameter in (0, 1) (default 1e-3)"),
+    "m": ("m", float, 0.25, "density exponent in (0, 1/2) (default 0.25)"),
+    "grid": ("grid", int, 33, "eta grid resolution per axis, 3 to %d (default 33)" % MAX_GRID),
+    "format": ("format", str, None, "output format (default csv; diagram defaults to svg)"),
+    "out": ("out", str, None, "output file (default stdout)"),
+    "c.default": ("error_constant", float, 0.0,
+                  "error pad constant C for every mode (default 0: uncertified)"),
 }
+
+# largest config file read, in characters: room for more than 40,000
+# c.<n>.<k> lines
+MAX_CONFIG_CHARS = 1 << 20
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
     try:
         # utf-8-sig drops the byte-order mark some editors write first
         with open(path, encoding="utf-8-sig") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        "%s:%d: expected 'key = value', got %r" % (path, lineno, line)
-                    )
-                key, _, value = line.partition("=")
-                entries[key.strip()] = value.strip()
+            text = handle.read(MAX_CONFIG_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from exc
+    if len(text) > MAX_CONFIG_CHARS:
+        raise ConfigError(
+            "config file %s holds more than %d characters" % (path, MAX_CONFIG_CHARS)
+        )
+    entries: dict[str, str] = {}
+    # text mode has turned every line end into "\n"
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                "%s:%d: expected 'key = value', got %r" % (path, lineno, line)
+            )
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -172,39 +153,55 @@ def _mode_key(key: str) -> tuple[int, int]:
     return n, k
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def _resolve_config(args: argparse.Namespace) -> None:
+    """Fill in each setting of `args` that no flag set, from the config file,
+    then from its default; validate them, and set `args.params` and
+    `args.error_constants`."""
+    # the flag --error-constant sets one constant for every mode and drops
+    # the file's per-mode constants; the file's c.default keeps them
+    one_constant = args.error_constant is not None
+    constants: dict[tuple[int, int], float] = {}
     entries = _load_config_file(args.config) if args.config is not None else {}
     for key, text in entries.items():
-        name, kind = _KEYS.get(key) or (_mode_key(key), float)
+        name, kind = _KEYS[key][:2] if key in _KEYS else (_mode_key(key), float)
         try:
             value = kind(text)
         except ValueError as exc:
             word = "integer" if kind is int else "number"
             raise ConfigError("config key %s: bad %s %r" % (key, word, text)) from exc
         if key in _KEYS:
-            setattr(cfg, name, value)
-        else:
-            cfg.error_constants[name] = value
-    # flags override the file
-    for name, _ in _KEYS.values():
-        if getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if args.error_constant is not None:
-        # one constant for every mode
-        cfg.error_constants = {}
+            # flags override the file
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+        elif not one_constant:
+            constants[name] = value
+    for name, _, default, _ in _KEYS.values():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     # svg is the diagram's default format, and only the diagram draws it
-    if cfg.format is None:
-        cfg.format = "svg" if args.command == "diagram" else "csv"
-    elif cfg.format == "svg" and args.command != "diagram":
+    if args.format is None:
+        args.format = "svg" if args.command == "diagram" else "csv"
+    elif args.format == "svg" and args.command != "diagram":
         raise ConfigError("format svg is only available for the diagram command")
-    cfg.validate()
-    return cfg
+    # ExpansionParams owns the rules for epsilon, m and error constants
+    try:
+        args.params = ExpansionParams(args.epsilon, args.m, args.error_constant)
+        for c in constants.values():
+            ExpansionParams(args.epsilon, args.m, c)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    args.error_constants = constants
+    if not (3 <= args.grid <= MAX_GRID):
+        raise ConfigError(
+            "grid resolution must lie in [3, %d], got %r" % (MAX_GRID, args.grid)
+        )
+    if args.format not in _FORMATS:
+        raise ConfigError("unknown output format %r" % (args.format,))
 
 
-def _emit(chunks, config: RunConfig) -> None:
+def _emit(chunks, args: argparse.Namespace) -> None:
     """Write the strings of `chunks` in turn to --out, or to stdout."""
-    if config.out is None or config.out == "-":
+    if args.out is None or args.out == "-":
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
@@ -216,10 +213,10 @@ def _emit(chunks, config: RunConfig) -> None:
             raise ConfigError("cannot write to standard output: %s" % exc) from exc
         return
     try:
-        with open(config.out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        raise ConfigError("cannot write output file %s: %s" % (config.out, exc)) from exc
+        raise ConfigError("cannot write output file %s: %s" % (args.out, exc)) from exc
 
 
 # ------------------------------------------------------------------ tables
@@ -241,6 +238,7 @@ def _emit(chunks, config: RunConfig) -> None:
 # once per axis and write one eta1 row of the grid at a time through one
 # %-template, mapped over the (eta2, value) pairs; a block is the one part of
 # a table not written by json.dumps, as a sweep writes up to 513^2 samples.
+# Both formats write one string per row, or per eta1 row of a block.
 # CSV prints the raw floats: %.15g prints a float as it prints its _jnum
 # (DBL_DIG is 15).
 
@@ -322,37 +320,21 @@ _CELL = {
 }
 
 
-# CSV lines per write: a write per line made `diagram --count 10 --grid 65
-# --format csv` about 40% slower on one core
-_BATCH = 4096
-
-
-def _csv_lines(row: dict):
-    # the lines of a row: one, or those of each eta1 row of its block
-    *cells, last = row.values()
-    if type(last) is not _Block:
-        return ([_cells(row.values())],)
-    head = (_cells(cells) + ",").replace("%", "%%") if cells else ""
-    return (
-        map((head + eta1.replace("%", "%%") + ",%s,%.15g").__mod__, zip(etas, values))
-        for eta1, etas, values in _block_rows(last, _fmt)
-    )
-
-
 def _csv_chunks(rows):
-    # the header, then the lines a few thousand at a time, so no write waits
-    # for a whole block
+    # the header, then the lines of each row: one, or those of each eta1 row
+    # of its block
     rows = iter(rows)
     first = next(rows)
     yield ",".join(_columns(first)) + "\n"
-    lines: list[str] = []
-    for group in itertools.chain.from_iterable(map(_csv_lines, itertools.chain((first,), rows))):
-        lines += group
-        if len(lines) >= _BATCH:
-            yield "\n".join(lines) + "\n"
-            lines.clear()
-    if lines:
-        yield "\n".join(lines) + "\n"
+    for row in itertools.chain((first,), rows):
+        *cells, last = row.values()
+        if type(last) is not _Block:
+            yield _cells(row.values()) + "\n"
+            continue
+        head = (_cells(cells) + ",").replace("%", "%%") if cells else ""
+        for eta1, etas, values in _block_rows(last, _fmt):
+            template = head + eta1.replace("%", "%%") + ",%s,%.15g\n"
+            yield "".join(map(template.__mod__, zip(etas, values)))
 
 
 # every row is written by one encoder, as json.dumps(row, indent=1) writes it
@@ -398,21 +380,21 @@ def _json_chunks(meta: dict, rows):
     yield tail + "\n"
 
 
-def _write_table(config: RunConfig, rows, uncertified: bool | None = None) -> None:
+def _write_table(args: argparse.Namespace, rows, uncertified: bool | None = None) -> None:
     """Emit `rows`, any iterable of row dicts, as CSV lines or as one JSON
     document with a meta block, writing as the rows are drawn."""
-    if config.format == "csv":
-        _emit(_csv_chunks(rows), config)
+    if args.format == "csv":
+        _emit(_csv_chunks(rows), args)
         return
     meta: dict = {
-        "epsilon": _jnum(config.epsilon),
-        "m": _jnum(config.m),
-        "gamma": _jnum(config.params().gamma),
-        "grid": config.grid,
+        "epsilon": _jnum(args.epsilon),
+        "m": _jnum(args.m),
+        "gamma": _jnum(args.params.gamma),
+        "grid": args.grid,
     }
     if uncertified is not None:
         meta["uncertified"] = uncertified
-    _emit(_json_chunks(meta, rows), config)
+    _emit(_json_chunks(meta, rows), args)
 
 
 def _mode_fields(m: ModeIndex) -> dict:
@@ -423,13 +405,16 @@ def _eta(p: FloquetPoint) -> list[float]:
     return [_jnum(p.eta1), _jnum(p.eta2)]
 
 
-def _band_table(count: int, config: RunConfig) -> tuple[list[BandInterval], bool]:
-    """The band records of the first `count` modes, and whether any pad is
-    uncertified, which a note on stderr reports."""
+def _band_table(args: argparse.Namespace) -> tuple[list[BandInterval], bool]:
+    """The band records of the first `args.count` modes, and whether any pad
+    is uncertified, which a note on stderr reports."""
     from .bands import band_table
 
-    bands = band_table(count, config.params(), config.grid, config.error_constants)
-    uncertified = any(config.constant_for(b.mode) == 0.0 for b in bands)
+    bands = band_table(args.count, args.params, args.grid, args.error_constants)
+    uncertified = any(
+        args.error_constants.get((b.mode.n, b.mode.k), args.error_constant) == 0.0
+        for b in bands
+    )
     if uncertified:
         print(
             "note: error constant C = 0 for some modes; pads are uncertified",
@@ -446,7 +431,7 @@ def _check_range(name: str, value: int, least: int, most: int) -> None:
         raise ConfigError("%s must lie in [%d, %d], got %r" % (name, least, most, value))
 
 
-def cmd_zeros(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_zeros(args: argparse.Namespace) -> int:
     _check_range("--n-max", args.n_max, 0, MAX_N)
     _check_range("--k-max", args.k_max, 1, MAX_K)
     _check_range("(n-max + 1) * k-max", (args.n_max + 1) * args.k_max, 1, MAX_ZEROS)
@@ -455,21 +440,21 @@ def cmd_zeros(args: argparse.Namespace, config: RunConfig) -> int:
         for n in range(args.n_max + 1)
         for k in range(1, args.k_max + 1)
     ]
-    _write_table(config, rows)
+    _write_table(args, rows)
     return EXIT_OK
 
 
-def cmd_spectrum(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
     rows = [
         {**_mode_fields(p.mode), "lambda0": _jnum(p.lambda0)}
         for p in enumerate_spectrum(args.count)
     ]
-    _write_table(config, rows)
+    _write_table(args, rows)
     return EXIT_OK
 
 
-def cmd_bands(args: argparse.Namespace, config: RunConfig) -> int:
-    bands, uncertified = _band_table(args.count, config)
+def cmd_bands(args: argparse.Namespace) -> int:
+    bands, uncertified = _band_table(args)
     rows = [
         {
             **_mode_fields(b.mode),
@@ -483,15 +468,15 @@ def cmd_bands(args: argparse.Namespace, config: RunConfig) -> int:
         }
         for b in bands
     ]
-    _write_table(config, rows, uncertified)
+    _write_table(args, rows, uncertified)
     return EXIT_OK
 
 
-def cmd_gaps(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_gaps(args: argparse.Namespace) -> int:
     from .bands import gap_reports
 
-    bands, uncertified = _band_table(args.count, config)
-    reports = gap_reports(bands, config.params())
+    bands, uncertified = _band_table(args)
+    reports = gap_reports(bands, args.params)
     rows = [
         {
             "below": _mode_fields(r.below),
@@ -503,7 +488,7 @@ def cmd_gaps(args: argparse.Namespace, config: RunConfig) -> int:
         }
         for r in reports
     ]
-    _write_table(config, rows, uncertified)
+    _write_table(args, rows, uncertified)
     return EXIT_OK
 
 
@@ -570,19 +555,19 @@ def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
     return "".join(out)
 
 
-def cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
-    total = args.count * config.grid**2
-    if config.format != "svg" and total > MAX_DIAGRAM_SAMPLES:
+def cmd_diagram(args: argparse.Namespace) -> int:
+    total = args.count * args.grid**2
+    if args.format != "svg" and total > MAX_DIAGRAM_SAMPLES:
         raise ConfigError(
             "diagram --format %s writes count * grid^2 = %d samples, at most %d"
-            % (config.format, total, MAX_DIAGRAM_SAMPLES)
+            % (args.format, total, MAX_DIAGRAM_SAMPLES)
         )
     from .bands import brillouin_sweep, gap_reports
 
-    bands, uncertified = _band_table(args.count, config)
-    reports = gap_reports(bands, config.params()) if args.count >= 2 else []
-    if config.format == "svg":
-        _emit([_render_svg(bands, reports, uncertified)], config)
+    bands, uncertified = _band_table(args)
+    reports = gap_reports(bands, args.params) if args.count >= 2 else []
+    if args.format == "svg":
+        _emit([_render_svg(bands, reports, uncertified)], args)
         return EXIT_OK
     # each mode is swept only when the writer reaches its row
     rows = (
@@ -590,20 +575,20 @@ def cmd_diagram(args: argparse.Namespace, config: RunConfig) -> int:
             **_mode_fields(b.mode),
             "samples": _Block(
                 ("eta1", "eta2", "value"),
-                *brillouin_sweep(b.mode, config.params(), config.grid),
+                *brillouin_sweep(b.mode, args.params, args.grid),
             ),
         }
         for b in bands
     )
-    _write_table(config, rows, uncertified)
+    _write_table(args, rows, uncertified)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify_checks
 
-    checks = verify_checks(config.params(), config.grid)
-    if config.format == "json":
+    checks = verify_checks(args.params, args.grid)
+    if args.format == "json":
         # strict JSON has no NaN or infinity: a non-finite observed value is
         # written as null, and the detail text keeps it
         rows = [
@@ -612,10 +597,10 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
              "bound": _jnum(c.bound), "passed": c.passed, "detail": c.detail}
             for c in checks
         ]
-        _write_table(config, rows)
+        _write_table(args, rows)
     else:
         lines = ["%s %s: %s\n" % ("PASS" if c.passed else "FAIL", c.name, c.detail) for c in checks]
-        _emit(lines, config)
+        _emit(lines, args)
     failing = [c.name for c in checks if not c.passed]
     if failing:
         print("verify failed: %s" % failing[0], file=sys.stderr)
@@ -630,24 +615,19 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ConfigError(message)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, default) -> None:
     # the same flags hang off the main parser and every subcommand; the
     # subcommand copies use SUPPRESS so an absent flag does not clobber a
     # value parsed before the subcommand name
-    parser.add_argument("--epsilon", type=float, default=default, help="small parameter in (0, 1) (default 1e-3)")
-    parser.add_argument("--m", type=float, default=default, help="density exponent in (0, 1/2) (default 0.25)")
-    parser.add_argument("--grid", type=int, default=default, help="eta grid resolution per axis, 3 to %d (default 33)" % MAX_GRID)
-    parser.add_argument("--format", choices=list(_FORMATS), default=default, help="output format (default csv; diagram defaults to svg)")
-    parser.add_argument("--out", default=default, help="output file (default stdout)")
+    for name, kind, _, text in _KEYS.values():
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=kind, default=default, help=text,
+            choices=_FORMATS if name == "format" else None,
+        )
     parser.add_argument("--config", default=default, help="key=value config file; flags override it")
-    parser.add_argument("--error-constant", type=float, default=default, help="error pad constant C for every mode (default 0: uncertified)")
 
 
 def _build_parser() -> _Parser:
@@ -683,27 +663,22 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     # library warnings print as one "warning:" line, like "note:" and "error:"
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        return _run(args)
+        return _run(argv)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(argv: list[str] | None) -> int:
     try:
-        config = _resolve_config(args)
+        args = _build_parser().parse_args(argv)
+        _resolve_config(args)
         if "count" in args:
             _check_range("--count", args.count, args.least_count, MAX_COUNT)
             # spectrum lists modes; the other commands sweep grid^2 points per mode
             if args.command != "spectrum":
-                _check_range("count * grid^2", args.count * config.grid**2, 1, MAX_SWEEP)
-        return args.handler(args, config)
+                _check_range("count * grid^2", args.count * args.grid**2, 1, MAX_SWEEP)
+        return args.handler(args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

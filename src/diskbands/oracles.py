@@ -27,10 +27,10 @@ from functools import lru_cache
 
 from ._core import tridiag_smallest_eigenvalues
 from ._quad import panel_rule
-from .bessel import bessel_j_prime, bessel_zero
+from .bessel import bessel_j_prime
 from .corrections import FloquetPoint
 # OracleConvergenceError lives in the spectrum module and is re-exported here
-from .spectrum import ModeIndex, OracleConvergenceError
+from .spectrum import ModeIndex, OracleConvergenceError, Parity, limit_eigenvalue
 
 _SOFT_AREA = 1.0 - math.pi / 4.0
 
@@ -118,9 +118,9 @@ def error_ratios(n: int, coarse: list[float], fine: list[float]) -> list[float]:
     """E(coarse)/E(fine) per eigenvalue against the exact values
     4 j_{n,k}^2, k = 1, 2, ..."""
     ratios = []
+    parity = Parity.SIMPLE if n == 0 else Parity.COSINE
     for k, (cv, fv) in enumerate(zip(coarse, fine), start=1):
-        z = bessel_zero(n, k).value
-        exact = 4.0 * z * z
+        exact = limit_eigenvalue(ModeIndex(n, k, parity)).lambda0
         ratios.append(abs(cv - exact) / abs(fv - exact))
     return ratios
 
@@ -171,10 +171,10 @@ def _boundary_integral(
 @lru_cache(maxsize=None)
 def _prefactor(n: int, k: int) -> float:
     # -(d/dr J_n(2 z r) at r = 1/2) / (Lambda0 (1 - pi/4)), eta-independent
-    z = bessel_zero(n, k).value
-    lam0 = 4.0 * z * z
+    pair = limit_eigenvalue(ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.COSINE))
+    z = pair.zero.value
     dnu = 2.0 * z * bessel_j_prime(n, z)
-    return -dnu / (lam0 * _SOFT_AREA)
+    return -dnu / (pair.lambda0 * _SOFT_AREA)
 
 
 def c0_quadrature(

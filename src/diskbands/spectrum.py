@@ -107,16 +107,6 @@ class ModeIndex:
         return "%d,%d,%s" % (self.n, self.k, self.parity.value)
 
 
-def mode(n: int, k: int, parity: Parity | str | None = None) -> ModeIndex:
-    """ModeIndex constructor accepting 'c'/'s'/'simple' strings; parity may be
-    omitted for n = 0."""
-    if parity is None:
-        parity = Parity.SIMPLE
-    elif isinstance(parity, str):
-        parity = Parity(parity)
-    return ModeIndex(n, k, parity)
-
-
 @dataclass(frozen=True)
 class LimitEigenpair:
     mode: ModeIndex

@@ -14,7 +14,7 @@ from .corrections import ExpansionParams, FloquetPoint, c0_multiple, c0_simple
 from .corrections import correction_matrix, lambda1_multiple
 from .oracles import RadialMesh, boundary_arc_length, c0_quadrature
 from .oracles import disk_mesh_doubling, error_ratios
-from .spectrum import ModeIndex, Parity, enumerate_spectrum
+from .spectrum import ModeIndex, Parity, enumerate_spectrum, limit_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
         # one solve per mesh serves the error check, the Richardson guard
         # and the convergence ratios
         values, fine = disk_mesh_doubling(n, 2, RadialMesh(512))
+        parity = Parity.SIMPLE if n == 0 else Parity.COSINE
         for k, fd in enumerate(values, start=1):
-            z = bessel_zero(n, k).value
-            exact = 4.0 * z * z
+            exact = limit_eigenvalue(ModeIndex(n, k, parity)).lambda0
             worst = _max(worst, abs(fd - exact) / exact)
         ratios.extend(error_ratios(n, values, fine))
     checks.append(Check("disk-fd-eigenvalues", worst, 1e-3, "max relative error = %.3g" % worst))

@@ -185,7 +185,22 @@ def test_config_key_then_its_flag(
     cfg.write_text("%s = %s\n" % (key, text))
     argv = ["bands", "--count", "1", "--format", "json", "--config", str(cfg)]
     assert read(main_json(argv, capsys)) == pytest.approx(from_file, rel=1e-12)
-    assert read(main_json(argv + [flag, flag_text], capsys)) == pytest.approx(from_flag, rel=1e-12)
+    # the flag before the subcommand, where its default is None, and after
+    # it, where its default is SUPPRESS; either overrides the file
+    for flagged in ([flag, flag_text] + argv, argv + [flag, flag_text]):
+        assert read(main_json(flagged, capsys)) == pytest.approx(from_flag, rel=1e-12), flagged
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bands", "--help"]])
+def test_help_lists_each_setting_flag_once(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    # the option lines, indented by two spaces; the usage lines are indented
+    # further
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    for flag in ["--" + row[0].replace("_", "-") for row in cli._KEYS.values()] + ["--config"]:
+        assert listed.count(flag) == 1, flag
 
 
 def test_config_format_and_out_keys(tmp_path, capsys):
@@ -392,6 +407,41 @@ def test_config_file_not_utf8_is_a_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_config_file_size_cap(tmp_path, capsys):
+    # a file of MAX_CONFIG_CHARS characters is read; one more is an error
+    cfg = tmp_path / "big.cfg"
+    line = "m = 0.3\n"
+    cfg.write_text(line + "#" * (cli.MAX_CONFIG_CHARS - len(line)))
+    argv = ["bands", "--count", "1", "--grid", "3", "--format", "json", "--config", str(cfg)]
+    assert main_json(argv, capsys)["meta"]["m"] == 0.3
+    cfg.write_text(line + "#" * (cli.MAX_CONFIG_CHARS - len(line) + 1))
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config file %s holds more than %d characters\n" % (
+        cfg, cli.MAX_CONFIG_CHARS)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+def test_endless_config_file_is_one_error_line():
+    # a file that never ends is read only up to the cap; the address-space
+    # limit turns a read without bound into a MemoryError instead of
+    # exhausting the machine
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        CMD + ["spectrum", "--config", "/dev/zero"], capture_output=True, text=True,
+        timeout=120, preexec_fn=limit,
+    )
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: config file /dev/zero holds more than %d characters\n" % (
+        cli.MAX_CONFIG_CHARS)
+
+
 def test_nonfinite_constants_and_grid_cap_are_config_errors(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("c.1.1 = inf\n")
@@ -504,7 +554,7 @@ def test_diagram_sample_cap_is_checked_before_any_work(tmp_path, monkeypatch, ca
 def test_diagram_streams_its_samples(monkeypatch):
     # the first chunk is written before the modes' samples are all drawn, so
     # neither the samples nor the document is held whole, and no chunk
-    # holds much more than a batch
+    # holds more than one eta1 row of samples
     events = []
     sweep = bands.brillouin_sweep
 
@@ -538,7 +588,7 @@ def test_diagram_streams_its_samples(monkeypatch):
             assert [len(row["samples"]) for row in doc["rows"]] == [65 * 65, 65 * 65]
             assert text == json.dumps(doc, indent=1) + "\n"
         else:
-            assert max(c.count("\n") for c in chunks) <= cli._BATCH + 65
+            assert max(c.count("\n") for c in chunks) <= 65
             assert len(text.splitlines()) == 1 + 2 * 65 * 65
 
 
@@ -614,7 +664,7 @@ def test_block_writes_its_expanded_samples(grid, kind):
     chunks = list(cli._csv_chunks([{**BLOCK_HEAD, "samples": block}] * 2))
     flat = [{**BLOCK_HEAD, **sample} for sample in samples] * 2
     assert "".join(chunks) == "".join(cli._csv_chunks(flat))
-    assert max(c.count("\n") for c in chunks) <= cli._BATCH + grid
+    assert max(c.count("\n") for c in chunks) <= grid
 
 
 def test_block_guards():
