@@ -17,22 +17,17 @@ _SERIES_CUTOFF = 4.0
 
 def bessel_j_kernel(n: int, x: float) -> float:
     """J_n(x) for integer n >= 0 and x >= 0 (arguments assumed validated)."""
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < _SERIES_CUTOFF:
-        return _series(n, x)
-    return _miller(n, x)
+    return bessel_j_pair(n, x)[0]
 
 
 def bessel_j_pair(n: int, x: float) -> tuple[float, float]:
-    """(J_n(x), J_{n+1}(x)) from one pass of the kernel's loop, the first
-    value bitwise equal to `bessel_j_kernel(n, x)` (arguments assumed
-    validated)."""
+    """(J_n(x), J_{n+1}(x)): the power series below _SERIES_CUTOFF, else one
+    pass of Miller's recurrence (arguments assumed validated)."""
     if x == 0.0:
         return (1.0 if n == 0 else 0.0), 0.0
     if x < _SERIES_CUTOFF:
         return _series(n, x), _series(n + 1, x)
-    return _miller(n, x, True)
+    return _miller(n, x)
 
 
 def _series(n: int, x: float) -> float:
@@ -57,10 +52,10 @@ def _series(n: int, x: float) -> float:
     return total
 
 
-def _miller(n: int, x: float, pair: bool = False):
+def _miller(n: int, x: float) -> tuple[float, float]:
     # Backward recurrence J_{i-1} = (2i/x) J_i - J_{i+1} from a start order
-    # well above both n and x, normalized by J_0 + 2 sum_t J_{2t} = 1; with
-    # `pair`, J_{n+1} (the order above J_n when J_n is captured) comes too.
+    # well above both n and x, normalized by J_0 + 2 sum_t J_{2t} = 1; gives
+    # (J_n, J_{n+1}), J_{n+1} being the order above J_n when J_n is captured.
     m = int(x + 12.0 * x ** (1.0 / 3.0) + 25.0) + n
     if m % 2 == 1:
         m += 1
@@ -101,9 +96,7 @@ def _miller(n: int, x: float, pair: bool = False):
             s *= 1e-250
             result *= 1e-250
             above *= 1e-250
-    if pair:
-        return result / s, above / s
-    return result / s
+    return result / s, above / s
 
 
 def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:

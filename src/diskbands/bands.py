@@ -5,6 +5,9 @@ order the band is [Lambda0 + eps^{2m} min Lambda1, Lambda0 + eps^{2m} max
 Lambda1], padded by C eps^gamma on both sides.  Gaps between consecutive
 bands are certified only when the padded intervals are disjoint and neither
 endpoint rests on undetermined or mutually cancelling first-order data.
+
+The extremes of Lambda1 and its closed-form range come from `corrections`;
+this module pads and cross-checks them, and labels the gaps.
 """
 
 from __future__ import annotations
@@ -14,18 +17,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .corrections import (
-    SOFT_CELL_AREA,
+    EXTREME_AXIS,
     Branch,
-    CorrectionValue,
     ExpansionParams,
     FloquetPoint,
-    _derivative_gap,
-    _half_angle_factors,
-    _lambda1_table,
-    _reduce_angle,
-    _simple_amplitude,
+    branch_for,
     correction_for,
+    lambda1_extremes,
     lambda1_grid,
+    lambda1_range,
+    reduce_angle,
 )
 # InternalConsistencyError lives in the spectrum module and is re-exported
 # here
@@ -70,74 +71,6 @@ class BandInterval:
         return self.upper - self.lower
 
 
-# candidate extremizer components: Lambda1 factors through cos/sin of eta_i/2,
-# so extrema over the closed square lie on the tensor grid {-pi, 0, pi}^2
-_EXTREME_AXIS = (0.0, math.pi, -math.pi)
-
-
-# _extremes_over scans a row in full when its slope in w = sin^2(eta2/2) is
-# below _FLAT_ROW times its scale, or below _TINY_SLOPE, where subnormal
-# rounding (up to 2.5e-324 per entry) is no longer small against the scale;
-# other rows only at the columns whose w lies within _W_WINDOW of the least
-# or the greatest w
-_FLAT_ROW = 1e-3
-_TINY_SLOPE = 1e-290
-_W_WINDOW = 1e-6
-
-
-def _extremes_over(
-    corr: CorrectionValue, axis
-) -> tuple[float, FloquetPoint, float, FloquetPoint]:
-    # The first minimum and the first maximum of lambda1_grid(corr, axis) in
-    # row-major order, as a strict `<` / `>` scan (argmin/argmax) finds them,
-    # from O(len(axis)) table entries.
-    #
-    # Why that is exact: every Lambda1 is a product of cos/sin of eta_i/2, so
-    # row i is alpha_i + beta_i w_j in exact arithmetic, w_j = sin^2(eta_j/2)
-    # (simple: beta = -alpha; n = 2 mod 4: alpha = 0; odd n: beta is
-    # proportional to cos eta1).  Its extremes lie at the columns of least
-    # and greatest w.  The computed entries carry a few ulps of the row scale
-    # |alpha_i| + |beta_i|, about 1e-15 of it.  A column whose w lies more
-    # than _W_WINDOW from both ends sits at least |beta_i| * 1e-6 > 1e-9 of
-    # the scale from the row's extreme once |beta_i| > _FLAT_ROW times the
-    # scale, so it cannot tie the computed extreme and only the window
-    # columns are evaluated.  Rows with a smaller slope (odd n near
-    # eta1 = +-pi/2, the all-zero n = 2 mod 4 row at eta1 = 0) and rows with
-    # a subnormal slope (n = 2 mod 4 at |eta1| below about 1e-145) are
-    # scanned in full; there are O(1) of them.  The first row holding the global
-    # extreme and its first such column then give argmin/argmax's order.
-    if corr.branch is Branch.COSINE:
-        origin = FloquetPoint(axis[0], axis[0])
-        return 0.0, origin, 0.0, origin
-    n, k = corr.mode.n, corr.mode.k
-    size = len(axis)
-    s, c = _half_angle_factors(axis)
-    w = [x * x for x in s]
-    w_lo, w_hi = min(w), max(w)
-    window = [j for j, x in enumerate(w) if x - w_lo <= _W_WINDOW or w_hi - x <= _W_WINDOW]
-    # each row at w = 0 and w = 1 first, alpha_i and alpha_i + beta_i, then
-    # at the window columns
-    ends_and_window = ([0.0, 1.0] + [s[j] for j in window], [1.0, 0.0] + [c[j] for j in window])
-    table = _lambda1_table(n, k, (s, c), ends_and_window)
-    rows = [row[2:] for row in table]
-    columns = [window] * size
-    for i, (alpha, top, *_) in enumerate(table):
-        beta = abs(top - alpha)
-        if not (beta > _FLAT_ROW * (abs(alpha) + beta) and beta > _TINY_SLOPE):
-            rows[i] = _lambda1_table(n, k, ([s[i]], [c[i]]), (s, c))[0]
-            columns[i] = range(size)
-
-    def first(extreme) -> tuple[float, FloquetPoint]:
-        # the first row holding the extreme of all rows, then its first
-        # column holding it
-        tops = [extreme(row) for row in rows]
-        i = tops.index(extreme(tops))
-        j = rows[i].index(tops[i])
-        return rows[i][j], FloquetPoint(axis[i], axis[columns[i][j]])
-
-    return (*first(min), *first(max))
-
-
 def band_interval(
     mode: ModeIndex, params: ExpansionParams, grid_resolution: int = 33
 ) -> BandInterval:
@@ -149,16 +82,15 @@ def band_interval(
         )
     lam0 = limit_eigenvalue(mode).lambda0
     pad = params.pad
-    corr = correction_for(mode)
-    if corr.branch is Branch.UNDETERMINED:
+    if branch_for(mode) is Branch.UNDETERMINED:
         origin = FloquetPoint(0.0, 0.0)
         return BandInterval(mode, lam0 - pad, lam0 + pad, pad, None, (origin, origin))
 
-    lo, lo_eta, hi, hi_eta = _extremes_over(corr, floquet_axis(grid_resolution))
+    lo, lo_eta, hi, hi_eta = lambda1_extremes(mode, floquet_axis(grid_resolution))
 
     # closed-form extrema land on the half-angle lattice; the grid scan and
     # the candidate list must agree to grid tolerance
-    cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = _extremes_over(corr, _EXTREME_AXIS)
+    cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = lambda1_extremes(mode, EXTREME_AXIS)
     scale = max(abs(cand_lo), abs(cand_hi), 1.0)
     step = 2.0 * math.pi / (grid_resolution - 1)
     slack = 0.75 * scale * step * step
@@ -204,33 +136,23 @@ def band_length(mode: ModeIndex, params: ExpansionParams) -> BandLength:
     """Closed-form first-order band length of the branch pair containing
     `mode` (parity-independent: both branches of a double mode sweep bands
     whose union has this leading width)."""
-    n, k = mode.n, mode.k
-    note = "remainder O(eps^%.6g)" % params.gamma
-    eps2m = params.first_order_scale
-    if n == 0:
-        j1 = _simple_amplitude(k)[1]
-        return BandLength((2.0 * math.pi / SOFT_CELL_AREA) * j1 * j1 * eps2m, note)
-    if n % 4 == 0:
+    span = lambda1_range(mode.n, mode.k)
+    if span is None:
         return BandLength(None, "undetermined, O(eps^%.6g)" % (2.0 * params.m))
-    z, gap = _derivative_gap(n, k)
-    num = 64.0 if n % 4 == 2 else 16.0
-    coef = abs(num / (z * n * n * SOFT_CELL_AREA) * gap)
-    return BandLength(coef * eps2m, note)
+    return BandLength(span * params.first_order_scale, "remainder O(eps^%.6g)" % params.gamma)
 
 
 def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> None:
     # the grid route must reproduce the closed-form leading width
-    branch = correction_for(m).branch
-    if branch is Branch.COSINE:
+    if branch_for(m) is Branch.COSINE:
         if not (abs(length) <= 1e-12):
             raise InternalConsistencyError(
                 "flat branch %s reported nonzero first-order length %r"
                 % (m.label(), length)
             )
         return
+    # band_table checks determined bands only, whose closed form is a number
     expected = band_length(m, params).leading
-    if expected is None:
-        return
     if not (abs(length - expected) <= 1e-8 * abs(expected)):
         raise InternalConsistencyError(
             "band length mismatch for %s: swept %r vs closed form %r"
@@ -244,12 +166,12 @@ def swept_band_width(
     """Swept width of the union of branch bands of (n, k), pad excluded: the
     simple or sine band's length, whose range holds the cosine branch's
     Lambda1 = 0; independent route to `band_length` for cross-checking."""
-    if n % 4 == 0 and n > 0:
+    mode = ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.SINE)
+    if branch_for(mode) is Branch.UNDETERMINED:
         raise ValueError(
             "band width of (n, k) = (%d, %d) is undetermined at first order" % (n, k)
         )
-    parity = Parity.SIMPLE if n == 0 else Parity.SINE
-    return band_interval(ModeIndex(n, k, parity), params, resolution).length
+    return band_interval(mode, params, resolution).length
 
 
 @dataclass(frozen=True)
@@ -362,7 +284,7 @@ def brillouin_sweep(
     """Two-term eigenvalue sampled over the closed grid.  Returns the axis,
     reduced into [-pi, pi) (so its closing pi reads -pi), and the values at
     (axis[i], axis[j]), flattened row-major over eta1."""
-    axis = [_reduce_angle(a) for a in floquet_axis(resolution)]
+    axis = [reduce_angle(a) for a in floquet_axis(resolution)]
     lam0 = limit_eigenvalue(mode).lambda0
     corr = correction_for(mode)
     if corr.branch is Branch.UNDETERMINED:

@@ -97,13 +97,12 @@ def _jnum(x: float) -> float:
 # keys set one mode's constant in args.error_constants; a format of None
 # means svg for diagram and csv for every other command
 _KEYS = {
-    "epsilon": ("epsilon", float, 1e-3, "small parameter in (0, 1) (default 1e-3)"),
-    "m": ("m", float, 0.25, "density exponent in (0, 1/2) (default 0.25)"),
-    "grid": ("grid", int, 33, "eta grid resolution per axis, 3 to %d (default 33)" % MAX_GRID),
+    "epsilon": ("epsilon", float, 1e-3, "small parameter in (0, 1)"),
+    "m": ("m", float, 0.25, "density exponent in (0, 1/2)"),
+    "grid": ("grid", int, 33, "eta grid resolution per axis, 3 to %d" % MAX_GRID),
     "format": ("format", str, None, "output format (default csv; diagram defaults to svg)"),
     "out": ("out", str, None, "output file (default stdout)"),
-    "c.default": ("error_constant", float, 0.0,
-                  "error pad constant C for every mode (default 0: uncertified)"),
+    "c.default": ("error_constant", float, 0.0, "error pad constant C for every mode, 0 for uncertified pads"),
 }
 
 # largest config file read, in characters: room for more than 40,000
@@ -622,9 +621,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, default) -> None:
     # the same flags hang off the main parser and every subcommand; the
     # subcommand copies use SUPPRESS so an absent flag does not clobber a
     # value parsed before the subcommand name
-    for name, kind, _, text in _KEYS.values():
+    for name, kind, value, text in _KEYS.values():
         parser.add_argument(
-            "--" + name.replace("_", "-"), type=kind, default=default, help=text,
+            "--" + name.replace("_", "-"), type=kind, default=default,
+            help=text if value is None else "%s (default %g)" % (text, value),
             choices=_FORMATS if name == "format" else None,
         )
     parser.add_argument("--config", default=default, help="key=value config file; flags override it")
@@ -641,8 +641,8 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("zeros", parents=[common_sub], help="table of Bessel zeros j_{n,k}")
-    p.add_argument("--n-max", type=int, default=8, help="largest order n, 0 to %d (default 8)" % MAX_N)
-    p.add_argument("--k-max", type=int, default=5, help="zeros per order, 1 to %d (default 5)" % MAX_K)
+    p.add_argument("--n-max", type=int, default=8, help="largest order n, 0 to %d (default %%(default)s)" % MAX_N)
+    p.add_argument("--k-max", type=int, default=5, help="zeros per order, 1 to %d (default %%(default)s)" % MAX_K)
     p.set_defaults(handler=cmd_zeros)
     for name, handler, least, text in (
         ("spectrum", cmd_spectrum, 1, "leading limit eigenvalues in order"),
@@ -651,7 +651,7 @@ def _build_parser() -> _Parser:
         ("diagram", cmd_diagram, 1, "band diagram (SVG) or sweep samples"),
     ):
         p = sub.add_parser(name, parents=[common_sub], help=text)
-        p.add_argument("--count", type=int, default=10, help="modes, %d to %d (default 10)" % (least, MAX_COUNT))
+        p.add_argument("--count", type=int, default=10, help="modes, %d to %d (default %%(default)s)" % (least, MAX_COUNT))
         p.set_defaults(handler=handler, least_count=least)
     verify = sub.add_parser("verify", parents=[common_sub], help="run the numerical cross-check suite")
     verify.set_defaults(handler=cmd_verify)

@@ -8,6 +8,10 @@ over the four quarter-arcs), and the correction eigenvalues: Lambda1 of a
 simple mode, and the pair {0, tr M} of a double mode.  For n = 0 (mod 4)
 every first-order quantity vanishes and the correction is undetermined at
 this order.
+
+All that rests on the form of Lambda1 is here too: its grid table, the
+O(grid) scan for the table's extremes, the lattice EXTREME_AXIS of exact
+extremizers, and the closed-form range max - min (`lambda1_range`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bessel import bessel_j, bessel_zero
-from ._quad import panel_rule
+from ._quad import quarter_arc_rules
 # ExpansionParams and QuadratureConvergenceError live in the spectrum module
 # and are re-exported here
 from .spectrum import (
@@ -42,7 +46,8 @@ class UndeterminedCorrectionError(RuntimeError):
     """Numeric evaluation requested for a branch with no first-order data."""
 
 
-def _reduce_angle(v: float) -> float:
+def reduce_angle(v: float) -> float:
+    """v reduced into [-pi, pi), -0.0 read as 0.0."""
     r = math.remainder(float(v), TWO_PI)
     if r >= math.pi:
         r -= TWO_PI
@@ -57,8 +62,8 @@ class FloquetPoint:
     eta2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eta1", _reduce_angle(self.eta1))
-        object.__setattr__(self, "eta2", _reduce_angle(self.eta2))
+        object.__setattr__(self, "eta1", reduce_angle(self.eta1))
+        object.__setattr__(self, "eta2", reduce_angle(self.eta2))
 
     def negated(self) -> "FloquetPoint":
         return FloquetPoint(-self.eta1, -self.eta2)
@@ -133,7 +138,7 @@ def c0_multiple(
 
 def _half_angle_factors(axis) -> tuple[list[float], list[float]]:
     # sin and cos of eta_i/2 at each reduced axis value
-    halves = [0.5 * _reduce_angle(a) for a in axis]
+    halves = [0.5 * reduce_angle(a) for a in axis]
     return [math.sin(h) for h in halves], [math.cos(h) for h in halves]
 
 
@@ -181,16 +186,13 @@ def _arc_trig_dots(n: int, panels: int) -> tuple[tuple[float, float], ...]:
     # (int cos(n theta), int sin(n theta)) over each quarter-arc Q1..Q4 by
     # `panels` Gauss-Legendre panels, each sum correctly rounded by fsum;
     # eta-independent
-    dots = []
-    for idx in range(4):
-        theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
-        dots.append(
-            (
-                math.fsum(wt * math.cos(n * t) for t, wt in zip(theta, w)),
-                math.fsum(wt * math.sin(n * t) for t, wt in zip(theta, w)),
-            )
+    return tuple(
+        (
+            math.fsum(wt * math.cos(n * t) for t, wt in zip(theta, w)),
+            math.fsum(wt * math.sin(n * t) for t, wt in zip(theta, w)),
         )
-    return tuple(dots)
+        for theta, w in quarter_arc_rules(panels)
+    )
 
 
 def _arc_trig_integrals(n: int, eta: FloquetPoint, panels: int) -> tuple[complex, complex]:
@@ -310,6 +312,88 @@ def lambda1_grid(corr: CorrectionValue, axis) -> list[float]:
 
 def correction_for(mode: ModeIndex) -> CorrectionValue:
     return CorrectionValue(mode, branch_for(mode))
+
+
+# candidate extremizer components: Lambda1 factors through cos/sin of eta_i/2,
+# so extrema over the closed square lie on the tensor grid {-pi, 0, pi}^2
+EXTREME_AXIS = (0.0, math.pi, -math.pi)
+
+
+# lambda1_extremes scans a row in full when its slope in w = sin^2(eta2/2) is
+# below _FLAT_ROW times its scale, or below _TINY_SLOPE, where subnormal
+# rounding (up to 2.5e-324 per entry) is no longer small against the scale;
+# other rows only at the columns whose w lies within _W_WINDOW of the least
+# or the greatest w
+_FLAT_ROW = 1e-3
+_TINY_SLOPE = 1e-290
+_W_WINDOW = 1e-6
+
+
+def lambda1_extremes(
+    mode: ModeIndex, axis
+) -> tuple[float, FloquetPoint, float, FloquetPoint]:
+    """The first minimum and maximum of the mode's `lambda1_grid` over `axis`
+    with their points, in row-major order as a strict `<` / `>` scan
+    (argmin/argmax) finds them, from O(len(axis)) table entries."""
+    # Why that is exact: every Lambda1 is a product of cos/sin of eta_i/2, so
+    # row i is alpha_i + beta_i w_j in exact arithmetic, w_j = sin^2(eta_j/2)
+    # (simple: beta = -alpha; n = 2 mod 4: alpha = 0; odd n: beta is
+    # proportional to cos eta1).  Its extremes lie at the columns of least
+    # and greatest w.  The computed entries carry a few ulps of the row scale
+    # |alpha_i| + |beta_i|, about 1e-15 of it.  A column whose w lies more
+    # than _W_WINDOW from both ends sits at least |beta_i| * 1e-6 > 1e-9 of
+    # the scale from the row's extreme once |beta_i| > _FLAT_ROW times the
+    # scale, so it cannot tie the computed extreme and only the window
+    # columns are evaluated.  Rows with a smaller slope (odd n near
+    # eta1 = +-pi/2, the all-zero n = 2 mod 4 row at eta1 = 0) and rows with
+    # a subnormal slope (n = 2 mod 4 at |eta1| below about 1e-145) are
+    # scanned in full; there are O(1) of them.  The first row holding the global
+    # extreme and its first such column then give argmin/argmax's order.
+    corr = correction_for(mode)
+    corr._require_determined()
+    if corr.branch is Branch.COSINE:
+        origin = FloquetPoint(axis[0], axis[0])
+        return 0.0, origin, 0.0, origin
+    size = len(axis)
+    s, c = _half_angle_factors(axis)
+    w = [x * x for x in s]
+    w_lo, w_hi = min(w), max(w)
+    window = [j for j, x in enumerate(w) if x - w_lo <= _W_WINDOW or w_hi - x <= _W_WINDOW]
+    # each row at w = 0 and w = 1 first, alpha_i and alpha_i + beta_i, then
+    # at the window columns
+    ends_and_window = ([0.0, 1.0] + [s[j] for j in window], [1.0, 0.0] + [c[j] for j in window])
+    table = _lambda1_table(mode.n, mode.k, (s, c), ends_and_window)
+    rows = [row[2:] for row in table]
+    columns = [window] * size
+    for i, (alpha, top, *_) in enumerate(table):
+        beta = abs(top - alpha)
+        if not (beta > _FLAT_ROW * (abs(alpha) + beta) and beta > _TINY_SLOPE):
+            rows[i] = _lambda1_table(mode.n, mode.k, ([s[i]], [c[i]]), (s, c))[0]
+            columns[i] = range(size)
+
+    def first(extreme) -> tuple[float, FloquetPoint]:
+        # the first row holding the extreme of all rows, then its first
+        # column holding it
+        tops = [extreme(row) for row in rows]
+        i = tops.index(extreme(tops))
+        j = rows[i].index(tops[i])
+        return rows[i][j], FloquetPoint(axis[i], axis[columns[i][j]])
+
+    return (*first(min), *first(max))
+
+
+def lambda1_range(n: int, k: int) -> float | None:
+    """max - min of Lambda1 over eta for the simple mode (n = 0) or the sine
+    branch of the double mode (n, k), in closed form; None for n = 0 (mod 4),
+    where first-order theory is silent."""
+    if n == 0:
+        j1 = _simple_amplitude(k)[1]
+        return (2.0 * math.pi / SOFT_CELL_AREA) * j1 * j1
+    if n % 4 == 0:
+        return None
+    z, gap = _derivative_gap(n, k)
+    num = 64.0 if n % 4 == 2 else 16.0
+    return abs(num / (z * n * n * SOFT_CELL_AREA) * gap)
 
 
 @dataclass(frozen=True)

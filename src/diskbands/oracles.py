@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._core import tridiag_smallest_eigenvalues
-from ._quad import panel_rule
+from ._quad import quarter_arc_rules
 from .bessel import bessel_j_prime
 from .corrections import FloquetPoint
 # OracleConvergenceError lives in the spectrum module and is re-exported here
@@ -143,10 +143,7 @@ def _node_table(n: int, panels: int) -> tuple[tuple[float, float, float, int], .
     # quarter-arcs, in summation order; the signs of cos/sin t decide the
     # (+-eta1/2 +- eta2/2) combination, read from the boundary point itself
     rows = []
-    for quarter in range(4):
-        theta, w = panel_rule(
-            quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
-        )
+    for theta, w in quarter_arc_rules(panels):
         for t, wt in zip(theta, w):
             s1 = 1.0 if math.cos(t) > 0.0 else -1.0
             s2 = 1.0 if math.sin(t) > 0.0 else -1.0
@@ -206,9 +203,6 @@ def boundary_arc_length(panels: int = 8) -> float:
     """Arc length of the whole disk boundary by the same panel scheme
     (radius 1/2, so the exact value is pi); plumbing sanity check."""
     total = 0.0
-    for quarter in range(4):
-        _, w = panel_rule(
-            quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
-        )
+    for _, w in quarter_arc_rules(panels):
         total += 0.5 * math.fsum(w)  # ds = r dtheta with r = 1/2
     return total

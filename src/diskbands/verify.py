@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .bands import band_length, floquet_axis, swept_band_width
 from .bessel import bessel_j, bessel_zero
 from .corrections import ExpansionParams, FloquetPoint, c0_multiple, c0_simple
-from .corrections import correction_matrix, lambda1_multiple
+from .corrections import Branch, branch_for, correction_matrix, lambda1_multiple
 from .oracles import RadialMesh, boundary_arc_length, c0_quadrature
 from .oracles import disk_mesh_doubling, error_ratios
 from .spectrum import ModeIndex, Parity, enumerate_spectrum, limit_eigenvalue
@@ -106,7 +106,7 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
     worst = 0.0
     for pair in enumerate_spectrum(10):
         m = pair.mode
-        if m.n > 0 and (m.n % 4 == 0 or m.parity is Parity.COSINE):
+        if branch_for(m) in (Branch.COSINE, Branch.UNDETERMINED):
             continue
         swept = swept_band_width(m.n, m.k, params, grid_resolution)
         closed = band_length(m, params).leading

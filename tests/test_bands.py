@@ -33,7 +33,14 @@ from diskbands import (
     swept_band_width,
 )
 from diskbands import bands
-from diskbands.corrections import _derivative_gap, _simple_amplitude, lambda1_grid
+from diskbands import corrections
+from diskbands.corrections import (
+    EXTREME_AXIS,
+    _derivative_gap,
+    _simple_amplitude,
+    lambda1_extremes,
+    lambda1_grid,
+)
 
 PARAMS = ExpansionParams(1e-3, 0.25)
 
@@ -349,6 +356,8 @@ def test_lambda1_grid_equals_scalar_bitwise(resolution):
         if corr.branch is Branch.UNDETERMINED:
             with pytest.raises(UndeterminedCorrectionError):
                 lambda1_grid(corr, axis)
+            with pytest.raises(UndeterminedCorrectionError):
+                lambda1_extremes(mode, axis)
             continue
         grid = lambda1_grid(corr, axis)
         assert len(grid) == resolution * resolution
@@ -431,7 +440,7 @@ def _bits(extremes):
         [floquet_axis(r) for r in range(3, 67)],
         [floquet_axis(r) for r in range(67, 131)],
         [floquet_axis(r) for r in range(255, 258)],
-        [bands._EXTREME_AXIS],
+        [EXTREME_AXIS],
     ],
     ids=["grids-3-66", "grids-67-130", "grids-255-257", "candidate-axis"],
 )
@@ -442,7 +451,7 @@ def test_extremes_equal_first_occurrence_scan(axes):
         for mode in BRANCHES:
             corr = correction_for(mode)
             want = _first_extremes(lambda1_grid(corr, axis), axis)
-            got = bands._extremes_over(corr, axis)
+            got = lambda1_extremes(mode, axis)
             assert _bits(got) == _bits(want), (mode.label(), len(axis))
 
 
@@ -490,7 +499,7 @@ def test_extremes_equal_argmin_on_large_grids(resolution):
             float(values[lo]), FloquetPoint(axis[lo // size], axis[lo % size]),
             float(values[hi]), FloquetPoint(axis[hi // size], axis[hi % size]),
         )
-        got = bands._extremes_over(correction_for(mode), axis)
+        got = lambda1_extremes(mode, axis)
         assert _bits(got) == _bits(want), mode.label()
 
 
@@ -518,4 +527,15 @@ def test_extremes_equal_argmin_on_large_grids(resolution):
 def test_extremes_equal_first_occurrence_scan_on_drawn_axes(mode, axis):
     corr = correction_for(mode)
     want = _first_extremes(lambda1_grid(corr, axis), axis)
-    assert _bits(bands._extremes_over(corr, axis)) == _bits(want)
+    assert _bits(lambda1_extremes(mode, axis)) == _bits(want)
+
+
+def test_bands_binds_no_private_name_of_corrections():
+    # the form of Lambda1 (its table, extreme scan and closed-form range)
+    # lives in corrections; bands reaches it through public names only
+    private = [
+        value for name, value in vars(corrections).items()
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    for name, value in vars(bands).items():
+        assert not any(value is p for p in private), name

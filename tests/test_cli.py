@@ -203,6 +203,26 @@ def test_help_lists_each_setting_flag_once(capsys, argv):
         assert listed.count(flag) == 1, flag
 
 
+@pytest.mark.parametrize("command", ["zeros", "spectrum", "bands", "gaps", "diagram", "verify"])
+def test_help_shows_each_flag_default(capsys, command):
+    # every "(default X)" that --help prints is the value a run without the
+    # flag uses
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    args = cli._build_parser().parse_args([command])
+    cli._resolve_config(args)
+    # one entry per option line: the flag, its metavar and its help
+    entry = re.compile(r"--([a-z-]+) [A-Z_]+ .*\(default ([^)]*)\)")
+    shown = dict(m.groups() for m in map(entry.fullmatch, re.split(r" (?=--[a-z])", text)) if m)
+    for flag in ("epsilon", "m", "grid", "error-constant", "count", "n-max", "k-max"):
+        dest = flag.replace("-", "_")
+        if dest in args:
+            assert float(shown.pop(flag)) == getattr(args, dest), flag
+    # a setting whose default is None states it in words
+    assert shown == {"out": "stdout"}
+
+
 def test_config_format_and_out_keys(tmp_path, capsys):
     out = tmp_path / "table.json"
     cfg = tmp_path / "run.cfg"

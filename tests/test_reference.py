@@ -122,12 +122,12 @@ def test_paired_miller_equals_one_step_loop_bitwise():
     pairs = [(rng.randrange(60), rng.uniform(4.0, 1000.0)) for _ in range(11000)]
     rescales = [0]
     for n, x in pairs:
-        assert _core._miller(n, x) == _reference_miller(n, x, rescales), (n, x)
+        assert _core._miller(n, x)[0] == _reference_miller(n, x, rescales), (n, x)
     assert rescales[0] == 0
     # high orders at small x grow past 1e250 on the way down to J_0
     for n in range(0, 301, 6):
         for x in (4.0, 4.5, 7.25, 20.0, 64.0, 150.5):
-            assert _core._miller(n, x) == _reference_miller(n, x, rescales), (n, x)
+            assert _core._miller(n, x)[0] == _reference_miller(n, x, rescales), (n, x)
     assert rescales[0] > 100
 
 
