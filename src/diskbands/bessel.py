@@ -28,9 +28,17 @@ located, replayed and polished.
 The scan walks each order once.  `_WALKS[n]` keeps where the walk of J_n
 stands and the sign-change brackets it has passed, so j_{n,k} costs only the
 steps past the last bracket found, and the zeros of one order cost O(k)
-kernel calls in all, in any request order.  The walk takes the steps a
-fresh scan from the origin side would take, so every bracket, and every
-zero polished from it, is bitwise the same.
+kernel calls in all, in any request order.  After each bracket [x_s,
+x_{s+1}] the walk steps over x_{s+2} and x_{s+3} without calling the kernel
+(they still count against _MAX_SCAN).  Both keep the sign of J_n(x_{s+1}):
+sqrt(x) J_n(x) solves u'' + (1 - (n^2 - 1/4)/x^2) u = 0, so by Sturm
+comparison the zeros beyond the first lie at least
+pi / sqrt(1 + 1/(4 j_{0,1}^2)) ~ 3.076 apart for every n >= 0, and both
+points lie at least 0.72 from any zero.  When the next bracket starts at
+x_{s+3}, the kernel is called there once the sign change is seen.  So the
+walk takes the grid points a fresh scan from the origin side would take
+and evaluates every bracket end at the same point, and every bracket, and
+every zero polished from it, is bitwise the same.
 """
 
 from __future__ import annotations
@@ -99,12 +107,13 @@ def bessel_zero(n: int, k: int) -> BesselZero:
     return BesselZero(n, k, _zero_value(n, k))
 
 
-# n -> (x, J_n(x), steps taken, brackets (a, J_n(a), b, J_n(b)) passed) of
-# the pi/4 walk of order n.  Each step stores one new tuple, so an exception
-# in mid-walk leaves the last stored state, never a half-updated one; and
-# threads walking one order at once store states of the same walk, so the
-# worst a race costs is steps taken twice.
-_WALKS: dict[int, tuple[float, float, int, tuple]] = {}
+# n -> (x, J_n(x) or None at a skipped point, steps taken, brackets
+# (a, J_n(a), b, J_n(b)) passed) of the pi/4 walk of order n.  Each step
+# stores one new tuple, so an exception in mid-walk leaves the last stored
+# state, never a half-updated one; and threads walking one order at once
+# store states of the same walk, so the worst a race costs is steps taken
+# twice.
+_WALKS: dict[int, tuple[float, float | None, int, tuple]] = {}
 
 
 def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
@@ -113,21 +122,27 @@ def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
     walk = _WALKS.get(n)
     if walk is None:
         # J_n > 0 between the origin-side start and j_{n,1} (> n), so the walk
-        # meets each zero through exactly one sign change (zero spacing > pi).
+        # meets each zero through exactly one sign change (zeros > 3 apart).
         x = n + 1e-9 if n > 0 else 1e-9
         walk = _WALKS[n] = (x, bessel_j_kernel(n, x), 0, ())
     x, fx, steps, brackets = walk
     while len(brackets) < k:
-        if steps == _MAX_SCAN:
+        if steps >= _MAX_SCAN:
             raise ZeroFindingError("scan exhausted before zero (n=%d, k=%d)" % (n, k))
         xn = x + _SCAN_STEP
         fxn = bessel_j_kernel(n, xn)
         while fxn == 0.0:  # exact grid hit: nudge to restore a sign bracket
             xn += 1e-9
             fxn = bessel_j_kernel(n, xn)
-        if (fx > 0.0) != (fxn > 0.0):
+        # a skipped point (fx None) has the sign of the last bracket's right end
+        if ((brackets[-1][3] if fx is None else fx) > 0.0) != (fxn > 0.0):
+            if fx is None:
+                fx = bessel_j_kernel(n, x)
             brackets += ((x, fx, xn, fxn),)
-        x, fx, steps = xn, fxn, steps + 1
+            # the next two points lie at least 0.72 from any zero: skip them
+            x, fx, steps = xn + _SCAN_STEP + _SCAN_STEP, None, steps + 3
+        else:
+            x, fx, steps = xn, fxn, steps + 1
         _WALKS[n] = (x, fx, steps, brackets)
     return brackets[k - 1]
 

@@ -61,7 +61,7 @@ MAX_GRID = 2049
 
 # largest --count, --n-max and --k-max accepted, each chosen so that its
 # command at that cap, with the other flags at their defaults, runs in a
-# few seconds (spectrum --count 5000 in about 2 s on a 2-vCPU Xeon)
+# few seconds (spectrum --count 5000 in about 0.6 s on a 2-vCPU Xeon)
 MAX_COUNT = 5000
 MAX_N = 200
 MAX_K = 200

@@ -132,26 +132,31 @@ def test_no_common_zeros_between_orders():
             assert abs(bessel_j(n + 1, z)) > 1e-8
 
 
-def _fresh_scan_zero(n: int, k: int) -> float:
-    # the zero finder as it was before the per-order walk: a pi/4 scan from
-    # the origin side for every k, then the same bisection and Newton steps
+def _full_scan_brackets(n: int, k: int, kernel=bessel_j_kernel) -> list:
+    # the first k sign-change brackets (a, J_n(a), b, J_n(b)) of a pi/4 scan
+    # from the origin side that evaluates every grid point
     x = n + 1e-9 if n > 0 else 1e-9
-    fx = bessel_j_kernel(n, x)
-    found = 0
+    fx = kernel(n, x)
+    brackets = []
     for _ in range(100000):
         xn = x + math.pi / 4
-        fxn = bessel_j_kernel(n, xn)
+        fxn = kernel(n, xn)
         while fxn == 0.0:
             xn += 1e-9
-            fxn = bessel_j_kernel(n, xn)
+            fxn = kernel(n, xn)
         if (fx > 0.0) != (fxn > 0.0):
-            found += 1
-            if found == k:
-                a, fa, b, fb = x, fx, xn, fxn
-                break
+            brackets.append((x, fx, xn, fxn))
+            if len(brackets) == k:
+                return brackets
         x, fx = xn, fxn
-    else:
-        raise AssertionError("reference scan exhausted")
+    raise AssertionError("reference scan exhausted")
+
+
+def _fresh_scan_zero(n: int, k: int) -> float:
+    # the zero finder as it was before the per-order walk: a full pi/4 scan
+    # from the origin side for every k, then the same bisection and Newton
+    # steps
+    a, fa, b, fb = _full_scan_brackets(n, k)[k - 1]
     for _ in range(100):
         if b - a < 1e-3:
             break
@@ -196,16 +201,22 @@ def cold_zeros():
     bessel._WALKS.clear()
 
 
+def _hex(bracket) -> tuple:
+    return tuple(v.hex() for v in bracket)
+
+
 def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     keys = [(n, k) for n in (0, 1, 2, 7, 29) for k in range(1, 41)]
     # the corners of the `zeros` table caps: n = 200 and k up to 200
     keys += [(200, k) for k in range(1, 10)]
     keys += [(n, k) for n in (0, 9) for k in range(195, 201)]
     reference = {key: _fresh_scan_zero(*key) for key in keys}
+    scans = {n: _full_scan_brackets(n, max(k for m, k in keys if m == n)) for n, _ in keys}
     # k descending, orders interleaved: the first request walks each order
     # to its deepest k and every later one reads a bracket already passed
     for n, k in sorted(reference, key=lambda key: (-key[1], key[0])):
         assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert _hex(bessel._bracket(n, k)) == _hex(scans[n][k - 1]), (n, k)
     # scattered requests, so that walks stop and resume at every depth
     bessel._zero_value.cache_clear()
     bessel._WALKS.clear()
@@ -213,6 +224,32 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     random.Random(5).shuffle(keys)
     for n, k in keys:
         assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert _hex(bessel._bracket(n, k)) == _hex(scans[n][k - 1]), (n, k)
+
+
+def test_walk_evaluates_a_skipped_left_end_lazily(cold_zeros, monkeypatch):
+    # zeros 3.09 apart, just above the least spacing of J_n's zeros: the
+    # second point after a bracket may then be the next bracket's left end,
+    # which the walk skipped and evaluates only once the sign change is seen
+    def kernel(n, x):
+        return math.cos(math.pi * x / 3.09)
+
+    reference = _full_scan_brackets(0, 40, kernel)
+    xs = []
+
+    def logged(n, x):
+        xs.append(x)
+        return kernel(n, x)
+
+    monkeypatch.setattr(bessel, "bessel_j_kernel", logged)
+    walked = [bessel._bracket(0, k) for k in range(1, 41)]
+    assert [_hex(b) for b in walked] == [_hex(b) for b in reference]
+    # only a lazy left end is evaluated below the point evaluated before it
+    lazy = sum(b < a for a, b in zip(xs, xs[1:]))
+    assert lazy > 0
+    # the start point, every later point not skipped, and the lazy left ends
+    steps = round(walked[-1][2] / (math.pi / 4))
+    assert len(xs) == 1 + steps - 2 * 39 + lazy
 
 
 _TABLE = [(n, k) for n in range(30) for k in range(1, 21)]
@@ -223,16 +260,16 @@ def _table_reference() -> dict:
     return {key: _fresh_scan_zero(*key) for key in _TABLE}
 
 
-def _count_kernel_calls_outside_walk(monkeypatch) -> list[int]:
+def _count_kernel_calls(monkeypatch) -> list[int]:
     # counts the bessel_j_kernel calls the zero finder makes outside
     # _bracket, i.e. in the bisection replay and the Newton iterations
-    calls = [0]
+    # ([0]), and inside it, in the walk ([1])
+    calls = [0, 0]
     walking = [False]
     kernel, bracket = bessel.bessel_j_kernel, bessel._bracket
 
     def counted(n, x):
-        if not walking[0]:
-            calls[0] += 1
+        calls[walking[0]] += 1
         return kernel(n, x)
 
     def walk(n, k):
@@ -251,16 +288,19 @@ def test_replay_calls_no_kernel_outside_the_walk(cold_zeros, monkeypatch):
     # every bisection midpoint of the n <= 29, k <= 20 table lies more than
     # _REPLAY_GUARD from the located zero, and Newton runs on the pair kernel
     reference = _table_reference()
-    calls = _count_kernel_calls_outside_walk(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k).value == reference[n, k], (n, k)
     assert calls[0] == 0
+    # the walks skip the two points after each bracket: 2,674 calls when
+    # they evaluated every point
+    assert calls[1] <= 1534
 
 
 def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
     reference = _table_reference()
     monkeypatch.setattr(bessel, "_REPLAY_GUARD", math.inf)
-    calls = _count_kernel_calls_outside_walk(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k).value == reference[n, k], (n, k)
     # a pi/4 bracket halves 10 times before it is narrower than 1e-3
@@ -280,7 +320,7 @@ def test_unconverged_locate_falls_back_to_evaluated_bisection(cold_zeros, monkey
         return est, fe
 
     monkeypatch.setattr(bessel, "_newton", locate_misses)
-    calls = _count_kernel_calls_outside_walk(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k).value == reference[n, k], (n, k)
     assert missed[0] == len(_TABLE)
@@ -300,11 +340,18 @@ def _failing_kernel(fail_at: int, exc: BaseException):
 
 
 def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
-    # the walk of J_7 to k = 30 takes about 120 steps after its start point
-    # (call 1); calls 2 to 20 span its first five sign changes, call 119
-    # falls near its end
+    # the walk of J_7 to k = 30 evaluates its start point (call 1), then two
+    # or three points per sign change; calls 2 to 20 span its first six sign
+    # changes and the steps toward the seventh, and the last two calls of an
+    # uninterrupted run fall at its end
     reference = [_fresh_scan_zero(7, k) for k in range(1, 31)]
-    for fail_at in [*range(1, 21), 119]:
+    xs = []
+    monkeypatch.setattr(bessel, "bessel_j_kernel", lambda n, x: xs.append(x) or bessel_j_kernel(n, x))
+    bessel_zero(7, 30)
+    monkeypatch.undo()
+    last = len(xs)
+    assert last > 21
+    for fail_at in [*range(1, 21), last - 1, last]:
         exc = KeyboardInterrupt() if fail_at % 2 else RuntimeError("kernel fault")
         bessel._zero_value.cache_clear()
         bessel._WALKS.clear()

@@ -117,24 +117,54 @@ def _reference_miller(n, x, rescales):
     return result / s
 
 
-def test_paired_miller_equals_one_step_loop_bitwise():
+def test_paired_miller_equals_one_step_loop_bitwise(monkeypatch):
+    # _miller's check-free pass also equals the rescaling loop in both
+    # values; that loop reruns on every input where the one-step loop
+    # rescaled, and never for x >= n (the zero finder's whole range)
+    rescaling = _core._miller_rescaling
+    reruns = [0]
+
+    def counted(n, x):
+        reruns[0] += 1
+        return rescaling(n, x)
+
+    def check_pass(n, x, rescaled):
+        reruns[0] = 0
+        got = _core._miller(n, x)
+        assert [v.hex() for v in got] == [v.hex() for v in rescaling(n, x)], (n, x)
+        assert reruns[0] == 1 if rescaled else reruns[0] <= 1, (n, x)
+        assert reruns[0] == 0 or x < n, (n, x)
+        return reruns[0]
+
+    monkeypatch.setattr(_core, "_miller_rescaling", counted)
     rng = random.Random(2024)
     pairs = [(rng.randrange(60), rng.uniform(4.0, 1000.0)) for _ in range(11000)]
     rescales = [0]
     for n, x in pairs:
+        before = rescales[0]
         assert _core._miller(n, x)[0] == _reference_miller(n, x, rescales), (n, x)
+        check_pass(n, x, rescales[0] > before)
     assert rescales[0] == 0
     # high orders at small x grow past 1e250 on the way down to J_0
+    fallbacks = 0
     for n in range(0, 301, 6):
         for x in (4.0, 4.5, 7.25, 20.0, 64.0, 150.5):
+            before = rescales[0]
             assert _core._miller(n, x)[0] == _reference_miller(n, x, rescales), (n, x)
+            fallbacks += check_pass(n, x, rescales[0] > before)
     assert rescales[0] > 100
+    assert fallbacks > 0
+    # the corners of the zero finder's range: n <= 200, n <= x <= 1030
+    for n in range(0, 201, 5):
+        for x in (max(n, 4.0), n + 0.5, 2.0 * n + 4.0, 1030.0):
+            before = rescales[0]
+            assert _core._miller(n, x)[0] == _reference_miller(n, x, rescales), (n, x)
+            check_pass(n, x, rescales[0] > before)
 
 
 def test_pair_kernel_against_one_step_loop_and_next_order():
-    # the first value is the one-step loop's J_n bitwise (the kernel's value
-    # on the series and zero-argument branches, rescales included); the
-    # second is J_{n+1} from the same pass
+    # the first value is the one-step loop's J_n bitwise, rescales included;
+    # the second is J_{n+1} from the same pass
     rng = random.Random(13)
     pairs = [(rng.randrange(60), rng.uniform(4.0, 100.0)) for _ in range(3000)]
     rescales = [0]
@@ -148,11 +178,14 @@ def test_pair_kernel_against_one_step_loop_and_next_order():
             assert value == _reference_miller(n, x, rescales), (n, x)
             assert abs(above - bessel_j_kernel(n + 1, x)) <= 1e-14, (n, x)
     assert rescales[0] > 100
+    # the kernel sums the J_n series alone, to the pair's value bitwise
     for n in range(0, 61, 3):
         for x in (0.0, 1e-3, 0.5, 1.0, 2.5, 3.9999):
             value, above = _core.bessel_j_pair(n, x)
-            assert value == bessel_j_kernel(n, x), (n, x)
+            assert value.hex() == bessel_j_kernel(n, x).hex(), (n, x)
             assert abs(above - bessel_j_kernel(n + 1, x)) <= 1e-14, (n, x)
+        pair = [v.hex() for v in _core.bessel_j_pair(n, 0.0)]
+        assert pair == [(1.0 if n == 0 else 0.0).hex(), (0.0).hex()], n
 
 
 def _reference_sturm_count(d, e, x):
