@@ -46,7 +46,6 @@ _EXPORTS = {
         "branch_for",
         "c0_multiple",
         "c0_simple",
-        "correction_for",
         "correction_matrix",
         "lambda1_multiple",
         "lambda1_simple",

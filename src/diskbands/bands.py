@@ -22,7 +22,6 @@ from .corrections import (
     ExpansionParams,
     FloquetPoint,
     branch_for,
-    correction_for,
     lambda1_extremes,
     lambda1_grid,
     lambda1_range,
@@ -286,8 +285,7 @@ def brillouin_sweep(
     (axis[i], axis[j]), flattened row-major over eta1."""
     axis = [reduce_angle(a) for a in floquet_axis(resolution)]
     lam0 = limit_eigenvalue(mode).lambda0
-    corr = correction_for(mode)
-    if corr.branch is Branch.UNDETERMINED:
+    if branch_for(mode) is Branch.UNDETERMINED:
         return axis, [lam0] * (resolution * resolution)
     scale = params.first_order_scale
-    return axis, [lam0 + scale * v for v in lambda1_grid(corr, axis)]
+    return axis, [lam0 + scale * v for v in lambda1_grid(mode, axis)]

@@ -9,9 +9,13 @@ simple mode, and the pair {0, tr M} of a double mode.  For n = 0 (mod 4)
 every first-order quantity vanishes and the correction is undetermined at
 this order.
 
-All that rests on the form of Lambda1 is here too: its grid table, the
-O(grid) scan for the table's extremes, the lattice EXTREME_AXIS of exact
-extremizers, and the closed-form range max - min (`lambda1_range`).
+All that rests on the form of Lambda1 is here too, keyed by ModeIndex: its
+grid table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
+extremes (`lambda1_extremes(mode, axis)`), the lattice EXTREME_AXIS of exact
+extremizers, and the closed-form range max - min (`lambda1_range`).  The
+commands reach Lambda1 only through these.  The scalar entry points
+`lambda1_simple`, `lambda1_multiple`, `CorrectionValue.lambda1_at` and
+`lambda_expansion` are library API, kept for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -275,43 +279,42 @@ def branch_for(mode: ModeIndex) -> Branch:
     return Branch.COSINE if mode.parity is Parity.COSINE else Branch.SINE
 
 
+def _determined_branch(mode: ModeIndex) -> Branch:
+    # the mode's branch; n = 0 (mod 4) has no first-order data and raises
+    branch = branch_for(mode)
+    if branch is Branch.UNDETERMINED:
+        raise UndeterminedCorrectionError(
+            "mode %s has no first-order correction data (n = 0 mod 4)" % mode.label()
+        )
+    return branch
+
+
 @dataclass(frozen=True)
 class CorrectionValue:
     """Evaluable first-order correction Lambda1(eta) of one mode branch."""
 
     mode: ModeIndex
-    branch: Branch
+
+    @property
+    def branch(self) -> Branch:
+        return branch_for(self.mode)
 
     def lambda1_at(self, eta: FloquetPoint) -> float:
-        self._require_determined()
-        if self.branch is Branch.SIMPLE:
-            return lambda1_simple(self.mode.k, eta)
-        if self.branch is Branch.COSINE:
+        if _determined_branch(self.mode) is Branch.COSINE:
             return 0.0
-        return lambda1_multiple(self.mode.n, self.mode.k, eta).sine
-
-    def _require_determined(self) -> None:
-        if self.branch is Branch.UNDETERMINED:
-            raise UndeterminedCorrectionError(
-                "mode %s has no first-order correction data (n = 0 mod 4)"
-                % self.mode.label()
-            )
+        return _lambda1_point(self.mode.n, self.mode.k, eta)
 
 
-def lambda1_grid(corr: CorrectionValue, axis) -> list[float]:
-    """Lambda1 of one branch at every point (axis[i], axis[j]) of the tensor
-    grid, as a list flattened row-major over eta1 (index i * len(axis) + j);
-    equal, value for value, to `corr.lambda1_at` at the reduced point."""
-    corr._require_determined()
-    if corr.branch is Branch.COSINE:
+def lambda1_grid(mode: ModeIndex, axis) -> list[float]:
+    """Lambda1 of the mode's branch at every point (axis[i], axis[j]) of the
+    tensor grid, as a list flattened row-major over eta1 (index
+    i * len(axis) + j); equal, value for value, to
+    `CorrectionValue(mode).lambda1_at` at the reduced point."""
+    if _determined_branch(mode) is Branch.COSINE:
         return [0.0] * (len(axis) * len(axis))
     factors = _half_angle_factors(axis)
-    table = _lambda1_table(corr.mode.n, corr.mode.k, factors, factors)
+    table = _lambda1_table(mode.n, mode.k, factors, factors)
     return [v for row in table for v in row]
-
-
-def correction_for(mode: ModeIndex) -> CorrectionValue:
-    return CorrectionValue(mode, branch_for(mode))
 
 
 # candidate extremizer components: Lambda1 factors through cos/sin of eta_i/2,
@@ -349,9 +352,7 @@ def lambda1_extremes(
     # a subnormal slope (n = 2 mod 4 at |eta1| below about 1e-145) are
     # scanned in full; there are O(1) of them.  The first row holding the global
     # extreme and its first such column then give argmin/argmax's order.
-    corr = correction_for(mode)
-    corr._require_determined()
-    if corr.branch is Branch.COSINE:
+    if _determined_branch(mode) is Branch.COSINE:
         origin = FloquetPoint(axis[0], axis[0])
         return 0.0, origin, 0.0, origin
     size = len(axis)
@@ -412,8 +413,7 @@ def lambda_expansion(
     """Lambda0 + eps^{2m} Lambda1(eta) with pad C eps^gamma, branch selected
     by the mode's parity."""
     lam0 = limit_eigenvalue(mode).lambda0
-    corr = correction_for(mode)
-    if corr.branch is Branch.UNDETERMINED:
+    if branch_for(mode) is Branch.UNDETERMINED:
         return Expansion(lam0, params.pad, True)
-    lam1 = corr.lambda1_at(eta)
+    lam1 = CorrectionValue(mode).lambda1_at(eta)
     return Expansion(lam0 + params.first_order_scale * lam1, params.pad, False)

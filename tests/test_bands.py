@@ -12,6 +12,7 @@ from diskbands import (
     SOFT_CELL_AREA,
     BandLength,
     Branch,
+    CorrectionValue,
     ExpansionParams,
     FloquetPoint,
     InternalConsistencyError,
@@ -25,7 +26,6 @@ from diskbands import (
     bessel_j_prime,
     bessel_zero,
     brillouin_sweep,
-    correction_for,
     detect_gaps,
     floquet_axis,
     lambda1_simple,
@@ -347,19 +347,20 @@ def _reference_lambda1(mode, eta):
     return -pref * (16.0 / (n * n)) * (sa * sa * cb * cb + ca * ca * sb * sb)
 
 
-@pytest.mark.parametrize("resolution", [8, 9])
+# 5 is the axis of verify's correction-trace-vs-quadrature check
+@pytest.mark.parametrize("resolution", [5, 8, 9])
 def test_lambda1_grid_equals_scalar_bitwise(resolution):
     axis = floquet_axis(resolution)
     points = [FloquetPoint(float(a), float(b)) for a in axis for b in axis]
     for mode in _modes_up_to_seven():
-        corr = correction_for(mode)
+        corr = CorrectionValue(mode)
         if corr.branch is Branch.UNDETERMINED:
             with pytest.raises(UndeterminedCorrectionError):
-                lambda1_grid(corr, axis)
+                lambda1_grid(mode, axis)
             with pytest.raises(UndeterminedCorrectionError):
                 lambda1_extremes(mode, axis)
             continue
-        grid = lambda1_grid(corr, axis)
+        grid = lambda1_grid(mode, axis)
         assert len(grid) == resolution * resolution
         for value, eta in zip(grid, points):
             assert value == corr.lambda1_at(eta), (mode.label(), eta)
@@ -386,7 +387,7 @@ def test_band_interval_extremizers_match_strict_scan(resolution):
     cand_pts = [FloquetPoint(a, b) for a in corners for b in corners]
     params = ExpansionParams(1e-2, 0.3, 0.5)
     for mode in _modes_up_to_seven():
-        corr = correction_for(mode)
+        corr = CorrectionValue(mode)
         if corr.branch is Branch.UNDETERMINED:
             continue
         lo, lo_eta, hi, hi_eta = _reference_scan(corr, grid_pts)
@@ -449,8 +450,7 @@ def test_extremes_equal_first_occurrence_scan(axes):
     # and extremizer points alike
     for axis in axes:
         for mode in BRANCHES:
-            corr = correction_for(mode)
-            want = _first_extremes(lambda1_grid(corr, axis), axis)
+            want = _first_extremes(lambda1_grid(mode, axis), axis)
             got = lambda1_extremes(mode, axis)
             assert _bits(got) == _bits(want), (mode.label(), len(axis))
 
@@ -480,7 +480,7 @@ def test_numpy_table_equals_lambda1_grid_bitwise():
     for resolution in (129, 130):
         axis = floquet_axis(resolution)
         for mode in BRANCHES:
-            want = lambda1_grid(correction_for(mode), axis)
+            want = lambda1_grid(mode, axis)
             got = _numpy_table(mode, axis).tolist()
             assert [v.hex() for v in got] == [v.hex() for v in want], mode.label()
 
@@ -525,8 +525,7 @@ def test_extremes_equal_argmin_on_large_grids(resolution):
 @example(ModeIndex(1, 1, Parity.SINE), [0.5 * math.pi + 1e-3 * j for j in range(6)])
 @example(ModeIndex(3, 2, Parity.SINE), [-0.5 * math.pi - 1e-3 * j for j in range(6)])
 def test_extremes_equal_first_occurrence_scan_on_drawn_axes(mode, axis):
-    corr = correction_for(mode)
-    want = _first_extremes(lambda1_grid(corr, axis), axis)
+    want = _first_extremes(lambda1_grid(mode, axis), axis)
     assert _bits(lambda1_extremes(mode, axis)) == _bits(want)
 
 

@@ -9,6 +9,7 @@ import pytest
 from diskbands import (
     SOFT_CELL_AREA,
     Branch,
+    CorrectionValue,
     ExpansionParams,
     FloquetPoint,
     ModeIndex,
@@ -21,7 +22,6 @@ from diskbands import (
     c0_multiple,
     c0_quadrature,
     c0_simple,
-    correction_for,
     correction_matrix,
     floquet_axis,
     lambda1_multiple,
@@ -264,11 +264,12 @@ def test_branch_dispatch():
     assert branch_for(ModeIndex(8, 2, Parity.COSINE)) is Branch.UNDETERMINED
 
     eta = FloquetPoint(0.3, -0.4)
-    cv = correction_for(ModeIndex(1, 1, Parity.COSINE))
+    cv = CorrectionValue(ModeIndex(1, 1, Parity.COSINE))
     assert cv.lambda1_at(eta) == 0.0
-    sv = correction_for(ModeIndex(1, 1, Parity.SINE))
+    sv = CorrectionValue(ModeIndex(1, 1, Parity.SINE))
     assert sv.lambda1_at(eta) == lambda1_multiple(1, 1, eta).sine
-    uv = correction_for(ModeIndex(4, 1, Parity.COSINE))
+    uv = CorrectionValue(ModeIndex(4, 1, Parity.COSINE))
+    assert (cv.branch, sv.branch, uv.branch) == (Branch.COSINE, Branch.SINE, Branch.UNDETERMINED)
     with pytest.raises(UndeterminedCorrectionError):
         uv.lambda1_at(eta)
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from diskbands import cli, corrections
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIG = str(GOLDEN / "modes.cfg")
 
@@ -60,3 +62,38 @@ def test_output_matches_golden(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+# the module-level scalar Lambda1 entry points, with CorrectionValue.lambda1_at
+# the fourth; no command may reach Lambda1 through them
+SCALAR_LAMBDA1 = ("lambda1_simple", "lambda1_multiple", "lambda_expansion")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bands_grid129.csv",
+        "bands_count14_grid8.csv",
+        "gaps_grid128.csv",
+        "diagram_grid9.csv",
+        "diagram_modes_cfg.csv",
+        "verify.txt",
+        "verify.json",
+    ],
+)
+def test_commands_call_no_scalar_lambda1_entry_point(name, monkeypatch, capsys):
+    # each entry point raises at every diskbands.* binding of it, as the
+    # benchmark's tracer finds them, and the command still writes its golden
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command called a scalar Lambda1 entry point")
+
+    for attr in SCALAR_LAMBDA1:
+        fn = getattr(corrections, attr)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "diskbands" or mod_name.startswith("diskbands."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, refuse)
+    monkeypatch.setattr(corrections.CorrectionValue, "lambda1_at", refuse)
+    assert cli.main(CASES[name]) == cli.EXIT_OK, capsys.readouterr().err
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
