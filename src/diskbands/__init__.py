@@ -19,13 +19,11 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "bessel": ("BesselZero", "ZeroFindingError", "bessel_j", "bessel_j_prime", "bessel_zero"),
+    "bessel": ("ZeroFindingError", "bessel_j", "bessel_j_prime", "bessel_zero"),
     "spectrum": (
         "DISK_RADIUS",
-        "DiskEigenfunction",
         "ExpansionParams",
         "InternalConsistencyError",
-        "LimitEigenpair",
         "ModeIndex",
         "OracleConvergenceError",
         "Parity",

@@ -79,7 +79,7 @@ def band_interval(
         raise ValueError(
             "grid_resolution must be >= 3, got %r" % (grid_resolution,)
         )
-    lam0 = limit_eigenvalue(mode).lambda0
+    lam0 = limit_eigenvalue(mode)
     pad = params.pad
     if branch_for(mode) is Branch.UNDETERMINED:
         origin = FloquetPoint(0.0, 0.0)
@@ -209,8 +209,7 @@ def band_table(
     length is checked against `band_length`.  Per-mode error constants
     override params.error_constant."""
     table: list[BandInterval] = []
-    for pair in enumerate_spectrum(count):
-        m = pair.mode
+    for m in enumerate_spectrum(count):
         mode_params = params
         if error_constants is not None and (m.n, m.k) in error_constants:
             mode_params = replace(params, error_constant=error_constants[(m.n, m.k)])
@@ -284,7 +283,7 @@ def brillouin_sweep(
     reduced into [-pi, pi) (so its closing pi reads -pi), and the values at
     (axis[i], axis[j]), flattened row-major over eta1."""
     axis = [reduce_angle(a) for a in floquet_axis(resolution)]
-    lam0 = limit_eigenvalue(mode).lambda0
+    lam0 = limit_eigenvalue(mode)
     if branch_for(mode) is Branch.UNDETERMINED:
         return axis, [lam0] * (resolution * resolution)
     scale = params.first_order_scale

@@ -2,9 +2,10 @@
 
 Self-contained integer-order evaluation (power series for small argument,
 Miller backward recurrence otherwise) with absolute accuracy near machine
-precision for x <= 100, and a guaranteed-index zero finder: the k-th positive
-zero j_{n,k} is bracketed by counting sign changes on a pi/4 scan, then
-located, replayed and polished.
+precision for x <= 100, and a guaranteed-index zero finder:
+`bessel_zero(n, k)` returns the k-th positive zero j_{n,k} as a float.  The
+zero is bracketed by counting sign changes on a pi/4 scan, then located,
+replayed and polished.
 
 - Locate: a safeguarded Newton iteration from the bracket's secant point
   gives an estimate with |J_n| <= 1e-12.  Each step takes J_n and J_{n+1}
@@ -44,7 +45,6 @@ every zero polished from it, is bitwise the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._core import bessel_j_kernel, bessel_j_pair
@@ -61,15 +61,6 @@ _REPLAY_GUARD = 1e-7
 
 class ZeroFindingError(RuntimeError):
     """Raised when a zero search fails to meet the residual tolerance."""
-
-
-@dataclass(frozen=True)
-class BesselZero:
-    """The k-th positive root j_{n,k} of J_n."""
-
-    n: int
-    k: int
-    value: float
 
 
 def _check_order(n) -> int:
@@ -99,12 +90,12 @@ def bessel_j_prime(n: int, x: float) -> float:
     return 0.5 * (bessel_j_kernel(n - 1, x) - bessel_j_kernel(n + 1, x))
 
 
-def bessel_zero(n: int, k: int) -> BesselZero:
-    """The k-th positive zero of J_n, with |J_n(value)| <= 1e-12."""
+def bessel_zero(n: int, k: int) -> float:
+    """j_{n,k}, the k-th positive zero of J_n, with |J_n(j_{n,k})| <= 1e-12."""
     n = _check_order(n)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("zero index k must be a positive integer, got %r" % (k,))
-    return BesselZero(n, k, _zero_value(n, k))
+    return _zero_value(n, k)
 
 
 # n -> (x, J_n(x) or None at a skipped point, steps taken, brackets

@@ -38,6 +38,7 @@ from .spectrum import (
     OracleConvergenceError,
     QuadratureConvergenceError,
     enumerate_spectrum,
+    limit_eigenvalue,
 )
 
 # the Floquet modules load inside the commands that use them, so zeros and
@@ -435,7 +436,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     _check_range("--k-max", args.k_max, 1, MAX_K)
     _check_range("(n-max + 1) * k-max", (args.n_max + 1) * args.k_max, 1, MAX_ZEROS)
     rows = [
-        {"n": n, "k": k, "j": _jnum(bessel_zero(n, k).value)}
+        {"n": n, "k": k, "j": _jnum(bessel_zero(n, k))}
         for n in range(args.n_max + 1)
         for k in range(1, args.k_max + 1)
     ]
@@ -445,8 +446,8 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     rows = [
-        {**_mode_fields(p.mode), "lambda0": _jnum(p.lambda0)}
-        for p in enumerate_spectrum(args.count)
+        {**_mode_fields(m), "lambda0": _jnum(limit_eigenvalue(m))}
+        for m in enumerate_spectrum(args.count)
     ]
     _write_table(args, rows)
     return EXIT_OK

@@ -26,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bessel import bessel_j, bessel_zero
+from .bessel import bessel_j_prime, bessel_zero
 from ._quad import quarter_arc_rules
 # ExpansionParams and QuadratureConvergenceError live in the spectrum module
 # and are re-exported here
@@ -96,16 +96,16 @@ def quadrant_phase(q: Quadrant, eta: FloquetPoint) -> complex:
 
 @functools.lru_cache(maxsize=None)
 def _derivative_gap(n: int, k: int) -> tuple[float, float]:
-    # (j_{n,k}, J_{n-1}(j) - J_{n+1}(j)); the bracket equals 2 J_n'(j)
-    z = bessel_zero(n, k).value
-    return z, bessel_j(n - 1, z) - bessel_j(n + 1, z)
+    # (j_{n,k}, 2 J_n'(j_{n,k})), which is J_{n-1}(j) - J_{n+1}(j)
+    z = bessel_zero(n, k)
+    return z, 2.0 * bessel_j_prime(n, z)
 
 
 @functools.lru_cache(maxsize=None)
 def _simple_amplitude(k: int) -> tuple[float, float]:
-    # (j_{0,k}, J_1(j_{0,k})) of the simple mode (0, k)
-    z = bessel_zero(0, k).value
-    return z, bessel_j(1, z)
+    # (j_{0,k}, J_1(j_{0,k}) = -J_0'(j_{0,k})) of the simple mode (0, k)
+    z = bessel_zero(0, k)
+    return z, -bessel_j_prime(0, z)
 
 
 def c0_simple(k: int, eta: FloquetPoint) -> float:
@@ -412,7 +412,7 @@ def lambda_expansion(
 ) -> Expansion:
     """Lambda0 + eps^{2m} Lambda1(eta) with pad C eps^gamma, branch selected
     by the mode's parity."""
-    lam0 = limit_eigenvalue(mode).lambda0
+    lam0 = limit_eigenvalue(mode)
     if branch_for(mode) is Branch.UNDETERMINED:
         return Expansion(lam0, params.pad, True)
     lam1 = CorrectionValue(mode).lambda1_at(eta)

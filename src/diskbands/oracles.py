@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from ._core import tridiag_smallest_eigenvalues
 from ._quad import quarter_arc_rules
-from .bessel import bessel_j_prime
+from .bessel import bessel_j_prime, bessel_zero
 from .corrections import FloquetPoint
 # OracleConvergenceError lives in the spectrum module and is re-exported here
 from .spectrum import ModeIndex, OracleConvergenceError, Parity, limit_eigenvalue
@@ -120,7 +120,7 @@ def error_ratios(n: int, coarse: list[float], fine: list[float]) -> list[float]:
     ratios = []
     parity = Parity.SIMPLE if n == 0 else Parity.COSINE
     for k, (cv, fv) in enumerate(zip(coarse, fine), start=1):
-        exact = limit_eigenvalue(ModeIndex(n, k, parity)).lambda0
+        exact = limit_eigenvalue(ModeIndex(n, k, parity))
         ratios.append(abs(cv - exact) / abs(fv - exact))
     return ratios
 
@@ -168,10 +168,9 @@ def _boundary_integral(
 @lru_cache(maxsize=None)
 def _prefactor(n: int, k: int) -> float:
     # -(d/dr J_n(2 z r) at r = 1/2) / (Lambda0 (1 - pi/4)), eta-independent
-    pair = limit_eigenvalue(ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.COSINE))
-    z = pair.zero.value
+    z = bessel_zero(n, k)
     dnu = 2.0 * z * bessel_j_prime(n, z)
-    return -dnu / (pair.lambda0 * _SOFT_AREA)
+    return -dnu / (4.0 * z * z * _SOFT_AREA)
 
 
 def c0_quadrature(

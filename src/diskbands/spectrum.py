@@ -1,12 +1,14 @@
 """Dirichlet Laplacian on the disk of radius 1/2: the leading-order spectrum.
 
-Eigenvalues are 4 j_{n,k}^2 with eigenfunctions J_n(2 j_{n,k} r) times an
-angular factor; n = 0 gives simple eigenvalues, n >= 1 double ones carrying a
-cosine and a sine branch.  `enumerate_spectrum` lists them ascending with the
-cosine branch preceding the sine branch of each double eigenvalue: it merges
-the increasing zero sequences j_{n,1} < j_{n,2} < ... of the orders n through
-a heap, and finds j_{n,k+1} only once j_{n,k} is listed, and j_{n+1,1} only
-once j_{n,1} is.
+A mode is a ModeIndex (n, k, parity).  Its eigenvalue is the float
+`limit_eigenvalue(mode)` = 4 j_{n,k}^2, and `eigenfunction_eval` evaluates its
+eigenfunction J_n(2 j_{n,k} r) times the angular combination the caller's
+coefficients give.  n = 0 gives simple eigenvalues, n >= 1 double ones
+carrying a cosine and a sine branch.  `enumerate_spectrum` lists the modes
+ascending by eigenvalue with the cosine branch preceding the sine branch of
+each double eigenvalue: it merges the increasing zero sequences j_{n,1} <
+j_{n,2} < ... of the orders n through a heap, and finds j_{n,k+1} only once
+j_{n,k} is listed, and j_{n+1,1} only once j_{n,1} is.
 
 The module also holds the expansion parameters and the error types that the
 command line maps to exit codes; they need none of the Floquet modules, so
@@ -20,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .bessel import BesselZero, bessel_j, bessel_zero
+from .bessel import bessel_j, bessel_zero
 
 DISK_RADIUS = 0.5
 
@@ -107,64 +109,45 @@ class ModeIndex:
         return "%d,%d,%s" % (self.n, self.k, self.parity.value)
 
 
-@dataclass(frozen=True)
-class LimitEigenpair:
-    mode: ModeIndex
-    lambda0: float
-    zero: BesselZero
-    multiplicity: int
+def limit_eigenvalue(mode: ModeIndex) -> float:
+    """Lambda0 = 4 j_{n,k}^2, shared by both branches of a double mode."""
+    z = bessel_zero(mode.n, mode.k)
+    return 4.0 * z * z
 
 
-@dataclass(frozen=True)
-class DiskEigenfunction:
-    """J_n(2 j_{n,k} r) (C_c cos n theta + C_s sin n theta); coefficients are
-    caller-supplied, no normalization is imposed."""
-
-    mode: ModeIndex
-    coeff_c: complex
-    coeff_s: complex = 0j
-
-    def __post_init__(self):
-        if self.mode.parity is Parity.SIMPLE and self.coeff_s != 0:
-            raise ValueError("simple modes carry no sine coefficient")
-
-
-def limit_eigenvalue(mode: ModeIndex) -> LimitEigenpair:
-    """Lambda0 = 4 j_{n,k}^2 with its Bessel zero attached."""
-    zero = bessel_zero(mode.n, mode.k)
-    lam0 = 4.0 * zero.value * zero.value
-    return LimitEigenpair(mode, lam0, zero, 1 if mode.n == 0 else 2)
-
-
-def eigenfunction_eval(f: DiskEigenfunction, r: float, theta: float) -> complex:
-    """Value of the eigenfunction at polar point (r, theta), 0 <= r <= 1/2."""
+def eigenfunction_eval(
+    mode: ModeIndex, r: float, theta: float, coeff_c: complex = 1.0, coeff_s: complex = 0j
+) -> complex:
+    """J_n(2 j_{n,k} r) (C_c cos n theta + C_s sin n theta) at the polar point
+    (r, theta), 0 <= r <= 1/2; the coefficients are the caller's, and no
+    normalization is imposed."""
+    if mode.parity is Parity.SIMPLE and coeff_s != 0:
+        raise ValueError("simple modes carry no sine coefficient")
     r = float(r)
     if not (0.0 <= r <= DISK_RADIUS):
         raise ValueError("r must lie in [0, 1/2], got %r" % (r,))
-    n = f.mode.n
-    radial = bessel_j(n, 2.0 * bessel_zero(n, f.mode.k).value * r)
-    if f.mode.parity is Parity.SIMPLE:
-        return radial * f.coeff_c
-    return radial * (
-        f.coeff_c * math.cos(n * theta) + f.coeff_s * math.sin(n * theta)
-    )
+    n = mode.n
+    radial = bessel_j(n, 2.0 * bessel_zero(n, mode.k) * r)
+    if mode.parity is Parity.SIMPLE:
+        return radial * coeff_c
+    return radial * (coeff_c * math.cos(n * theta) + coeff_s * math.sin(n * theta))
 
 
-def enumerate_spectrum(count: int) -> list[LimitEigenpair]:
-    """The first `count` eigenpairs ascending by eigenvalue, double ones
+def enumerate_spectrum(count: int) -> list[ModeIndex]:
+    """The modes of the first `count` eigenvalues ascending, double ones
     expanded into adjacent (cosine, sine) entries."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError("count must be a positive integer, got %r" % (count,))
     # merge the ascending zero sequences of the orders n = 0, 1, ...; since
     # j_{n,1} < j_{n+1,1}, order n + 1 need not enter the heap before j_{n,1}
     # leaves it
-    heap = [(bessel_zero(0, 1).value, 0, 1)]
-    out: list[LimitEigenpair] = []
+    heap = [(bessel_zero(0, 1), 0, 1)]
+    out: list[ModeIndex] = []
     while len(out) < count:
         _, n, k = heapq.heappop(heap)
         parities = (Parity.SIMPLE,) if n == 0 else (Parity.COSINE, Parity.SINE)
-        out += [limit_eigenvalue(ModeIndex(n, k, p)) for p in parities]
-        heapq.heappush(heap, (bessel_zero(n, k + 1).value, n, k + 1))
+        out += [ModeIndex(n, k, p) for p in parities]
+        heapq.heappush(heap, (bessel_zero(n, k + 1), n, k + 1))
         if k == 1:
-            heapq.heappush(heap, (bessel_zero(n + 1, 1).value, n + 1, 1))
+            heapq.heappush(heap, (bessel_zero(n + 1, 1), n + 1, 1))
     return out[:count]

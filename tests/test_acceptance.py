@@ -90,7 +90,7 @@ def test_criterion_1_bessel_zeros():
     zeros = {}
     for n in range(0, 13):
         for k in range(1, 9):
-            z = bessel_zero(n, k).value
+            z = bessel_zero(n, k)
             zeros[(n, k)] = z
             resid = abs(bessel_j(n, z))
             worst = max(worst, resid)
@@ -125,7 +125,7 @@ def test_criterion_2_spectrum_order():
         (1, 2, "s"),
     ]
     got = [
-        (p.mode.n, p.mode.k, p.mode.parity.value) for p in enumerate_spectrum(10)
+        (m.n, m.k, m.parity.value) for m in enumerate_spectrum(10)
     ]
     violations = [] if got == expected else ["order mismatch: %r" % (got,)]
     elapsed = time.perf_counter() - start
@@ -140,7 +140,7 @@ def test_criterion_3_disk_oracle():
     for n in (0, 1, 2):
         numeric = disk_dirichlet_eigenvalues(n, 2, mesh)
         for k, value in enumerate(numeric, start=1):
-            exact = 4.0 * bessel_zero(n, k).value ** 2
+            exact = 4.0 * bessel_zero(n, k) ** 2
             rel = abs(value - exact) / exact
             worst_rel = max(worst_rel, rel)
             if rel > 1e-3:
@@ -196,7 +196,7 @@ def test_criterion_4_correction_closed_forms():
 
 def _trace_case_formula(n, k, eta):
     # test-local restatement of the trace case split
-    z = bessel_zero(n, k).value
+    z = bessel_zero(n, k)
     gap = bessel_j(n - 1, z) - bessel_j(n + 1, z)
     pref = gap / (z * SOFT_CELL_AREA)
     a, b = 0.5 * eta.eta1, 0.5 * eta.eta2
@@ -252,7 +252,7 @@ def test_criterion_6_band_lengths():
     worst = 0.0
     pairs = []
     for entry in enumerate_spectrum(10):
-        nk = (entry.mode.n, entry.mode.k)
+        nk = (entry.n, entry.k)
         if nk not in pairs:
             pairs.append(nk)
     for eps in (1e-2, 1e-3):

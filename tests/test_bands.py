@@ -68,7 +68,7 @@ def test_floquet_axis_shape():
 
 def test_simple_band_extrema():
     band = band_interval(_mode(0, 1, Parity.SIMPLE), PARAMS)
-    lam0 = limit_eigenvalue(_mode(0, 1, Parity.SIMPLE)).lambda0
+    lam0 = limit_eigenvalue(_mode(0, 1, Parity.SIMPLE))
     assert band.lower == pytest.approx(lam0, rel=1e-14)
     assert band.upper > band.lower
     assert band.extrema_eta[1] == FloquetPoint(0.0, 0.0)
@@ -82,7 +82,7 @@ def test_simple_band_extrema():
 
 def test_cosine_band_is_flat():
     band = band_interval(_mode(1, 1, Parity.COSINE), PARAMS)
-    lam0 = limit_eigenvalue(_mode(1, 1, Parity.COSINE)).lambda0
+    lam0 = limit_eigenvalue(_mode(1, 1, Parity.COSINE))
     assert band.lower == band.upper == lam0
     assert band.width == 0.0
     padded = band_interval(
@@ -94,7 +94,7 @@ def test_cosine_band_is_flat():
 def test_undetermined_band_is_pad_only():
     params = ExpansionParams(1e-3, 0.25, 1.5)
     band = band_interval(_mode(4, 1, Parity.COSINE), params)
-    lam0 = limit_eigenvalue(_mode(4, 1, Parity.COSINE)).lambda0
+    lam0 = limit_eigenvalue(_mode(4, 1, Parity.COSINE))
     assert band.undetermined
     assert band.lower == pytest.approx(lam0 - params.pad)
     assert band.upper == pytest.approx(lam0 + params.pad)
@@ -102,7 +102,7 @@ def test_undetermined_band_is_pad_only():
 
 def test_band_length_closed_forms():
     simple = band_length(_mode(0, 1, Parity.SIMPLE), PARAMS)
-    z = bessel_zero(0, 1).value
+    z = bessel_zero(0, 1)
     expected = 2.0 * math.pi / SOFT_CELL_AREA * bessel_j(1, z) ** 2
     assert simple.leading == pytest.approx(expected * PARAMS.first_order_scale, rel=1e-12)
 
@@ -111,13 +111,13 @@ def test_band_length_closed_forms():
     assert "undetermined" in und.order_note
 
     sine = band_length(_mode(2, 1, Parity.SINE), PARAMS)
-    z2 = bessel_zero(2, 1).value
+    z2 = bessel_zero(2, 1)
     gap = bessel_j(1, z2) - bessel_j(3, z2)
     coef = abs(64.0 / (z2 * 4.0 * SOFT_CELL_AREA) * gap)
     assert sine.leading == pytest.approx(coef * PARAMS.first_order_scale, rel=1e-12)
 
     odd = band_length(_mode(3, 1, Parity.SINE), PARAMS)
-    z3 = bessel_zero(3, 1).value
+    z3 = bessel_zero(3, 1)
     coef3 = abs(16.0 / (z3 * 9.0 * SOFT_CELL_AREA) * 2.0 * bessel_j_prime(3, z3))
     assert odd.leading == pytest.approx(coef3 * PARAMS.first_order_scale, rel=1e-12)
 
@@ -332,13 +332,13 @@ def _modes_up_to_seven():
 def _reference_lambda1(mode, eta):
     # the point-by-point formulas, Bessel constants recomputed at each call
     if mode.n == 0:
-        z = bessel_zero(0, mode.k).value
+        z = bessel_zero(0, mode.k)
         amp = bessel_j(1, z) * math.cos(0.5 * eta.eta1) * math.cos(0.5 * eta.eta2)
         return (2.0 * math.pi / SOFT_CELL_AREA) * amp * amp
     if mode.parity is Parity.COSINE:
         return 0.0
     n = mode.n
-    z = bessel_zero(n, mode.k).value
+    z = bessel_zero(n, mode.k)
     pref = (bessel_j(n - 1, z) - bessel_j(n + 1, z)) / (z * SOFT_CELL_AREA)
     sa, ca = math.sin(0.5 * eta.eta1), math.cos(0.5 * eta.eta1)
     sb, cb = math.sin(0.5 * eta.eta2), math.cos(0.5 * eta.eta2)
@@ -399,7 +399,7 @@ def test_band_interval_extremizers_match_strict_scan(resolution):
         band = band_interval(mode, params, resolution)
         assert band.extrema_eta == (lo_eta, hi_eta), mode.label()
         scale = params.first_order_scale
-        lam0 = limit_eigenvalue(mode).lambda0
+        lam0 = limit_eigenvalue(mode)
         assert band.lower == lam0 + scale * lo - params.pad
         assert band.upper == lam0 + scale * hi + params.pad
 

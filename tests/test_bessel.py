@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from diskbands import BesselZero, ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
+from diskbands import ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
 from diskbands import bessel
 from diskbands._core import bessel_j_kernel
 
@@ -89,27 +89,29 @@ def test_derivative_against_finite_difference():
 
 
 def test_pinned_first_zeros():
-    assert bessel_zero(0, 1).value == pytest.approx(2.404825557695773, abs=1e-12)
-    assert bessel_zero(1, 1).value == pytest.approx(3.831705970207512, abs=1e-12)
+    assert bessel_zero(0, 1) == pytest.approx(2.404825557695773, abs=1e-12)
+    assert bessel_zero(1, 1) == pytest.approx(3.831705970207512, abs=1e-12)
 
 
 def test_zeros_against_bisection():
     j01 = _bisect(lambda x: _reference_j(0, x), 2.0, 3.0)
     j11 = _bisect(lambda x: _reference_j(1, x), 3.0, 4.5)
-    assert abs(bessel_zero(0, 1).value - j01) < 1e-10
-    assert abs(bessel_zero(1, 1).value - j11) < 1e-10
+    assert abs(bessel_zero(0, 1) - j01) < 1e-10
+    assert abs(bessel_zero(1, 1) - j11) < 1e-10
 
 
 def test_zero_record_fields():
+    # the zero is a plain float, and the k = 3 zero lies between its
+    # neighbours
     z = bessel_zero(2, 3)
-    assert isinstance(z, BesselZero)
-    assert (z.n, z.k) == (2, 3)
-    assert bessel_j(2, z.value) == pytest.approx(0.0, abs=1e-12)
+    assert type(z) is float
+    assert bessel_zero(2, 2) < z < bessel_zero(2, 4)
+    assert bessel_j(2, z) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zeros_increase_in_k():
     for n in (0, 4, 11):
-        values = [bessel_zero(n, k).value for k in range(1, 7)]
+        values = [bessel_zero(n, k) for k in range(1, 7)]
         assert all(a < b for a, b in zip(values, values[1:]))
         # spacing of consecutive zeros tends to pi; it never drops far below
         assert all(b - a > 2.9 for a, b in zip(values, values[1:]))
@@ -119,16 +121,16 @@ def test_interlacing_with_next_order():
     # j_{n,k} < j_{n+1,k} < j_{n,k+1}
     for n in range(0, 12):
         for k in range(1, 6):
-            a = bessel_zero(n, k).value
-            b = bessel_zero(n + 1, k).value
-            c = bessel_zero(n, k + 1).value
+            a = bessel_zero(n, k)
+            b = bessel_zero(n + 1, k)
+            c = bessel_zero(n, k + 1)
             assert a < b < c
 
 
 def test_no_common_zeros_between_orders():
     for n in range(0, 6):
         for k in range(1, 5):
-            z = bessel_zero(n, k).value
+            z = bessel_zero(n, k)
             assert abs(bessel_j(n + 1, z)) > 1e-8
 
 
@@ -215,7 +217,7 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     # k descending, orders interleaved: the first request walks each order
     # to its deepest k and every later one reads a bracket already passed
     for n, k in sorted(reference, key=lambda key: (-key[1], key[0])):
-        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert bessel_zero(n, k) == reference[n, k], (n, k)
         assert _hex(bessel._bracket(n, k)) == _hex(scans[n][k - 1]), (n, k)
     # scattered requests, so that walks stop and resume at every depth
     bessel._zero_value.cache_clear()
@@ -223,7 +225,7 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     keys = sorted(reference)
     random.Random(5).shuffle(keys)
     for n, k in keys:
-        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert bessel_zero(n, k) == reference[n, k], (n, k)
         assert _hex(bessel._bracket(n, k)) == _hex(scans[n][k - 1]), (n, k)
 
 
@@ -290,7 +292,7 @@ def test_replay_calls_no_kernel_outside_the_walk(cold_zeros, monkeypatch):
     reference = _table_reference()
     calls = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
-        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert bessel_zero(n, k) == reference[n, k], (n, k)
     assert calls[0] == 0
     # the walks skip the two points after each bracket: 2,674 calls when
     # they evaluated every point
@@ -302,7 +304,7 @@ def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
     monkeypatch.setattr(bessel, "_REPLAY_GUARD", math.inf)
     calls = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
-        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert bessel_zero(n, k) == reference[n, k], (n, k)
     # a pi/4 bracket halves 10 times before it is narrower than 1e-3
     assert calls[0] == 10 * len(_TABLE)
 
@@ -322,7 +324,7 @@ def test_unconverged_locate_falls_back_to_evaluated_bisection(cold_zeros, monkey
     monkeypatch.setattr(bessel, "_newton", locate_misses)
     calls = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
-        assert bessel_zero(n, k).value == reference[n, k], (n, k)
+        assert bessel_zero(n, k) == reference[n, k], (n, k)
     assert missed[0] == len(_TABLE)
     assert calls[0] == 10 * len(_TABLE)
 
@@ -361,8 +363,8 @@ def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
         monkeypatch.undo()
         # low k first: these read brackets the interrupted walk had passed
         for k in (1, 5, 30, 12, 29):
-            assert bessel_zero(7, k).value == reference[k - 1], (fail_at, k)
-        assert [bessel_zero(7, k).value for k in range(1, 31)] == reference, fail_at
+            assert bessel_zero(7, k) == reference[k - 1], (fail_at, k)
+        assert [bessel_zero(7, k) for k in range(1, 31)] == reference, fail_at
 
 
 def test_exhausted_scan_raises_without_walking_again(cold_zeros, monkeypatch):
@@ -390,7 +392,7 @@ def test_concurrent_walks_agree(cold_zeros):
     def worker(seed):
         keys = sorted(reference)
         random.Random(seed).shuffle(keys)
-        results.extend((key, bessel.bessel_zero(*key).value) for key in keys)
+        results.extend((key, bessel.bessel_zero(*key)) for key in keys)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -103,7 +103,7 @@ def test_expansion_params_validation():
 
 
 def test_c0_simple_closed_form():
-    z = bessel_zero(0, 1).value
+    z = bessel_zero(0, 1)
     expected = math.pi * bessel_j(1, z) / (z * SOFT_CELL_AREA)
     assert c0_simple(1, FloquetPoint(0.0, 0.0)) == pytest.approx(expected, rel=1e-14)
     assert c0_simple(1, FloquetPoint(math.pi, math.pi)) == pytest.approx(0.0, abs=1e-12)
@@ -146,7 +146,7 @@ def test_c0_conjugate_under_negation():
 def test_lambda1_simple_profile():
     peak = lambda1_simple(1, FloquetPoint(0.0, 0.0))
     assert peak > 0.0
-    z = bessel_zero(0, 1).value
+    z = bessel_zero(0, 1)
     expected = TWO_PI / SOFT_CELL_AREA * (bessel_j(1, z)) ** 2
     assert peak == pytest.approx(expected, rel=1e-14)
     assert lambda1_simple(1, FloquetPoint(math.pi, math.pi)) == pytest.approx(0.0, abs=1e-13)
@@ -278,7 +278,7 @@ def test_lambda_expansion_values():
     params = ExpansionParams(1e-4, 0.25, 0.5)
     eta = FloquetPoint(0.2, 0.1)
     mode = ModeIndex(0, 1, Parity.SIMPLE)
-    lam0 = limit_eigenvalue(mode).lambda0
+    lam0 = limit_eigenvalue(mode)
     exp = lambda_expansion(mode, eta, params)
     assert exp.value == pytest.approx(
         lam0 + params.first_order_scale * lambda1_simple(1, eta), rel=1e-14
@@ -287,11 +287,11 @@ def test_lambda_expansion_values():
     assert not exp.undetermined
 
     cosine = lambda_expansion(ModeIndex(1, 1, Parity.COSINE), eta, params)
-    assert cosine.value == limit_eigenvalue(ModeIndex(1, 1, Parity.COSINE)).lambda0
+    assert cosine.value == limit_eigenvalue(ModeIndex(1, 1, Parity.COSINE))
 
     und = lambda_expansion(ModeIndex(4, 1, Parity.COSINE), eta, params)
     assert und.undetermined
-    assert und.value == limit_eigenvalue(ModeIndex(4, 1, Parity.COSINE)).lambda0
+    assert und.value == limit_eigenvalue(ModeIndex(4, 1, Parity.COSINE))
 
 
 def test_lambda1_translation_invariance():

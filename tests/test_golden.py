@@ -1,51 +1,14 @@
-"""Golden outputs: every CLI run below must reproduce its committed file
-in tests/golden/ byte for byte, so any change to a printed digit, a row
-order or an extremizer shows up here.  To regenerate after a deliberate
-output change, run each argv below as
-``python -m diskbands ... > tests/golden/<name>``.
+"""Golden outputs: every CLI run in tests/golden_cases.py must reproduce its
+committed file in tests/golden/ byte for byte, and no command may reach
+Lambda1 through a scalar entry point.
 """
 
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from diskbands import cli, corrections
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIG = str(GOLDEN / "modes.cfg")
-
-CASES = {
-    "bands_grid129.csv": ["bands", "--grid", "129"],
-    "bands_grid129.json": ["bands", "--grid", "129", "--format", "json"],
-    "bands_count14_grid8.csv": ["bands", "--count", "14", "--grid", "8"],
-    "gaps_grid128.csv": ["gaps", "--grid", "128"],
-    "gaps_grid128.json": ["gaps", "--grid", "128", "--format", "json"],
-    "diagram.svg": ["diagram"],
-    # two undetermined (hatched) bands, four certified gaps, no banner
-    "diagram_count14_c5.svg": ["diagram", "--count", "14", "--error-constant", "5"],
-    # one band, no gap, the uncertified banner
-    "diagram_count1.svg": ["diagram", "--count", "1"],
-    "diagram_grid9.csv": ["diagram", "--grid", "9", "--format", "csv"],
-    "diagram_count4_grid5.json": [
-        "diagram", "--count", "4", "--grid", "5", "--format", "json",
-    ],
-    "diagram_modes_cfg.csv": [
-        "diagram", "--config", CONFIG, "--count", "4", "--grid", "5",
-        "--format", "csv",
-    ],
-    "zeros.csv": ["zeros"],
-    "zeros.json": ["zeros", "--format", "json"],
-    "zeros_n2_k120.csv": ["zeros", "--n-max", "2", "--k-max", "120"],
-    "spectrum.csv": ["spectrum"],
-    "spectrum.json": ["spectrum", "--format", "json"],
-    "spectrum_count1500.csv": ["spectrum", "--count", "1500"],
-    "verify.txt": ["verify"],
-    "verify.json": ["verify", "--format", "json"],
-    "bands_modes_cfg.csv": ["bands", "--config", CONFIG],
-    "gaps_modes_cfg.json": ["gaps", "--config", CONFIG, "--format", "json"],
-}
+from golden_cases import CASES, GOLDEN, run
 
 
 def test_every_golden_has_a_case():
@@ -55,11 +18,7 @@ def test_every_golden_has_a_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
-    proc = subprocess.run(
-        [sys.executable, "-m", "diskbands", *CASES[name]],
-        capture_output=True,
-        timeout=120,
-    )
+    proc = run(name)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
 

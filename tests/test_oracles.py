@@ -106,7 +106,7 @@ def test_eigenvalues_match_squared_zeros():
     for n in (0, 1, 2, 3):
         numeric = disk_dirichlet_eigenvalues(n, 3, mesh)
         for k, value in enumerate(numeric, start=1):
-            exact = 4.0 * bessel_zero(n, k).value ** 2
+            exact = 4.0 * bessel_zero(n, k) ** 2
             assert value == pytest.approx(exact, rel=5e-5)
         assert all(a < b for a, b in zip(numeric, numeric[1:]))
 

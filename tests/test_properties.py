@@ -19,6 +19,7 @@ from diskbands import (
     Parity,
     detect_gaps,
     enumerate_spectrum,
+    limit_eigenvalue,
 )
 from diskbands.cli import _fmt, _jnum, _json_chunks
 from diskbands.corrections import lambda1_grid
@@ -48,14 +49,14 @@ def test_spectrum_prefixes_are_ordered(a, b):
     short, long = enumerate_spectrum(a), enumerate_spectrum(b)
     assert len(short) == a and len(long) == b
     assert long[:a] == short
-    values = [p.lambda0 for p in long]
+    values = [limit_eigenvalue(m) for m in long]
     assert values == sorted(values)
-    for i, p in enumerate(long):
-        n, k = p.mode.n, p.mode.k
-        if p.mode.parity is Parity.COSINE and i + 1 < b:
-            assert long[i + 1].mode == ModeIndex(n, k, Parity.SINE)
-        if p.mode.parity is Parity.SINE:
-            assert long[i - 1].mode == ModeIndex(n, k, Parity.COSINE)
+    for i, m in enumerate(long):
+        n, k = m.n, m.k
+        if m.parity is Parity.COSINE and i + 1 < b:
+            assert long[i + 1] == ModeIndex(n, k, Parity.SINE)
+        if m.parity is Parity.SINE:
+            assert long[i - 1] == ModeIndex(n, k, Parity.COSINE)
 
 
 def _certified(count, params, constants):

@@ -45,7 +45,7 @@ def test_bessel_zeros_against_mpmath():
             if (n + k) % 5:
                 continue
             ref = float(mpmath.besseljzero(n, k))
-            worst = max(worst, abs(bessel_zero(n, k).value - ref))
+            worst = max(worst, abs(bessel_zero(n, k) - ref))
     assert worst <= 1e-13
 
 
@@ -55,7 +55,7 @@ def test_deep_bessel_zeros_against_mpmath():
     for n in (0, 1, 2, 5, 29):
         for k in (50, 80, 100, 120, 200, 300):
             ref = float(mpmath.besseljzero(n, k))
-            worst = max(worst, abs(bessel_zero(n, k).value - ref))
+            worst = max(worst, abs(bessel_zero(n, k) - ref))
     assert worst <= 1e-13
 
 

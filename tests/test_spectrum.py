@@ -5,10 +5,10 @@ import math
 import pytest
 
 from diskbands import (
-    DiskEigenfunction,
     ModeIndex,
     Parity,
     RadialMesh,
+    bessel_j,
     bessel_zero,
     disk_dirichlet_eigenvalues,
     eigenfunction_eval,
@@ -17,46 +17,65 @@ from diskbands import (
 )
 
 
+FIRST_TWELVE = [
+    (0, 1, "simple"),
+    (1, 1, "c"),
+    (1, 1, "s"),
+    (2, 1, "c"),
+    (2, 1, "s"),
+    (0, 2, "simple"),
+    (3, 1, "c"),
+    (3, 1, "s"),
+    (1, 2, "c"),
+    (1, 2, "s"),
+    (4, 1, "c"),
+    (4, 1, "s"),
+]
+
+
 def test_first_twelve_modes_in_order():
-    expected = [
-        (0, 1, "simple"),
-        (1, 1, "c"),
-        (1, 1, "s"),
-        (2, 1, "c"),
-        (2, 1, "s"),
-        (0, 2, "simple"),
-        (3, 1, "c"),
-        (3, 1, "s"),
-        (1, 2, "c"),
-        (1, 2, "s"),
-        (4, 1, "c"),
-        (4, 1, "s"),
-    ]
     rows = enumerate_spectrum(12)
-    assert [(p.mode.n, p.mode.k, p.mode.parity.value) for p in rows] == expected
+    assert [(m.n, m.k, m.parity.value) for m in rows] == FIRST_TWELVE
+
+
+def test_layers_return_numbers_and_modes():
+    # a zero is a float, Lambda0 is the float 4 z z to the bit, the spectrum
+    # lists ModeIndex values, and the angular coefficients go straight to
+    # eigenfunction_eval
+    for n, k in ((0, 1), (0, 7), (3, 2), (7, 30)):
+        z = bessel_zero(n, k)
+        assert type(z) is float
+        parities = (Parity.SIMPLE,) if n == 0 else (Parity.COSINE, Parity.SINE)
+        for parity in parities:
+            assert limit_eigenvalue(ModeIndex(n, k, parity)).hex() == (4.0 * z * z).hex()
+    modes = enumerate_spectrum(12)
+    assert all(type(m) is ModeIndex for m in modes)
+    assert modes == [ModeIndex(n, k, Parity(p)) for n, k, p in FIRST_TWELVE]
+    simple = ModeIndex(0, 2, Parity.SIMPLE)
+    with pytest.raises(ValueError, match="simple modes carry no sine coefficient"):
+        eigenfunction_eval(simple, 0.25, 0.0, 1.0, 0.5)
+    z = bessel_zero(0, 2)
+    assert eigenfunction_eval(simple, 0.25, 0.0, 2.0) == 2.0 * bessel_j(0, 0.5 * z)
 
 
 def test_values_are_scaled_squared_zeros():
-    for pair in enumerate_spectrum(12):
-        z = bessel_zero(pair.mode.n, pair.mode.k).value
-        assert pair.lambda0 == pytest.approx(4.0 * z * z, rel=1e-15)
+    for mode in enumerate_spectrum(12):
+        z = bessel_zero(mode.n, mode.k)
+        assert limit_eigenvalue(mode) == pytest.approx(4.0 * z * z, rel=1e-15)
 
 
 def test_values_nondecreasing_and_multiplicity():
     rows = enumerate_spectrum(20)
-    values = [p.lambda0 for p in rows]
+    values = [limit_eigenvalue(m) for m in rows]
     assert all(a <= b for a, b in zip(values, values[1:]))
-    for pair in rows:
-        assert pair.multiplicity == (1 if pair.mode.n == 0 else 2)
-        assert pair.zero.n == pair.mode.n and pair.zero.k == pair.mode.k
 
 
 def test_cosine_precedes_sine_at_shared_value():
     rows = enumerate_spectrum(20)
     for a, b in zip(rows, rows[1:]):
-        if (a.mode.n, a.mode.k) == (b.mode.n, b.mode.k):
-            assert a.mode.parity is Parity.COSINE
-            assert b.mode.parity is Parity.SINE
+        if (a.n, a.k) == (b.n, b.k):
+            assert a.parity is Parity.COSINE
+            assert b.parity is Parity.SINE
 
 
 def test_mode_index_validation():
@@ -85,30 +104,29 @@ def test_bool_orders_and_counts_rejected():
 
 
 def test_eigenfunction_vanishes_on_boundary():
-    f = DiskEigenfunction(ModeIndex(2, 1, Parity.COSINE), 1.0, 0.5)
+    mode = ModeIndex(2, 1, Parity.COSINE)
     for theta in (0.0, 0.9, 2.2, 4.0):
-        assert abs(eigenfunction_eval(f, 0.5, theta)) < 1e-12
+        assert abs(eigenfunction_eval(mode, 0.5, theta, 1.0, 0.5)) < 1e-12
 
 
 def test_eigenfunction_input_validation():
     with pytest.raises(ValueError):
-        DiskEigenfunction(ModeIndex(0, 1, Parity.SIMPLE), 1.0, 1.0)
-    f = DiskEigenfunction(ModeIndex(1, 1, Parity.COSINE), 1.0)
+        eigenfunction_eval(ModeIndex(0, 1, Parity.SIMPLE), 0.25, 0.0, 1.0, 1.0)
+    mode = ModeIndex(1, 1, Parity.COSINE)
     with pytest.raises(ValueError):
-        eigenfunction_eval(f, 0.6, 0.0)
+        eigenfunction_eval(mode, 0.6, 0.0, 1.0)
     with pytest.raises(ValueError):
-        eigenfunction_eval(f, -0.1, 0.0)
+        eigenfunction_eval(mode, -0.1, 0.0, 1.0)
 
 
 def test_eigenfunction_solves_polar_helmholtz():
     # u_rr + u_r/r + u_tt/r^2 + lambda0 u = 0, via second-order differences
     mode = ModeIndex(3, 2, Parity.COSINE)
-    lam0 = limit_eigenvalue(mode).lambda0
-    f = DiskEigenfunction(mode, 1.0)
+    lam0 = limit_eigenvalue(mode)
     h = 1e-4
 
     def u(r, theta):
-        return eigenfunction_eval(f, r, theta).real
+        return eigenfunction_eval(mode, r, theta, 1.0).real
 
     for r, theta in ((0.17, 0.4), (0.29, 1.1), (0.41, 2.7)):
         u0 = u(r, theta)
@@ -125,7 +143,7 @@ def test_limit_values_match_radial_solver():
         numeric = disk_dirichlet_eigenvalues(n, 2, mesh)
         for k, approx in enumerate(numeric, start=1):
             parity = Parity.SIMPLE if n == 0 else Parity.COSINE
-            exact = limit_eigenvalue(ModeIndex(n, k, parity)).lambda0
+            exact = limit_eigenvalue(ModeIndex(n, k, parity))
             assert approx == pytest.approx(exact, rel=2e-5)
 
 
@@ -137,7 +155,6 @@ def test_enumerate_count_validation():
 
 def test_angular_dependence():
     mode = ModeIndex(2, 1, Parity.SINE)
-    f = DiskEigenfunction(mode, 0.0, 1.0)
-    val = eigenfunction_eval(f, 0.25, 0.3)
-    ref = eigenfunction_eval(DiskEigenfunction(mode, 1.0, 0.0), 0.25, 0.0)
+    val = eigenfunction_eval(mode, 0.25, 0.3, 0.0, 1.0)
+    ref = eigenfunction_eval(mode, 0.25, 0.0, 1.0, 0.0)
     assert val == pytest.approx(ref * math.sin(2 * 0.3), rel=1e-12)
