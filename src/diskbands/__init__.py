@@ -39,7 +39,6 @@ _EXPORTS = {
         "Expansion",
         "FloquetPoint",
         "MultipleCorrection",
-        "Quadrant",
         "UndeterminedCorrectionError",
         "branch_for",
         "c0_multiple",
@@ -48,7 +47,6 @@ _EXPORTS = {
         "lambda1_multiple",
         "lambda1_simple",
         "lambda_expansion",
-        "quadrant_phase",
     ),
     "bands": (
         "BandInterval",

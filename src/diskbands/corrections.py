@@ -2,12 +2,11 @@
 
 The two-scale expansion of an eigenvalue reads Lambda0 + eps^{2m} Lambda1(eta)
 with an error pad C * eps^gamma, gamma = min(3m, 1).  This module carries the
-quadrant phase g_x(eta), the boundary compatibility constants c0(eta), the
-rank-one correction matrix M of a double eigenvalue (assembled by quadrature
-over the four quarter-arcs), and the correction eigenvalues: Lambda1 of a
-simple mode, and the pair {0, tr M} of a double mode.  For n = 0 (mod 4)
-every first-order quantity vanishes and the correction is undetermined at
-this order.
+boundary compatibility constants c0(eta), the rank-one correction matrix M of
+a double eigenvalue (assembled from the quarter-arc integrals of `_quad`),
+and the correction eigenvalues: Lambda1 of a simple mode, and the pair
+{0, tr M} of a double mode.  For n = 0 (mod 4) every first-order quantity
+vanishes and the correction is undetermined at this order.
 
 All that rests on the form of Lambda1 is here too, keyed by ModeIndex: its
 grid table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
@@ -20,14 +19,13 @@ commands reach Lambda1 only through these.  The scalar entry points
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
 from dataclasses import dataclass
 
 from .bessel import bessel_j_prime, bessel_zero
-from ._quad import quarter_arc_rules
+from ._quad import arc_integrals
 # ExpansionParams and QuadratureConvergenceError live in the spectrum module
 # and are re-exported here
 from .spectrum import (
@@ -71,27 +69,6 @@ class FloquetPoint:
 
     def negated(self) -> "FloquetPoint":
         return FloquetPoint(-self.eta1, -self.eta2)
-
-
-class Quadrant(enum.Enum):
-    Q1 = 1
-    Q2 = 2
-    Q3 = 3
-    Q4 = 4
-
-
-# phase sign pairs (s1, s2): g = exp(i (s1 eta1 + s2 eta2) / 2)
-_PHASE_SIGNS = {
-    Quadrant.Q1: (1.0, 1.0),
-    Quadrant.Q2: (-1.0, 1.0),
-    Quadrant.Q3: (-1.0, -1.0),
-    Quadrant.Q4: (1.0, -1.0),
-}
-
-def quadrant_phase(q: Quadrant, eta: FloquetPoint) -> complex:
-    """g_x(eta) = exp(i(+-eta1/2 +- eta2/2)) with the quadrant's sign pair."""
-    s1, s2 = _PHASE_SIGNS[q]
-    return cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,33 +162,6 @@ def lambda1_simple(k: int, eta: FloquetPoint) -> float:
     return _lambda1_point(0, k, eta)
 
 
-@functools.lru_cache(maxsize=None)
-def _arc_trig_dots(n: int, panels: int) -> tuple[tuple[float, float], ...]:
-    # (int cos(n theta), int sin(n theta)) over each quarter-arc Q1..Q4 by
-    # `panels` Gauss-Legendre panels, each sum correctly rounded by fsum;
-    # eta-independent
-    return tuple(
-        (
-            math.fsum(wt * math.cos(n * t) for t, wt in zip(theta, w)),
-            math.fsum(wt * math.sin(n * t) for t, wt in zip(theta, w)),
-        )
-        for theta, w in quarter_arc_rules(panels)
-    )
-
-
-def _arc_trig_integrals(n: int, eta: FloquetPoint, panels: int) -> tuple[complex, complex]:
-    # I_c = int_Gamma g cos(n theta) dtheta, I_s likewise with sin, the four
-    # quarter-arcs carrying their quadrant's constant phase
-    ic = 0j
-    isn = 0j
-    quadrants = (Quadrant.Q1, Quadrant.Q2, Quadrant.Q3, Quadrant.Q4)
-    for q, (dot_c, dot_s) in zip(quadrants, _arc_trig_dots(n, panels)):
-        phase = quadrant_phase(q, eta)
-        ic += phase * dot_c
-        isn += phase * dot_s
-    return ic, isn
-
-
 def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
     """Rank-one 2x2 matrix M, as nested lists, whose eigenvalues {0, tr M}
     split the first-order correction of the double mode (n, k); the arc
@@ -224,7 +174,7 @@ def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
     panels = 8  # 32 nodes per quarter-arc
     prev: tuple[complex, complex] | None = None
     while panels <= _MAX_PANELS:
-        cur = _arc_trig_integrals(n, eta, panels)
+        cur = arc_integrals(n, eta.eta1, eta.eta2, panels)
         if prev is not None and max(
             abs(cur[0] - prev[0]), abs(cur[1] - prev[1])
         ) < _QUAD_TOL:

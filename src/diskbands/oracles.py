@@ -4,13 +4,10 @@ Two independent routes: a radial finite-volume discretization of the
 Dirichlet disk validating the limit eigenvalues 4 j_{n,k}^2, and direct
 boundary quadrature of the compatibility integral validating the closed-form
 c0(eta).  Neither route shares formulas with the modules it checks: the disk
-solve knows nothing of Bessel zeros, and the quadrature rebuilds the phase
-from node coordinates instead of reusing the quadrant tables.
+solve knows nothing of Bessel zeros, and the quadrature weighs the radial
+derivative of the disk eigenfunction by the quarter-arc integrals of
+`_quad.arc_integrals`, which hold no closed form.
 
-The quadrature caches its eta-independent node geometry once per
-(n, panels): each node's weight, cos(n t), sin(n t) and sign slot, the slot
-naming the sign pair of (cos t, sin t) read from the node itself.  A call
-rebuilds the four phases from eta and sums the node terms in node order.
 Each mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a
 mesh and its doubled mesh once each, so the eigenvalue check, the Richardson
 guard and the convergence ratios share two solves; each solve's bisection
@@ -20,13 +17,12 @@ leave open.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ._core import tridiag_smallest_eigenvalues
-from ._quad import quarter_arc_rules
+from ._quad import arc_integrals
 from .bessel import bessel_j_prime, bessel_zero
 from .corrections import FloquetPoint
 # OracleConvergenceError lives in the spectrum module and is re-exported here
@@ -133,38 +129,6 @@ def convergence_ratios(n: int, count: int, mesh: RadialMesh) -> list[float]:
     return error_ratios(n, coarse, fine)
 
 
-# the four phase sign pairs (s1, s2), indexed by a node's sign slot
-_SIGN_PAIRS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-
-
-@lru_cache(maxsize=None)
-def _node_table(n: int, panels: int) -> tuple[tuple[float, float, float, int], ...]:
-    # (weight, cos n t, sin n t, sign slot) of each node of the four
-    # quarter-arcs, in summation order; the signs of cos/sin t decide the
-    # (+-eta1/2 +- eta2/2) combination, read from the boundary point itself
-    rows = []
-    for theta, w in quarter_arc_rules(panels):
-        for t, wt in zip(theta, w):
-            s1 = 1.0 if math.cos(t) > 0.0 else -1.0
-            s2 = 1.0 if math.sin(t) > 0.0 else -1.0
-            slot = _SIGN_PAIRS.index((s1, s2))
-            rows.append((wt, math.cos(n * t), math.sin(n * t), slot))
-    return tuple(rows)
-
-
-def _boundary_integral(
-    n: int, eta: FloquetPoint, coeff_c: complex, coeff_s: complex, panels: int
-) -> complex:
-    # sum over nodes of w * phase * (C_c cos n t + C_s sin n t), in node order
-    phases = [
-        cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2)) for s1, s2 in _SIGN_PAIRS
-    ]
-    total = 0j
-    for wt, cos_nt, sin_nt, slot in _node_table(n, panels):
-        total += wt * phases[slot] * (coeff_c * cos_nt + coeff_s * sin_nt)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _prefactor(n: int, k: int) -> float:
     # -(d/dr J_n(2 z r) at r = 1/2) / (Lambda0 (1 - pi/4)), eta-independent
@@ -188,8 +152,10 @@ def c0_quadrature(
         raise ValueError("need at least 8 panels per quarter-arc, got %r" % (panels,))
     n = mode.n
     pref = _prefactor(n, mode.k)
-    value = pref * _boundary_integral(n, eta, coeff_c, coeff_s, panels)
-    refined = pref * _boundary_integral(n, eta, coeff_c, coeff_s, 2 * panels)
+    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, panels)
+    value = pref * (coeff_c * ic + coeff_s * isn)
+    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, 2 * panels)
+    refined = pref * (coeff_c * ic + coeff_s * isn)
     if not (abs(refined - value) <= 1e-10):
         raise OracleConvergenceError(
             "boundary quadrature for %s did not converge: panel doubling "
@@ -199,9 +165,7 @@ def c0_quadrature(
 
 
 def boundary_arc_length(panels: int = 8) -> float:
-    """Arc length of the whole disk boundary by the same panel scheme
-    (radius 1/2, so the exact value is pi); plumbing sanity check."""
-    total = 0.0
-    for _, w in quarter_arc_rules(panels):
-        total += 0.5 * math.fsum(w)  # ds = r dtheta with r = 1/2
-    return total
+    """Arc length of the whole disk boundary by the quarter-arc integral that
+    both quadratures share (radius 1/2, so the exact value is pi); checks
+    the measure: I_c of n = 0 at eta = 0 is the angle 2 pi, and ds = r dt."""
+    return 0.5 * arc_integrals(0, 0.0, 0.0, panels)[0].real

@@ -8,11 +8,14 @@ run as a script,
     python tests/golden_cases.py
 
 it runs every case with this interpreter against this checkout's src and
-exits 1 if any run fails or differs from its golden.  To regenerate after a
-deliberate output change, run each argv below as
+exits 1 if any run fails or differs from its golden.  For each such case it
+prints the 1-based number of the first differing line with that line from
+the golden and from the run, and for a non-zero exit the last stderr line.
+To regenerate after a deliberate output change, run each argv below as
 ``python -m diskbands ... > tests/golden/<name>``.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -67,13 +70,41 @@ def run(name: str) -> subprocess.CompletedProcess:
     )
 
 
+def first_difference(golden: bytes, output: bytes) -> tuple[int, str | None, str | None]:
+    """The 1-based number of the first line where two different outputs
+    differ, with that line of each (None past its end); a line keeps its
+    end, so a missing final newline counts."""
+    pairs = itertools.zip_longest(golden.splitlines(True), output.splitlines(True))
+    for number, pair in enumerate(pairs, start=1):
+        if pair[0] != pair[1]:
+            return (number, *(None if v is None else v.decode(errors="replace") for v in pair))
+    raise ValueError("the outputs are equal")
+
+
+def report(name: str, proc: subprocess.CompletedProcess) -> list[str]:
+    """The lines `main` prints for a case, none when the run matches."""
+    golden = (GOLDEN / name).read_bytes()
+    if proc.returncode == 0 and proc.stdout == golden:
+        return []
+    lines = ["%s: differs from its golden (exit %d)" % (name, proc.returncode)]
+    if proc.stdout != golden:
+        number, want, got = first_difference(golden, proc.stdout)
+        lines.append("  first differing line: %d" % number)
+        lines.append("  golden: %r" % (want,))
+        lines.append("  run:    %r" % (got,))
+    if proc.returncode != 0:
+        last = proc.stderr.decode(errors="replace").splitlines()[-1:]
+        lines.append("  last stderr line: %r" % (last[0] if last else None,))
+    return lines
+
+
 def main() -> int:
     failed = 0
     for name in sorted(CASES):
-        proc = run(name)
-        if proc.returncode != 0 or proc.stdout != (GOLDEN / name).read_bytes():
-            failed += 1
-            print("%s: differs from its golden (exit %d)" % (name, proc.returncode))
+        lines = report(name, run(name))
+        failed += bool(lines)
+        for line in lines:
+            print(line)
     print("%d of %d goldens match" % (len(CASES) - failed, len(CASES)))
     return 1 if failed else 0
 

@@ -14,7 +14,6 @@ from diskbands import (
     FloquetPoint,
     ModeIndex,
     Parity,
-    Quadrant,
     UndeterminedCorrectionError,
     bessel_j,
     bessel_zero,
@@ -28,7 +27,6 @@ from diskbands import (
     lambda1_simple,
     lambda_expansion,
     limit_eigenvalue,
-    quadrant_phase,
 )
 from diskbands import corrections
 from diskbands._quad import panel_rule
@@ -53,31 +51,6 @@ def test_floquet_point_negation():
     assert (np_.eta1, np_.eta2) == (-0.7, 1.2)
     # the -pi edge folds back to -pi, not +pi
     assert FloquetPoint(-math.pi, 0.0).negated().eta1 == -math.pi
-
-
-def test_quadrant_phase_values():
-    origin = FloquetPoint(0.0, 0.0)
-    for q in Quadrant:
-        assert quadrant_phase(q, origin) == 1.0
-    eta = FloquetPoint(math.pi - 1e-15, 0.0)
-    assert quadrant_phase(Quadrant.Q1, eta) == pytest.approx(1j, abs=1e-12)
-    assert quadrant_phase(Quadrant.Q2, eta) == pytest.approx(-1j, abs=1e-12)
-    eta2 = FloquetPoint(0.8, -0.6)
-    assert quadrant_phase(Quadrant.Q1, eta2) == pytest.approx(
-        cmath.exp(0.5j * (0.8 - 0.6))
-    )
-
-
-def test_opposite_quadrant_phases_conjugate():
-    eta = FloquetPoint(1.1, 2.3)
-    p1 = quadrant_phase(Quadrant.Q1, eta)
-    p3 = quadrant_phase(Quadrant.Q3, eta)
-    assert p1 * p3 == pytest.approx(1.0)
-    p2 = quadrant_phase(Quadrant.Q2, eta)
-    p4 = quadrant_phase(Quadrant.Q4, eta)
-    assert p2 * p4 == pytest.approx(1.0)
-    for q in Quadrant:
-        assert abs(quadrant_phase(q, eta)) == pytest.approx(1.0)
 
 
 def test_expansion_params_validation():
@@ -179,15 +152,19 @@ def test_correction_matrix_trace_matches_closed_form():
             assert abs(np.trace(M).imag) < 1e-10
 
 
+# the phase sign pair (s1, s2) of each quarter-arc Q1..Q4
+_REFERENCE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
 def _reference_arc_trig_integrals(n, eta, panels):
     # the arc integrals as they were before the per-(n, panels) cache: the
     # panel rule and the cos/sin fsum dot products rebuilt at every call;
     # each dot also lies within 4 eps sum |w cos| (or sin) of numpy's dot
     ic = 0j
     isn = 0j
-    for idx, q in enumerate((Quadrant.Q1, Quadrant.Q2, Quadrant.Q3, Quadrant.Q4)):
+    for idx, (s1, s2) in enumerate(_REFERENCE_SIGNS):
         theta, w = panel_rule(idx * math.pi / 2, (idx + 1) * math.pi / 2, panels)
-        phase = quadrant_phase(q, eta)
+        phase = cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
         dots = []
         for trig, np_trig in ((math.cos, np.cos), (math.sin, np.sin)):
             terms = [wt * trig(n * t) for t, wt in zip(theta, w)]
@@ -223,13 +200,13 @@ def _reference_correction_matrix(n, k, eta):
 
 def test_correction_matrix_equals_uncached_loop_bitwise(monkeypatch):
     depth = []
-    cached = corrections._arc_trig_integrals
+    cached = corrections.arc_integrals
 
-    def recorded(n, eta, panels):
+    def recorded(n, eta1, eta2, panels):
         depth.append(panels)
-        return cached(n, eta, panels)
+        return cached(n, eta1, eta2, panels)
 
-    monkeypatch.setattr(corrections, "_arc_trig_integrals", recorded)
+    monkeypatch.setattr(corrections, "arc_integrals", recorded)
     axis = floquet_axis(9)
     for n in range(1, 8):
         for e1 in axis:

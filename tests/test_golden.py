@@ -3,12 +3,13 @@ committed file in tests/golden/ byte for byte, and no command may reach
 Lambda1 through a scalar entry point.
 """
 
+import subprocess
 import sys
 
 import pytest
 
 from diskbands import cli, corrections
-from golden_cases import CASES, GOLDEN, run
+from golden_cases import CASES, GOLDEN, first_difference, report, run
 
 
 def test_every_golden_has_a_case():
@@ -21,6 +22,43 @@ def test_output_matches_golden(name):
     proc = run(name)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_first_difference_names_the_line():
+    assert first_difference(b"a\nb\nc\n", b"a\nx\nc\n") == (2, "b\n", "x\n")
+    # a missing final newline, a missing line and an extra line all count
+    assert first_difference(b"a\nb\n", b"a\nb") == (2, "b\n", "b")
+    assert first_difference(b"a\nb\n", b"a\n") == (2, "b\n", None)
+    assert first_difference(b"", b"a\n") == (1, None, "a\n")
+    with pytest.raises(ValueError):
+        first_difference(b"a\n", b"a\n")
+
+
+def test_report_shows_the_line_and_the_last_stderr_line():
+    name = "verify.txt"
+    golden = (GOLDEN / name).read_bytes()
+    ok = subprocess.CompletedProcess([], 0, golden, b"")
+    assert report(name, ok) == []
+    lines = golden.decode().splitlines(True)
+    changed = "".join(lines[:3] + ["PASS changed\n"] + lines[4:]).encode()
+    assert report(name, subprocess.CompletedProcess([], 0, changed, b"")) == [
+        "verify.txt: differs from its golden (exit 0)",
+        "  first differing line: 4",
+        "  golden: %r" % lines[3],
+        "  run:    'PASS changed\\n'",
+    ]
+    failed = subprocess.CompletedProcess([], 3, b"", b"warning\ninternal error: boom\n")
+    assert report(name, failed) == [
+        "verify.txt: differs from its golden (exit 3)",
+        "  first differing line: 1",
+        "  golden: %r" % lines[0],
+        "  run:    None",
+        "  last stderr line: 'internal error: boom'",
+    ]
+    # a failing run whose stdout matches names only its stderr
+    assert report(name, subprocess.CompletedProcess([], 1, golden, b""))[1:] == [
+        "  last stderr line: None",
+    ]
 
 
 # the module-level scalar Lambda1 entry points, with CorrectionValue.lambda1_at

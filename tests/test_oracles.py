@@ -3,12 +3,13 @@
 import array
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from diskbands import _quad, cli, oracles
-from diskbands._quad import panel_rule
+from diskbands import _quad, cli, corrections, oracles
+from diskbands._quad import arc_integrals, panel_rule
 from diskbands import (
     FloquetPoint,
     ModeIndex,
@@ -165,27 +166,109 @@ def test_boundary_measure():
     assert boundary_arc_length(panels=32) == pytest.approx(math.pi, abs=1e-12)
 
 
-def _reference_node_phase(theta, eta):
-    # the quadrature phase as it was before the node table: signs of
-    # cos/sin theta recomputed at every node of every call
-    s1 = 1.0 if math.cos(theta) > 0.0 else -1.0
-    s2 = 1.0 if math.sin(theta) > 0.0 else -1.0
-    return cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
+# the phase sign pair (s1, s2) of each quarter-arc Q1..Q4
+_QUADRANT_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+# the worst |arc_integrals - exact| over n = 0..8 and the eta below was
+# 4.4e-9, 1.6e-11, 6.3e-14 and 2.2e-15 at 8, 16, 32 and 64 panels
+_ARC_BOUNDS = {8: 1e-8, 16: 5e-11, 32: 2e-13, 64: 1e-14}
+
+
+def _exact_arc_integrals(n, eta1, eta2):
+    # sum over the quarter-arcs [a, b] of the phase times the integral of
+    # cos(n t), (sin nb - sin na)/n, and of sin(n t), (cos na - cos nb)/n
+    ic = 0j
+    isn = 0j
+    for q, (s1, s2) in enumerate(_QUADRANT_SIGNS):
+        a, b = q * math.pi / 2.0, (q + 1) * math.pi / 2.0
+        phase = cmath.exp(0.5j * (s1 * eta1 + s2 * eta2))
+        if n == 0:
+            ic += phase * (b - a)
+        else:
+            ic += phase * ((math.sin(n * b) - math.sin(n * a)) / n)
+            isn += phase * ((math.cos(n * a) - math.cos(n * b)) / n)
+    return ic, isn
+
+
+def test_arc_integrals_match_exact_quarter_arc_integrals():
+    near_pi = math.nextafter(math.pi, 0.0)
+    etas = [
+        (0.0, 0.0), (0.3, -1.1), (1.0, 1.0), (-2.0, 0.7), (3.0, 3.1),
+        (math.pi, 0.0), (-math.pi, math.pi), (near_pi, -near_pi),
+    ]
+    worst = dict.fromkeys(_ARC_BOUNDS, 0.0)
+    for n in range(9):
+        for e1, e2 in etas:
+            exact = _exact_arc_integrals(n, e1, e2)
+            for panels, bound in _ARC_BOUNDS.items():
+                got = arc_integrals(n, e1, e2, panels)
+                case = (n, e1, e2, panels)
+                error = max(abs(g - x) for g, x in zip(got, exact))
+                assert error <= bound, case
+                worst[panels] = max(worst[panels], error)
+                # negating eta conjugates every phase exactly, so the sums
+                # are conjugate bit for bit, up to the sign of a zero
+                mirrored = arc_integrals(n, -e1, -e2, panels)
+                assert [m == g.conjugate() for m, g in zip(mirrored, got)] == [True, True], case
+    # the worst error falls under each doubling of the panels
+    errors = list(worst.values())
+    assert all(fine < coarse for coarse, fine in zip(errors, errors[1:])), errors
+
+
+def _quadrant_phases(monkeypatch, e1, e2):
+    # the engine's phase of each quadrant: I_c with a unit dot on that
+    # quarter-arc alone
+    phases = []
+    for q in range(4):
+        dots = tuple((1.0 if i == q else 0.0, 0.0) for i in range(4))
+        monkeypatch.setattr(_quad, "_arc_dots", lambda n, panels: dots)
+        phases.append(arc_integrals(0, e1, e2, 8)[0])
+    monkeypatch.undo()
+    return phases
+
+
+def test_arc_integrals_quadrant_phases(monkeypatch):
+    assert _quadrant_phases(monkeypatch, 0.0, 0.0) == [1.0] * 4
+    p1, p2, _, _ = _quadrant_phases(monkeypatch, math.pi - 1e-15, 0.0)
+    assert p1 == pytest.approx(1j, abs=1e-12)
+    assert p2 == pytest.approx(-1j, abs=1e-12)
+    p1 = _quadrant_phases(monkeypatch, 0.8, -0.6)[0]
+    assert p1 == pytest.approx(cmath.exp(0.5j * (0.8 - 0.6)))
+    p1, p2, p3, p4 = _quadrant_phases(monkeypatch, 1.1, 2.3)
+    assert p1 * p3 == pytest.approx(1.0)
+    assert p2 * p4 == pytest.approx(1.0)
+    for p in (p1, p2, p3, p4):
+        assert abs(p) == pytest.approx(1.0)
 
 
 def _reference_boundary_integral(n, eta, coeff_c, coeff_s, panels):
+    # the boundary integral node by node in node order, the sign pair of
+    # each node's phase read from its cos/sin; also returns the node count
+    # and the sum of the terms' moduli
     total = 0j
+    moduli = []
     for quarter in range(4):
         theta, w = panel_rule(
             quarter * math.pi / 2.0, (quarter + 1) * math.pi / 2.0, panels
         )
         for t, wt in zip(theta, w):
+            s1 = 1.0 if math.cos(t) > 0.0 else -1.0
+            s2 = 1.0 if math.sin(t) > 0.0 else -1.0
+            phase = cmath.exp(0.5j * (s1 * eta.eta1 + s2 * eta.eta2))
             angular = coeff_c * math.cos(n * t) + coeff_s * math.sin(n * t)
-            total += wt * _reference_node_phase(float(t), eta) * angular
-    return total
+            term = wt * phase * angular
+            total += term
+            moduli.append(abs(term))
+    return total, len(moduli), math.fsum(moduli)
 
 
-def test_node_table_integral_equals_per_node_loop_bitwise():
+def test_arc_integrals_within_rounding_of_per_node_loop():
+    # the per-node loop sums its terms in node order, each addition rounding
+    # by up to eps of the partial sum, so it lies within (nodes - 1) eps of
+    # sum |terms| of the exact sum, plus a few ulps of each term; the fsum
+    # per sign pair in arc_integrals is within a few eps.  The worst seen
+    # below was 26 eps sum |terms|, at 32 panels (512 nodes).
+    eps = sys.float_info.epsilon
     axis = floquet_axis(9)
     pairs = ((1.0, 0.0), (0.0, 1.0), (1, 0), (1 + 0j, 0j), (0.3 - 0.4j, 0.9 + 0.2j))
     for n in range(7):
@@ -193,12 +276,12 @@ def test_node_table_integral_equals_per_node_loop_bitwise():
             for e1 in axis:
                 for e2 in axis:
                     eta = FloquetPoint(e1, e2)
+                    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, panels)
                     for cc, cs in pairs:
-                        got = oracles._boundary_integral(n, eta, cc, cs, panels)
-                        ref = _reference_boundary_integral(n, eta, cc, cs, panels)
+                        got = cc * ic + cs * isn
+                        ref, nodes, size = _reference_boundary_integral(n, eta, cc, cs, panels)
                         case = (n, panels, e1, e2, cc, cs)
-                        assert got.real == ref.real, case
-                        assert got.imag == ref.imag, case
+                        assert abs(got - ref) <= (nodes + 4) * eps * size, case
 
 
 def _fine_mesh_shifted_solve(monkeypatch):
@@ -236,19 +319,18 @@ def test_mesh_doubling_guard_rejects_nan(monkeypatch):
         disk_mesh_doubling(0, 2, RadialMesh(512))
 
 
+_NAN_PAIR = complex(math.nan, math.nan)
+
+
 def test_quadrature_guard_rejects_nan(monkeypatch):
     # a NaN integral moves by NaN under panel doubling, which is no agreement
-    monkeypatch.setattr(
-        oracles, "_boundary_integral", lambda *args: complex(math.nan, math.nan)
-    )
+    monkeypatch.setattr(oracles, "arc_integrals", lambda *args: (_NAN_PAIR, _NAN_PAIR))
     with pytest.raises(OracleConvergenceError):
         c0_quadrature(ModeIndex(1, 1, Parity.COSINE), FloquetPoint(0.4, 0.4))
 
 
 def test_verify_reports_nan_quadrature(monkeypatch, capsys):
-    monkeypatch.setattr(
-        oracles, "_boundary_integral", lambda *args: complex(math.nan, math.nan)
-    )
+    monkeypatch.setattr(oracles, "arc_integrals", lambda *args: (_NAN_PAIR, _NAN_PAIR))
     assert cli.main(["verify"]) == cli.EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -277,7 +359,37 @@ def test_mesh_doubling_matches_separate_solves():
 
 
 def test_oracles_bind_no_closed_form_geometry():
-    # the quadrature is an independent route: it must not read the quadrant
-    # tables or the closed forms it is checked against
+    # the quadrature is an independent route: neither it nor the quarter-arc
+    # engine it shares with the correction matrix may read the closed forms
+    # it is checked against
     for name in ("quadrant_phase", "Quadrant", "_PHASE_SIGNS", "c0_simple", "c0_multiple"):
         assert not hasattr(oracles, name), name
+    closed_forms = ("c0_simple", "c0_multiple", "correction_matrix")
+    for name in vars(_quad):
+        assert name not in closed_forms and not name.startswith("lambda1_"), name
+
+
+def test_every_boundary_quadrature_runs_through_arc_integrals(monkeypatch):
+    # one engine: patching arc_integrals at each diskbands.* binding, as the
+    # benchmark's tracer finds bindings, reaches all three quadratures
+    engine = _quad.arc_integrals
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return engine(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "diskbands" or mod_name.startswith("diskbands."):
+            for key, value in list(vars(mod).items()):
+                if value is engine:
+                    monkeypatch.setattr(mod, key, recorded)
+    eta = FloquetPoint(0.4, -1.3)
+    for name, run in (
+        ("correction_matrix", lambda: corrections.correction_matrix(1, 1, eta)),
+        ("c0_quadrature", lambda: c0_quadrature(ModeIndex(1, 1, Parity.COSINE), eta)),
+        ("boundary_arc_length", boundary_arc_length),
+    ):
+        calls.clear()
+        run()
+        assert calls, name
