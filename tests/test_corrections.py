@@ -28,8 +28,8 @@ from diskbands import (
     lambda_expansion,
     limit_eigenvalue,
 )
-from diskbands import corrections
-from diskbands._quad import panel_rule
+from diskbands import _quad, corrections
+from diskbands._quad import arc_integrals, panel_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +51,35 @@ def test_floquet_point_negation():
     assert (np_.eta1, np_.eta2) == (-0.7, 1.2)
     # the -pi edge folds back to -pi, not +pi
     assert FloquetPoint(-math.pi, 0.0).negated().eta1 == -math.pi
+
+
+def _quadrant_phases(monkeypatch, e1, e2):
+    # the boundary engine's phase of each quadrant Q1..Q4: I_c with a unit
+    # dot on that quarter-arc alone
+    phases = []
+    for q in range(4):
+        dots = tuple((1.0 if i == q else 0.0, 0.0) for i in range(4))
+        monkeypatch.setattr(_quad, "_arc_dots", lambda n, panels: dots)
+        phases.append(arc_integrals(0, e1, e2, 8)[0])
+    monkeypatch.undo()
+    return phases
+
+
+def test_quadrant_phase_values(monkeypatch):
+    assert _quadrant_phases(monkeypatch, 0.0, 0.0) == [1.0] * 4
+    p1, p2, _, _ = _quadrant_phases(monkeypatch, math.pi - 1e-15, 0.0)
+    assert p1 == pytest.approx(1j, abs=1e-12)
+    assert p2 == pytest.approx(-1j, abs=1e-12)
+    p1 = _quadrant_phases(monkeypatch, 0.8, -0.6)[0]
+    assert p1 == pytest.approx(cmath.exp(0.5j * (0.8 - 0.6)))
+
+
+def test_opposite_quadrant_phases_conjugate(monkeypatch):
+    p1, p2, p3, p4 = _quadrant_phases(monkeypatch, 1.1, 2.3)
+    assert p1 * p3 == pytest.approx(1.0)
+    assert p2 * p4 == pytest.approx(1.0)
+    for p in (p1, p2, p3, p4):
+        assert abs(p) == pytest.approx(1.0)
 
 
 def test_expansion_params_validation():

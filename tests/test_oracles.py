@@ -215,32 +215,6 @@ def test_arc_integrals_match_exact_quarter_arc_integrals():
     assert all(fine < coarse for coarse, fine in zip(errors, errors[1:])), errors
 
 
-def _quadrant_phases(monkeypatch, e1, e2):
-    # the engine's phase of each quadrant: I_c with a unit dot on that
-    # quarter-arc alone
-    phases = []
-    for q in range(4):
-        dots = tuple((1.0 if i == q else 0.0, 0.0) for i in range(4))
-        monkeypatch.setattr(_quad, "_arc_dots", lambda n, panels: dots)
-        phases.append(arc_integrals(0, e1, e2, 8)[0])
-    monkeypatch.undo()
-    return phases
-
-
-def test_arc_integrals_quadrant_phases(monkeypatch):
-    assert _quadrant_phases(monkeypatch, 0.0, 0.0) == [1.0] * 4
-    p1, p2, _, _ = _quadrant_phases(monkeypatch, math.pi - 1e-15, 0.0)
-    assert p1 == pytest.approx(1j, abs=1e-12)
-    assert p2 == pytest.approx(-1j, abs=1e-12)
-    p1 = _quadrant_phases(monkeypatch, 0.8, -0.6)[0]
-    assert p1 == pytest.approx(cmath.exp(0.5j * (0.8 - 0.6)))
-    p1, p2, p3, p4 = _quadrant_phases(monkeypatch, 1.1, 2.3)
-    assert p1 * p3 == pytest.approx(1.0)
-    assert p2 * p4 == pytest.approx(1.0)
-    for p in (p1, p2, p3, p4):
-        assert abs(p) == pytest.approx(1.0)
-
-
 def _reference_boundary_integral(n, eta, coeff_c, coeff_s, panels):
     # the boundary integral node by node in node order, the sign pair of
     # each node's phase read from its cos/sin; also returns the node count
