@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 from .corrections import (
     EXTREME_AXIS,
@@ -33,8 +32,10 @@ from .spectrum import (
     InternalConsistencyError,
     ModeIndex,
     Parity,
+    Record,
     enumerate_spectrum,
     limit_eigenvalue,
+    replace,
 )
 
 
@@ -48,8 +49,7 @@ def floquet_axis(resolution: int) -> list[float]:
     return [i * step - math.pi for i in range(resolution - 1)] + [math.pi]
 
 
-@dataclass(frozen=True)
-class BandInterval:
+class BandInterval(Record):
     """[lower, upper] for one mode branch, pad already applied on both ends;
     length is eps^{2m} (max - min) Lambda1 (None when undetermined), taken
     at extrema_eta, where the unpadded minimum and maximum were found."""
@@ -122,8 +122,7 @@ def band_interval(
     )
 
 
-@dataclass(frozen=True)
-class BandLength:
+class BandLength(Record):
     """Leading-order band length |coef| eps^{2m}; `leading` is None when the
     first-order term vanishes identically and the width is only O(eps^{2m})."""
 
@@ -173,8 +172,7 @@ def swept_band_width(
     return band_interval(mode, params, resolution).length
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Certification verdict for the slot between two consecutive bands.
     `reason` names the obstruction when `certified` is False."""
 

@@ -14,20 +14,18 @@ which `_add_common_flags` generates from the row.  A handler reads every
 setting from its parsed arguments, which `_resolve_config` fills in from the
 flags, then the config file, then the defaults.  Every size a command is
 asked for (`--count`, the zeros table, the sweep `count * grid^2`) is checked
-against its cap before any work.
+against its cap before any work.  The json module loads only when a command
+writes JSON, and traceback only to report an internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
-import traceback
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bessel import ZeroFindingError, bessel_zero
@@ -37,6 +35,7 @@ from .spectrum import (
     ModeIndex,
     OracleConvergenceError,
     QuadratureConvergenceError,
+    Record,
     enumerate_spectrum,
     limit_eigenvalue,
 )
@@ -243,8 +242,7 @@ def _emit(chunks, args: argparse.Namespace) -> None:
 # (DBL_DIG is 15).
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(Record):
     """Samples of a function on the grid `axis` x `axis`: `values` holds the
     value at (axis[i], axis[j]) at index i * len(axis) + j, and `keys` names
     the eta1, eta2 and value of a sample."""
@@ -337,14 +335,10 @@ def _csv_chunks(rows):
             yield "".join(map(template.__mod__, zip(etas, values)))
 
 
-# every row is written by one encoder, as json.dumps(row, indent=1) writes it
-_JSON = json.JSONEncoder(indent=1, allow_nan=False)
-
-
-def _json_samples(block: _Block):
+def _json_samples(block: _Block, encode):
     # the text of a block's list of sample dicts as the last value of a row,
     # its samples at depth 4, one eta1 row of the grid per string
-    k1, k2, k3 = ["\n     " + _JSON.encode(k).replace("%", "%%") + ": " for k in block.keys]
+    k1, k2, k3 = ["\n     " + encode(k).replace("%", "%%") + ": " for k in block.keys]
     opening = "["
     for eta1, etas, values in _block_rows(block, lambda x: repr(_jnum(x))):
         # a sample dict whose eta2 text and value fill %s and %r
@@ -364,18 +358,23 @@ def _json_chunks(meta: dict, rows):
     its row, is written as the list of its samples, `{eta1, eta2, value}`
     dicts under its keys with every float rounded by _jnum, one eta1 row of
     the grid per string."""
-    head, _, tail = _JSON.encode({"meta": meta, "rows": [None]}).rpartition("null")
+    # json loads here, on the one path that writes JSON; every row is written
+    # by one encoder, as json.dumps(row, indent=1) writes it
+    import json
+
+    encode = json.JSONEncoder(indent=1, allow_nan=False).encode
+    head, _, tail = encode({"meta": meta, "rows": [None]}).rpartition("null")
     sep = head
     for row in rows:
         key, last = next(reversed(row.items()), (None, None))
         if type(last) is _Block:
             # the row's text up to the value of its last key
-            text = _JSON.encode({**row, key: None})[:-len("null\n}")]
+            text = encode({**row, key: None})[:-len("null\n}")]
             yield sep + text.replace("\n", "\n  ")
-            yield from _json_samples(last)
+            yield from _json_samples(last, encode)
             yield "\n  }"
         else:
-            yield sep + _JSON.encode(row).replace("\n", "\n  ")
+            yield sep + encode(row).replace("\n", "\n  ")
         sep = ",\n  "
     yield tail + "\n"
 
@@ -691,7 +690,10 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_INTERNAL
     except Exception as exc:
         # validation raises ConfigError; any other exception is a fault of
-        # the program, not of its input, and its traceback follows
+        # the program, not of its input, and its traceback follows; traceback
+        # loads only here, so that no command pays for it on the way in
+        import traceback
+
         print("internal failure: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

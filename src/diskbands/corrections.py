@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from .bessel import bessel_j_prime, bessel_zero
 from ._quad import arc_integrals
@@ -33,6 +32,7 @@ from .spectrum import (
     ModeIndex,
     Parity,
     QuadratureConvergenceError,
+    Record,
     limit_eigenvalue,
 )
 
@@ -56,8 +56,7 @@ def reduce_angle(v: float) -> float:
     return r + 0.0  # normalize -0.0
 
 
-@dataclass(frozen=True)
-class FloquetPoint:
+class FloquetPoint(Record):
     """eta = (eta1, eta2), reduced into [-pi, pi) on construction."""
 
     eta1: float
@@ -189,8 +188,7 @@ def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
     )
 
 
-@dataclass(frozen=True)
-class MultipleCorrection:
+class MultipleCorrection(Record):
     """Correction pair (cosine, sine) of a double mode; `undetermined` marks
     n = 0 (mod 4), where the pair is 0 only because first-order theory is
     silent and the true band width is unknown at this order."""
@@ -239,8 +237,7 @@ def _determined_branch(mode: ModeIndex) -> Branch:
     return branch
 
 
-@dataclass(frozen=True)
-class CorrectionValue:
+class CorrectionValue(Record):
     """Evaluable first-order correction Lambda1(eta) of one mode branch."""
 
     mode: ModeIndex
@@ -347,8 +344,7 @@ def lambda1_range(n: int, k: int) -> float | None:
     return abs(num / (z * n * n * SOFT_CELL_AREA) * gap)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """Two-term eigenvalue value with its error pad; `undetermined` flags an
     unresolved eps^{2m}-order term (value then equals Lambda0)."""
 

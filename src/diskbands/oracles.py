@@ -18,7 +18,6 @@ leave open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._core import tridiag_smallest_eigenvalues
@@ -26,13 +25,12 @@ from ._quad import arc_integrals
 from .bessel import bessel_j_prime, bessel_zero
 from .corrections import FloquetPoint
 # OracleConvergenceError lives in the spectrum module and is re-exported here
-from .spectrum import ModeIndex, OracleConvergenceError, Parity, limit_eigenvalue
+from .spectrum import ModeIndex, OracleConvergenceError, Parity, Record, limit_eigenvalue
 
 _SOFT_AREA = 1.0 - math.pi / 4.0
 
 
-@dataclass(frozen=True)
-class RadialMesh:
+class RadialMesh(Record):
     """Uniform radial grid on (0, 1/2): interior nodes r_i = i*h with
     h = (1/2)/(points + 1)."""
 

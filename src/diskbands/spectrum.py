@@ -12,7 +12,10 @@ j_{n,k} is listed, and j_{n+1,1} only once j_{n,1} is.
 
 The module also holds the expansion parameters and the error types that the
 command line maps to exit codes; they need none of the Floquet modules, so
-`diskbands zeros` and `diskbands spectrum` never load them.
+`diskbands zeros` and `diskbands spectrum` never load them.  And it holds
+`Record`, the frozen-record base of every record in the package, with its
+`replace`: a plain class whose methods read the fields from a table, so that
+defining a record execs no code and no command loads `dataclasses`.
 """
 
 from __future__ import annotations
@@ -20,11 +23,86 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass
 
 from .bessel import bessel_j, bessel_zero
 
 DISK_RADIUS = 0.5
+
+
+class Record:
+    """Base of a frozen record, as @dataclass(frozen=True) makes one.  A
+    subclass's fields are its own annotations, in order, each defaulting to
+    its class attribute if it has one.  A record is built from its fields by
+    position or keyword, then its `__post_init__` runs; it refuses assignment
+    and deletion, equals a record of its own type with equal fields, hashes
+    as the tuple of its fields, and prints as the dataclass would."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        # the field values in order, from positional and keyword arguments
+        # and the defaults, as a call to the dataclass's __init__ binds them
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(
+                "%s() takes %d arguments but %d were given" % (name, len(fields), len(args))
+            )
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError("%s() got an unexpected keyword argument %r" % (name, key))
+            if key in values:
+                raise TypeError("%s() got multiple values for argument %r" % (name, key))
+            values[key] = value
+        for key in fields:
+            if key not in values and key not in cls._defaults:
+                raise TypeError("%s() missing required argument %r" % (name, key))
+        return [values[key] if key in values else cls._defaults[key] for key in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join(["%s=%r" % pair for pair in zip(self._fields, self._values())]),
+        )
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record of `record`'s type with `changes` to its fields, built,
+    and so validated, like any other."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -39,8 +117,7 @@ class InternalConsistencyError(RuntimeError):
     """Two routes to the same quantity disagreed beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class ExpansionParams:
+class ExpansionParams(Record):
     """Small parameter eps in (0, 1), density exponent m in (0, 1/2), and the
     error-pad constant C in [0, 1e300] (0 meaning an uncertified pad)."""
 
@@ -86,8 +163,7 @@ class Parity(enum.Enum):
     SINE = "s"
 
 
-@dataclass(frozen=True)
-class ModeIndex:
+class ModeIndex(Record):
     """Angular order n, radial index k, and multiplicity branch."""
 
     n: int

@@ -1,12 +1,12 @@
-"""The numerical cross-check suite as records: each `Check` holds how far a
-closed form lies from an independent route.  All seven pass by one rule,
-observed <= bound, so a NaN from any route fails; headroom is observed/bound.
+"""The numerical cross-check suite as records: each `Check`, a frozen
+`spectrum.Record`, holds how far a closed form lies from an independent
+route.  All seven pass by one rule, observed <= bound, so a NaN from any
+route fails; headroom is observed/bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bands import band_length, floquet_axis, swept_band_width
 from .bessel import bessel_j, bessel_zero
@@ -14,11 +14,10 @@ from .corrections import ExpansionParams, FloquetPoint, c0_multiple, c0_simple
 from .corrections import Branch, branch_for, correction_matrix, lambda1_grid
 from .oracles import RadialMesh, boundary_arc_length, c0_quadrature
 from .oracles import disk_mesh_doubling, error_ratios
-from .spectrum import ModeIndex, Parity, enumerate_spectrum, limit_eigenvalue
+from .spectrum import ModeIndex, Parity, Record, enumerate_spectrum, limit_eigenvalue
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """The `observed` deviation of a closed form from an independent route,
     its `bound`, and a one-line `detail`."""
 

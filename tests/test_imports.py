@@ -1,7 +1,8 @@
 """The package's lazy exports, and the import floor of the commands: every
 command, `verify` included, runs without loading numpy, and with numpy
 blocked `verify` still writes its golden output; `zeros` and `spectrum` also
-run without the Floquet modules, and no command loads xml.etree."""
+run without the Floquet modules, and no command loads xml.etree.  No command
+loads dataclasses, inspect or traceback, and only JSON output loads json."""
 
 import json
 import subprocess
@@ -61,6 +62,55 @@ def test_sweep_commands_load_no_numpy(argv):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "heavy": ["diskbands.bands"]}
     assert proc.stdout
+
+
+# the modules a command loads beyond those a bare interpreter has already
+# loaded, site hooks included, written without json; the command's own stdout
+# goes to stdout
+FLOOR_PROBE = """
+import sys
+from diskbands.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("%d %s" % (code, " ".join(sys.modules)))
+"""
+
+# dataclasses and traceback, with inspect, which dataclasses loads, are only
+# set-up, and json is loaded only to write JSON
+SETUP_ONLY = {"dataclasses", "inspect", "traceback"}
+
+
+@pytest.mark.parametrize(
+    "argv, writes_json",
+    [
+        (["zeros", "--n-max", "3", "--k-max", "4"], False),
+        (["spectrum", "--count", "20"], False),
+        (["spectrum", "--count", "20", "--format", "json"], True),
+        (["bands", "--count", "10", "--grid", "129"], False),
+        (["bands", "--count", "10", "--grid", "129", "--format", "json"], True),
+        (["gaps", "--count", "10", "--grid", "128"], False),
+        (["diagram", "--count", "4", "--grid", "9", "--format", "csv"], False),
+        (["diagram", "--count", "14", "--format", "svg"], False),
+        (["diagram", "--count", "4", "--grid", "9", "--format", "json"], True),
+        (["verify"], False),
+        (["verify", "--format", "json"], True),
+    ],
+)
+def test_commands_load_no_setup_only_module(argv, writes_json):
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.stderr.write(' '.join(sys.modules))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", FLOOR_PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    code, *loaded = proc.stderr.splitlines()[-1].split(" ")
+    assert code == "0"
+    loaded = set(loaded) - set(bare.stderr.split(" "))
+    assert "diskbands.cli" in loaded
+    assert not loaded & SETUP_ONLY
+    assert ("json" in loaded) is writes_json
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

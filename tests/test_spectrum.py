@@ -1,11 +1,20 @@
 """Limit spectrum enumeration and disk eigenfunctions."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
 from diskbands import (
+    BandInterval,
+    Check,
+    Expansion,
+    ExpansionParams,
+    FloquetPoint,
+    GapReport,
     ModeIndex,
+    MultipleCorrection,
     Parity,
     RadialMesh,
     bessel_j,
@@ -15,6 +24,7 @@ from diskbands import (
     enumerate_spectrum,
     limit_eigenvalue,
 )
+from diskbands.spectrum import replace
 
 
 FIRST_TWELVE = [
@@ -158,3 +168,106 @@ def test_angular_dependence():
     val = eigenfunction_eval(mode, 0.25, 0.3, 0.0, 1.0)
     ref = eigenfunction_eval(mode, 0.25, 0.0, 1.0, 0.0)
     assert val == pytest.approx(ref * math.sin(2 * 0.3), rel=1e-12)
+
+
+# ------------------------------------------------------------------ records
+#
+# The records are plain classes on spectrum.Record, not dataclasses; these
+# pin what a frozen dataclass gave them.  The repr strings were written down
+# from the dataclass versions.
+
+
+def test_record_construction_by_position_keyword_and_default():
+    by_position = ExpansionParams(0.1, 0.25, 2.0)
+    assert ExpansionParams(m=0.25, error_constant=2.0, epsilon=0.1) == by_position
+    assert ExpansionParams(0.1, m=0.25, error_constant=2.0) == by_position
+    assert (by_position.epsilon, by_position.m, by_position.error_constant) == (0.1, 0.25, 2.0)
+    assert ExpansionParams(0.1, 0.25).error_constant == 0.0
+    mode = ModeIndex(1, 1, Parity.COSINE)
+    assert GapReport(mode, mode, 1.0, 2.0, False).reason is None
+    assert GapReport(mode, mode, 1.0, 2.0, False, "why").reason == "why"
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((1, 2), {}),  # missing
+        ((), {"n": 1, "k": 2}),  # missing, by keyword
+        ((1, 2, Parity.COSINE), {"rank": 3}),  # unknown
+        ((1, 2, Parity.COSINE, 3), {}),  # one too many
+        ((1, 2, Parity.COSINE), {"n": 1}),  # duplicated
+    ],
+)
+def test_record_rejects_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError):
+        ModeIndex(*args, **kwargs)
+
+
+def test_record_is_frozen():
+    mode = ModeIndex(1, 2, Parity.COSINE)
+    params = ExpansionParams(0.1, 0.25)
+    for record, name in ((mode, "n"), (params, "error_constant"), (mode, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert (mode.n, params.error_constant) == (1, 0.0)
+    assert not hasattr(mode, "extra")
+
+
+def test_record_equality_and_hash():
+    mode = ModeIndex(1, 2, Parity.COSINE)
+    same = ModeIndex(1, 2, Parity.COSINE)
+    assert mode == same and not mode != same and mode is not same
+    assert hash(mode) == hash(same) == hash((1, 2, Parity.COSINE))
+    assert mode != (1, 2, Parity.COSINE) and (1, 2, Parity.COSINE) != mode
+    assert mode != ModeIndex(1, 2, Parity.SINE)
+    assert {mode: "x"}[same] == "x"
+    assert len({mode, same, ModeIndex(1, 2, Parity.SINE)}) == 2
+    # equal fields of another record type are not equal
+    assert Expansion(1.0, 0.5, False) != MultipleCorrection(1.0, 0.5, False)
+
+
+def test_replace_reruns_validation():
+    params = ExpansionParams(0.1, 0.25, 2.0)
+    assert replace(params, m=0.3) == ExpansionParams(0.1, 0.3, 2.0)
+    assert params == ExpansionParams(0.1, 0.25, 2.0)
+    with pytest.raises(ValueError):
+        replace(params, epsilon=1.5)
+    zeroed = replace(params, error_constant=-0.0)
+    assert math.copysign(1.0, zeroed.error_constant) == 1.0
+    with pytest.raises(TypeError):
+        replace(params, gamma=1.0)
+    # FloquetPoint reduces its angles again
+    assert replace(FloquetPoint(0.5, 0.5), eta2=7.0).eta2 == 7.0 - 2.0 * math.pi
+
+
+def _band():
+    mode = ModeIndex(0, 1, Parity.SIMPLE)
+    etas = (FloquetPoint(-math.pi, 0.5), FloquetPoint(0.0, 7.0))
+    return BandInterval(mode, 22.5, 25.75, 0.125, None, etas)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [ModeIndex(3, 1, Parity.SINE), ExpansionParams(0.1, 0.25, 2.0), _band(), Check("a", 1, 2.0, "d")],
+    ids=type,
+)
+def test_record_pickle_and_deepcopy_round_trip(record):
+    for copy_ in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copy_) is type(record)
+        assert copy_ == record and hash(copy_) == hash(record)
+        assert repr(copy_) == repr(record)
+
+
+def test_record_repr_is_the_dataclass_repr():
+    assert repr(ModeIndex(1, 2, Parity.COSINE)) == "ModeIndex(n=1, k=2, parity=<Parity.COSINE: 'c'>)"
+    assert repr(ExpansionParams(m=0.25, epsilon=0.1, error_constant=-0.0)) == (
+        "ExpansionParams(epsilon=0.1, m=0.25, error_constant=0.0)"
+    )
+    assert repr(_band()) == (
+        "BandInterval(mode=ModeIndex(n=0, k=1, parity=<Parity.SIMPLE: 'simple'>), "
+        "lower=22.5, upper=25.75, pad=0.125, length=None, "
+        "extrema_eta=(FloquetPoint(eta1=-3.141592653589793, eta2=0.5), "
+        "FloquetPoint(eta1=0.0, eta2=0.7168146928204138)))"
+    )
