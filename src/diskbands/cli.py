@@ -15,7 +15,8 @@ setting from its parsed arguments, which `_resolve_config` fills in from the
 flags, then the config file, then the defaults.  Every size a command is
 asked for (`--count`, the zeros table, the sweep `count * grid^2`) is checked
 against its cap before any work.  The json module loads only when a command
-writes JSON, and traceback only to report an internal failure.
+writes JSON, and traceback only to report an internal failure; typing never
+loads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 import warnings
-from typing import TYPE_CHECKING
 
 from .bessel import ZeroFindingError, bessel_zero
 from .spectrum import (
@@ -41,10 +41,9 @@ from .spectrum import (
 )
 
 # the Floquet modules load inside the commands that use them, so zeros and
-# spectrum start without them
-if TYPE_CHECKING:
-    from .bands import BandInterval
-    from .corrections import FloquetPoint
+# spectrum start without them; the BandInterval of diskbands.bands and the
+# FloquetPoint of diskbands.corrections in annotations below are never
+# evaluated, so nothing is imported for them
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -233,13 +232,15 @@ def _emit(chunks, args: argparse.Namespace) -> None:
 # which holds its floats raw and must be the last value of its row.  JSON
 # writes it as the list of {eta1, eta2, value} dicts of its samples, each
 # float rounded by _jnum.  CSV writes one line per sample, the row's other
-# cells first, under the block's key names as columns.  Both format each eta
-# once per axis and write one eta1 row of the grid at a time through one
-# %-template, mapped over the (eta2, value) pairs; a block is the one part of
-# a table not written by json.dumps, as a sweep writes up to 513^2 samples.
-# Both formats write one string per row, or per eta1 row of a block.
-# CSV prints the raw floats: %.15g prints a float as it prints its _jnum
-# (DBL_DIG is 15).
+# cells first, under the block's key names as columns.  A block is the one
+# part of a table not written by json.dumps, as a sweep writes up to 513^2
+# samples: both formats turn each eta into text once per axis and each
+# distinct value once per block, since a sweep repeats its values, and join
+# those texts one eta1 row of the grid at a time.  Both formats write one
+# string per row, or per eta1 row of a block.  CSV prints the raw floats:
+# %.15g prints a float as it prints its _jnum (DBL_DIG is 15).  JSON refuses
+# the few finite floats above the largest 15-digit one, whose _jnum is an
+# infinity, as it refuses a row's infinity.
 
 
 class _Block(Record):
@@ -264,14 +265,19 @@ def _check_block(block: _Block) -> None:
         _check_finite(floats)
 
 
-def _block_rows(block: _Block, eta_text):
-    # (eta1 text, eta2 texts, values) of each eta1 row of the block, each eta
-    # formatted once by eta_text
+def _block_rows(block: _Block, text, mid: str):
+    # (eta1 text, sample texts) of each eta1 row of the block, a sample's
+    # text being its eta2 text, mid and its value text; text runs once per
+    # eta and once per distinct value, except that zeros, whose key 0.0 ==
+    # -0.0 would share, run once per sample
     _check_block(block)
-    etas = list(map(eta_text, block.axis))
+    etas = list(map(text, block.axis))
+    heads = [eta2 + mid for eta2 in etas]
+    memo = {v: text(v) for v in set(block.values) if v}
     size = len(etas)
     for i, eta1 in enumerate(etas):
-        yield eta1, etas, block.values[i * size:(i + 1) * size]
+        row = block.values[i * size:(i + 1) * size]
+        yield eta1, list(map(str.__add__, heads, [memo.get(v) or text(v) for v in row]))
 
 
 def _columns(row: dict) -> list[str]:
@@ -295,6 +301,15 @@ def _cells(values) -> str:
 def _float_text(x: float) -> str:
     if math.isfinite(x):
         return _fmt(x)
+    raise ValueError("a table has no text for the float %r" % x)
+
+
+def _json_float_text(x: float) -> str:
+    # the JSON text of a block float, as json.dumps writes its _jnum; the few
+    # finite floats above the largest 15-digit one round to an infinity
+    y = _jnum(x)
+    if math.isfinite(y):
+        return repr(y)
     raise ValueError("a table has no text for the float %r" % x)
 
 
@@ -329,21 +344,23 @@ def _csv_chunks(rows):
         if type(last) is not _Block:
             yield _cells(row.values()) + "\n"
             continue
-        head = (_cells(cells) + ",").replace("%", "%%") if cells else ""
-        for eta1, etas, values in _block_rows(last, _fmt):
-            template = head + eta1.replace("%", "%%") + ",%s,%.15g\n"
-            yield "".join(map(template.__mod__, zip(etas, values)))
+        head = _cells(cells) + "," if cells else ""
+        for eta1, samples in _block_rows(last, _fmt, ","):
+            line = head + eta1 + ","
+            yield line + ("\n" + line).join(samples) + "\n"
 
 
 def _json_samples(block: _Block, encode):
     # the text of a block's list of sample dicts as the last value of a row,
-    # its samples at depth 4, one eta1 row of the grid per string
-    k1, k2, k3 = ["\n     " + encode(k).replace("%", "%%") + ": " for k in block.keys]
+    # its samples at depth 4, one eta1 row of the grid per string; each
+    # distinct value's text is its _jnum's repr, as json.dumps writes it, and
+    # a value whose _jnum is an infinity raises ValueError
+    k1, k2, k3 = ["\n     " + encode(k) + ": " for k in block.keys]
     opening = "["
-    for eta1, etas, values in _block_rows(block, lambda x: repr(_jnum(x))):
-        # a sample dict whose eta2 text and value fill %s and %r
-        template = "\n    {" + k1 + eta1.replace("%", "%%") + "," + k2 + "%s," + k3 + "%r\n    }"
-        yield opening + ",".join(map(template.__mod__, zip(etas, map(float, map(_fmt, values)))))
+    for eta1, samples in _block_rows(block, _json_float_text, "," + k3):
+        # each sample dict opens with the row's eta1 and its eta2 key
+        head = "\n    {" + k1 + eta1 + "," + k2
+        yield opening + head + ("\n    }," + head).join(samples) + "\n    }"
         opening = ","
     yield "[]" if opening == "[" else "\n   ]"
 
@@ -355,9 +372,9 @@ def _json_chunks(meta: dict, rows):
     line by line, which is exact because JSON text never holds a raw newline
     inside a string; a non-finite float raises ValueError, and a value that
     json.dumps cannot write raises TypeError.  A _Block, the last value of
-    its row, is written as the list of its samples, `{eta1, eta2, value}`
-    dicts under its keys with every float rounded by _jnum, one eta1 row of
-    the grid per string."""
+    its row, is written by `_json_samples` as the list of its samples,
+    `{eta1, eta2, value}` dicts under its keys with every float rounded by
+    _jnum, one eta1 row of the grid per string."""
     # json loads here, on the one path that writes JSON; every row is written
     # by one encoder, as json.dumps(row, indent=1) writes it
     import json

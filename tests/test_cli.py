@@ -648,14 +648,20 @@ def test_nonfinite_float_is_an_internal_failure(monkeypatch, capsys):
 
 
 def _block_case(grid, kind):
-    # the axis and values of a block: a swept mode, the lam0 * n values of
-    # an undetermined mode, or floats of every magnitude with 17 digits
+    # the axis and values of a block: a swept mode, whose values repeat as
+    # Lambda1 is symmetric in eta, the lam0 * n values of an undetermined
+    # mode, a few values of every kind repeated, both zeros included, or
+    # floats of every magnitude with 17 digits
     params = ExpansionParams(1e-3, 0.25, 1.5)
     if kind == "swept":
-        return bands.brillouin_sweep(ModeIndex(1, 1, Parity.COSINE), params, grid)
+        return bands.brillouin_sweep(ModeIndex(1, 1, Parity.SINE), params, grid)
     if kind == "undetermined":
         return bands.brillouin_sweep(ModeIndex(4, 1, Parity.COSINE), params, grid)
     rng = np.random.default_rng(grid)
+    if kind == "repeats":
+        pool = [0.0, -0.0, 5e-324, 3.0, 1e15, 1e16, -2.5]
+        axis = [0.0, -0.0] + [float(a) for a in rng.uniform(-4.0, 4.0, grid - 2)]
+        return axis, [pool[i] for i in rng.integers(0, len(pool), grid * grid)]
     values = rng.uniform(-1.0, 1.0, grid * grid) * 10.0 ** rng.integers(-320, 308, grid * grid)
     return [float(a) for a in rng.uniform(-4.0, 4.0, grid)], values.tolist()
 
@@ -664,7 +670,7 @@ def _block_case(grid, kind):
 BLOCK_HEAD = {"n": 4, "name": "100% %s%%d", "pair": {"a": 0.1 + 0.2, "b": None}, "on": [True, 7]}
 
 
-@pytest.mark.parametrize("kind", ["swept", "undetermined", "random"])
+@pytest.mark.parametrize("kind", ["swept", "undetermined", "repeats", "random"])
 @pytest.mark.parametrize("grid", [3, 4, 8, 9, 65])
 def test_block_writes_its_expanded_samples(grid, kind):
     axis, values = _block_case(grid, kind)
@@ -685,6 +691,27 @@ def test_block_writes_its_expanded_samples(grid, kind):
     flat = [{**BLOCK_HEAD, **sample} for sample in samples] * 2
     assert "".join(chunks) == "".join(cli._csv_chunks(flat))
     assert max(c.count("\n") for c in chunks) <= grid
+
+
+def test_block_formats_each_distinct_value_once(monkeypatch):
+    # in either format, _fmt runs once per axis entry, once per distinct
+    # nonzero value and once per zero sample, as 0.0 and -0.0 differ in text
+    axis, values = _block_case(65, "swept")
+    values[::97] = [(-0.0, 0.0)[i % 2] for i in range(len(values[::97]))]
+    zeros = values.count(0.0)
+    expected = len(axis) + len(set(values) - {0.0}) + zeros
+    assert zeros == len(values[::97]) and expected < len(values) // 10
+    calls = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or fmt(x))
+    block = cli._Block(("eta1", "eta2", "value"), axis, values)
+    for write in (
+        lambda b: cli._json_chunks({}, [{"n": 1, "samples": b}]),
+        lambda b: cli._csv_chunks([{"n": 1, "samples": b}]),
+    ):
+        calls.clear()
+        text = "".join(write(block))
+        assert text and len(calls) == expected
 
 
 def test_block_guards():
@@ -713,6 +740,17 @@ def test_block_guards():
             else:
                 with pytest.raises(error):
                     "".join(write(block))
+    # the finite floats above the largest 15-digit one have a CSV text, but
+    # their _jnum, which JSON writes, is an infinity: in a value or on the axis
+    for top in (sys.float_info.max, -sys.float_info.max):
+        for axis_, values, cells in (
+            (axis, [1.0] * 8 + [top], 1),
+            ([0.0, top, 2.0], [1.0] * 9, 6),
+        ):
+            row = {"n": 1, "samples": cli._Block(("eta1", "eta2", "value"), axis_, values)}
+            with pytest.raises(ValueError, match="a table has no text for the float"):
+                "".join(cli._json_chunks({}, [row]))
+            assert "".join(cli._csv_chunks([row])).count("%.15g" % top) == cells
 
 
 def test_count_and_zero_caps_are_checked_before_any_work(monkeypatch, capsys):

@@ -3,6 +3,7 @@ committed file in tests/golden/ byte for byte, and no command may reach
 Lambda1 through a scalar entry point.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -22,6 +23,27 @@ def test_output_matches_golden(name):
     proc = run(name)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+# the benchmark-sized diagram, 10 modes of 65^2 samples, too large for a
+# golden file: the sha256 of its stdout; the error constant changes only the
+# JSON meta
+@pytest.mark.parametrize(
+    "fmt, extra, digest",
+    [
+        ("csv", [], "6ee09549b457a6a039727583950408eda15519af7b6b2a0d2a6fde64e6e32742"),
+        ("csv", ["--error-constant", "1.5"],
+         "6ee09549b457a6a039727583950408eda15519af7b6b2a0d2a6fde64e6e32742"),
+        ("json", [], "9486cd8853800b395e583feca885b4c12029769b5446dedb575ddb625fd4179a"),
+        ("json", ["--error-constant", "1.5"],
+         "820119aea84acd6266b4d543c851512e43c995fdc450e50396267c83ecfd711e"),
+    ],
+)
+def test_benchmark_sized_diagram_is_pinned(fmt, extra, digest, capsys):
+    argv = ["diagram", "--count", "10", "--grid", "65", "--epsilon", "0.00347",
+            "--m", "0.3", "--format", fmt, *extra]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_first_difference_names_the_line():

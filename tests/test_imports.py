@@ -2,7 +2,8 @@
 command, `verify` included, runs without loading numpy, and with numpy
 blocked `verify` still writes its golden output; `zeros` and `spectrum` also
 run without the Floquet modules, and no command loads xml.etree.  No command
-loads dataclasses, inspect or traceback, and only JSON output loads json."""
+loads dataclasses, inspect, traceback or typing, and only JSON output loads
+json."""
 
 import json
 import subprocess
@@ -75,8 +76,8 @@ sys.stderr.write("%d %s" % (code, " ".join(sys.modules)))
 """
 
 # dataclasses and traceback, with inspect, which dataclasses loads, are only
-# set-up, and json is loaded only to write JSON
-SETUP_ONLY = {"dataclasses", "inspect", "traceback"}
+# set-up, typing only names types, and json is loaded only to write JSON
+SETUP_ONLY = {"dataclasses", "inspect", "traceback", "typing"}
 
 
 @pytest.mark.parametrize(
