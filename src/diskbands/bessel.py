@@ -7,39 +7,44 @@ precision for x <= 100, and a guaranteed-index zero finder:
 zero is bracketed by counting sign changes on a pi/4 scan, then located,
 replayed and polished.
 
-- Locate: a safeguarded Newton iteration from the bracket's secant point
-  gives an estimate with |J_n| <= 1e-12.  Each step takes J_n and J_{n+1}
-  from one Miller pass (`bessel_j_pair`) and the slope as
-  J_n' = (n/x) J_n - J_{n+1}.
+- Locate: a safeguarded Newton iteration from the bracket's secant point,
+  stopped once |J_n| <= _LOCATE_TOL = 2e-7, gives an estimate of the zero.
+  Each step takes J_n and J_{n+1} from one Miller pass (`bessel_j_pair`)
+  and the slope as J_n' = (n/x) J_n - J_{n+1}.
 - Replay: the bisection of the bracket down to width 1e-3 reads J_n only
-  through its sign at each midpoint, and a midpoint more than 1e-7 from the
-  estimate takes its sign from the side of the estimate it lies on.  This
-  is safe: near every zero the command line can list (n <= 200,
-  x <= 1030) |J_n'| >= 0.02, so the estimate lies within 1e-10 of the zero,
-  and 1e-7 away |J_n| > 1e-9, far above the kernel's error, so the kernel
-  would have given the same sign.  Only a midpoint inside the window calls
-  the kernel, and if the locating run missed its tolerance, every midpoint
-  does.
+  through its sign at each midpoint, and a midpoint more than
+  _REPLAY_GUARD = 2e-5 from the estimate takes its sign from the side of
+  the estimate it lies on.  This is safe: near every zero the command line
+  can list (n <= 200, x <= 1030) |J_n'| >= 0.02 (the least is 0.031, at
+  j_{200,1}), so the estimate lies within 1e-5 of the zero, and a midpoint
+  outside the window lies at least 1e-5 from it, where |J_n| >= 2e-7, far
+  above the kernel's error, so the kernel would have given the same sign.
+  Only a midpoint inside the window calls the kernel, and if the locating
+  run missed its tolerance, or the bracket lies beyond that range, every
+  midpoint does.
 - Polish: the same Newton iteration from the midpoint of the replayed
-  interval, which is the interval the evaluated bisection ends on.  The
-  paired slope differs from `bessel_j_prime`'s in the last bits only, and
-  moves none of the zeros that tests/test_bessel.py compares bitwise with
-  the finder that evaluated every midpoint and took that slope.
+  interval, which is the interval the evaluated bisection ends on, down to
+  |J_n| <= 1e-14.  The paired slope differs from `bessel_j_prime`'s in the
+  last bits only, and moves none of the zeros that tests/test_bessel.py
+  compares bitwise with the finder that evaluated every midpoint and took
+  that slope.
 
 The scan walks each order once.  `_WALKS[n]` keeps where the walk of J_n
 stands and the sign-change brackets it has passed, so j_{n,k} costs only the
 steps past the last bracket found, and the zeros of one order cost O(k)
-kernel calls in all, in any request order.  After each bracket [x_s,
-x_{s+1}] the walk steps over x_{s+2} and x_{s+3} without calling the kernel
-(they still count against _MAX_SCAN).  Both keep the sign of J_n(x_{s+1}):
-sqrt(x) J_n(x) solves u'' + (1 - (n^2 - 1/4)/x^2) u = 0, so by Sturm
-comparison the zeros beyond the first lie at least
-pi / sqrt(1 + 1/(4 j_{0,1}^2)) ~ 3.076 apart for every n >= 0, and both
-points lie at least 0.72 from any zero.  When the next bracket starts at
-x_{s+3}, the kernel is called there once the sign change is seen.  So the
-walk takes the grid points a fresh scan from the origin side would take
-and evaluates every bracket end at the same point, and every bracket, and
-every zero polished from it, is bitwise the same.
+kernel calls in all, in any request order.  The walk calls the kernel at
+no grid point below n + 1.8557571 n^(1/3), which Qu & Wong (Trans. AMS 351,
+1999) prove lies below j_{n,1} for n > 0, so J_n > 0 there.  After each
+bracket [x_s, x_{s+1}] the walk steps over x_{s+2} and x_{s+3} without
+calling the kernel.  Both keep the sign of J_n(x_{s+1}): sqrt(x) J_n(x)
+solves u'' + (1 - (n^2 - 1/4)/x^2) u = 0, so by Sturm comparison the zeros
+beyond the first lie at least pi / sqrt(1 + 1/(4 j_{0,1}^2)) ~ 3.076 apart
+for every n >= 0, and both points lie at least 0.72 from any zero.  Every
+skipped point still counts against _MAX_SCAN.  When a bracket starts at a
+skipped point, the kernel is called there once the sign change is seen.
+So the walk takes the grid points a fresh scan from the origin side would
+take and evaluates every bracket end at the same point, and every bracket,
+and every zero polished from it, is bitwise the same.
 """
 
 from __future__ import annotations
@@ -54,9 +59,17 @@ _RESIDUAL_TOL = 1e-12
 _MAX_BISECT = 100
 _MAX_NEWTON = 50
 _MAX_SCAN = 100000
-# half-width of the window around the located zero inside which the
-# bisection replay still evaluates J_n
-_REPLAY_GUARD = 1e-7
+# the residual at which the locating Newton run stops, and the half-width of
+# the window around its estimate inside which the bisection replay still
+# evaluates J_n: 2 * _LOCATE_TOL / 0.02, the least slope near a zero of the
+# range below
+_LOCATE_TOL = 2e-7
+_REPLAY_GUARD = 2e-5
+# the orders and arguments on which that slope bound is checked
+_SLOPE_CHECKED_N = 200
+_SLOPE_CHECKED_X = 1030.0
+# Qu & Wong's constant: j_{n,1} > n + _FIRST_ZERO * n^(1/3) for n > 0
+_FIRST_ZERO = 1.8557571
 
 
 class ZeroFindingError(RuntimeError):
@@ -111,22 +124,30 @@ def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
     """Sign-change bracket k of the pi/4 walk of J_n, extending the walk
     only as far as bracket k."""
     walk = _WALKS.get(n)
+    # J_n > 0 below this bound, and every later zero is a sign change of the
+    # walk (zeros > 3 apart)
+    positive_below = n + _FIRST_ZERO * n ** (1.0 / 3.0)
     if walk is None:
-        # J_n > 0 between the origin-side start and j_{n,1} (> n), so the walk
-        # meets each zero through exactly one sign change (zeros > 3 apart).
         x = n + 1e-9 if n > 0 else 1e-9
-        walk = _WALKS[n] = (x, bessel_j_kernel(n, x), 0, ())
+        fx = None if x < positive_below else bessel_j_kernel(n, x)
+        walk = _WALKS[n] = (x, fx, 0, ())
     x, fx, steps, brackets = walk
     while len(brackets) < k:
         if steps >= _MAX_SCAN:
             raise ZeroFindingError("scan exhausted before zero (n=%d, k=%d)" % (n, k))
         xn = x + _SCAN_STEP
+        if xn < positive_below:
+            x, fx, steps = xn, None, steps + 1
+            _WALKS[n] = (x, fx, steps, brackets)
+            continue
         fxn = bessel_j_kernel(n, xn)
         while fxn == 0.0:  # exact grid hit: nudge to restore a sign bracket
             xn += 1e-9
             fxn = bessel_j_kernel(n, xn)
-        # a skipped point (fx None) has the sign of the last bracket's right end
-        if ((brackets[-1][3] if fx is None else fx) > 0.0) != (fxn > 0.0):
+        # a skipped point (fx None) has the sign of the last bracket's right
+        # end, or is positive before the first bracket
+        last = fx if fx is not None else brackets[-1][3] if brackets else 1.0
+        if (last > 0.0) != (fxn > 0.0):
             if fx is None:
                 fx = bessel_j_kernel(n, x)
             brackets += ((x, fx, xn, fxn),)
@@ -141,9 +162,11 @@ def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
 @lru_cache(maxsize=None)
 def _zero_value(n: int, k: int) -> float:
     a, fa, b, fb = _bracket(n, k)
-    est, fe = _newton(n, a, fa, b, a - fa * (b - a) / (fb - fa))
-    # with no trusted estimate, the window spans every midpoint
-    guard = _REPLAY_GUARD if abs(fe) <= _RESIDUAL_TOL else math.inf
+    est, fe = _newton(n, a, fa, b, a - fa * (b - a) / (fb - fa), _LOCATE_TOL)
+    # with no trusted estimate, or beyond the checked slope bound, the window
+    # spans every midpoint
+    trusted = abs(fe) <= _LOCATE_TOL and n <= _SLOPE_CHECKED_N and b <= _SLOPE_CHECKED_X
+    guard = _REPLAY_GUARD if trusted else math.inf
     lo, hi = est - guard, est + guard
 
     # the replayed bisection: the sign of J_n is known outside [lo, hi]
@@ -162,7 +185,7 @@ def _zero_value(n: int, k: int) -> float:
             else:
                 a, fa = mid, fm
 
-    root, fr = _newton(n, a, fa, b, 0.5 * (a + b))
+    root, fr = _newton(n, a, fa, b, 0.5 * (a + b), 1e-14)
     if abs(fr) > _RESIDUAL_TOL:
         raise ZeroFindingError(
             "residual tolerance unmet after iteration cap (n=%d, k=%d)" % (n, k)
@@ -170,16 +193,17 @@ def _zero_value(n: int, k: int) -> float:
     return root
 
 
-def _newton(n: int, a: float, fa: float, b: float, root: float) -> tuple[float, float]:
+def _newton(n: int, a: float, fa: float, b: float, root: float, tol: float) -> tuple[float, float]:
     """Safeguarded Newton iteration for the zero of J_n in the sign bracket
-    [a, b] from `root`; returns the last iterate and J_n there."""
+    [a, b] from `root`, stopped once |J_n| <= tol; returns the last iterate
+    and J_n there."""
     for _ in range(_MAX_NEWTON):
         fr, above = bessel_j_pair(n, root)
         if (fa > 0.0) != (fr > 0.0):
             b = root
         else:
             a, fa = root, fr
-        if abs(fr) <= 1e-14:
+        if abs(fr) <= tol:
             break
         slope = (n / root) * fr - above  # J_n' = (n/x) J_n - J_{n+1}
         step = fr / slope if slope != 0.0 else 0.0

@@ -47,6 +47,10 @@ CASES = {
     "zeros.csv": ["zeros"],
     "zeros.json": ["zeros", "--format", "json"],
     "zeros_n2_k120.csv": ["zeros", "--n-max", "2", "--k-max", "120"],
+    # the corners of the (n-max + 1) * k-max cap: the highest orders and the
+    # deepest zeros
+    "zeros_n200_k9.csv": ["zeros", "--n-max", "200", "--k-max", "9"],
+    "zeros_n9_k200.csv": ["zeros", "--n-max", "9", "--k-max", "200"],
     "spectrum.csv": ["spectrum"],
     "spectrum.json": ["spectrum", "--format", "json"],
     "spectrum_count1500.csv": ["spectrum", "--count", "1500"],

@@ -9,8 +9,9 @@ from functools import lru_cache
 import pytest
 
 from diskbands import ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
-from diskbands import bessel
+from diskbands import _core, bessel
 from diskbands._core import bessel_j_kernel
+from diskbands.spectrum import enumerate_spectrum
 
 
 def _reference_j(n: int, x: float) -> float:
@@ -208,7 +209,7 @@ def _hex(bracket) -> tuple:
 
 
 def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
-    keys = [(n, k) for n in (0, 1, 2, 7, 29) for k in range(1, 41)]
+    keys = [(n, k) for n in (0, 1, 2, 7, 29, 70, 131) for k in range(1, 41)]
     # the corners of the `zeros` table caps: n = 200 and k up to 200
     keys += [(200, k) for k in range(1, 10)]
     keys += [(n, k) for n in (0, 9) for k in range(195, 201)]
@@ -262,16 +263,20 @@ def _table_reference() -> dict:
     return {key: _fresh_scan_zero(*key) for key in _TABLE}
 
 
-def _count_kernel_calls(monkeypatch) -> list[int]:
+def _count_kernel_calls(monkeypatch) -> tuple[list[int], list]:
     # counts the bessel_j_kernel calls the zero finder makes outside
     # _bracket, i.e. in the bisection replay and the Newton iterations
-    # ([0]), and inside it, in the walk ([1])
+    # ([0]), and inside it, in the walk ([1]); also lists the (n, x) of
+    # each call outside the walk
     calls = [0, 0]
+    outside = []
     walking = [False]
     kernel, bracket = bessel.bessel_j_kernel, bessel._bracket
 
     def counted(n, x):
         calls[walking[0]] += 1
+        if not walking[0]:
+            outside.append((n, x))
         return kernel(n, x)
 
     def walk(n, k):
@@ -283,26 +288,31 @@ def _count_kernel_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(bessel, "bessel_j_kernel", counted)
     monkeypatch.setattr(bessel, "_bracket", walk)
-    return calls
+    return calls, outside
 
 
-def test_replay_calls_no_kernel_outside_the_walk(cold_zeros, monkeypatch):
-    # every bisection midpoint of the n <= 29, k <= 20 table lies more than
-    # _REPLAY_GUARD from the located zero, and Newton runs on the pair kernel
+def test_replay_calls_the_kernel_only_inside_the_window(cold_zeros, monkeypatch):
+    # outside the walk, the n <= 29, k <= 20 table calls the kernel only at a
+    # bisection midpoint within _REPLAY_GUARD of the located zero, which lies
+    # within 1e-5 of the zero; Newton runs on the pair kernel
     reference = _table_reference()
-    calls = _count_kernel_calls(monkeypatch)
+    calls, outside = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k) == reference[n, k], (n, k)
-    assert calls[0] == 0
-    # the walks skip the two points after each bracket: 2,674 calls when
-    # they evaluated every point
-    assert calls[1] <= 1534
+    for n, x in outside:
+        nearest = min(abs(x - z) for (m, _), z in reference.items() if m == n)
+        assert nearest <= bessel._REPLAY_GUARD + 1e-5, (n, x)
+    # 38 calls, where the evaluated bisection makes 6,000
+    assert calls[0] <= 40
+    # the walks skip the points below the first zero's bound and the two
+    # after each bracket: 2,674 calls when they evaluated every point
+    assert calls[1] <= 1380
 
 
 def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
     reference = _table_reference()
     monkeypatch.setattr(bessel, "_REPLAY_GUARD", math.inf)
-    calls = _count_kernel_calls(monkeypatch)
+    calls, _ = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k) == reference[n, k], (n, k)
     # a pi/4 bracket halves 10 times before it is narrower than 1e-3
@@ -314,19 +324,84 @@ def test_unconverged_locate_falls_back_to_evaluated_bisection(cold_zeros, monkey
     newton = bessel._newton
     missed = [0]
 
-    def locate_misses(n, a, fa, b, root):
-        est, fe = newton(n, a, fa, b, root)
+    def locate_misses(n, a, fa, b, root, tol):
+        est, fe = newton(n, a, fa, b, root, tol)
         if b - a > 1e-3:  # the locating run starts on the whole pi/4 bracket
             missed[0] += 1
             return est, 1.0
         return est, fe
 
     monkeypatch.setattr(bessel, "_newton", locate_misses)
-    calls = _count_kernel_calls(monkeypatch)
+    calls, _ = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k) == reference[n, k], (n, k)
     assert missed[0] == len(_TABLE)
     assert calls[0] == 10 * len(_TABLE)
+
+
+def test_replay_beyond_the_checked_slope_evaluates_every_midpoint(cold_zeros, monkeypatch):
+    # past order 200 or argument 1030 the slope bound that sizes the window
+    # is not checked, so the replay trusts no estimate there.  At j_{3393,1}
+    # the slope is 0.005 and a trusted window ends the replay on an interval
+    # without the zero, so the polishing run misses its tolerance.
+    reference = {key: _fresh_scan_zero(*key) for key in ((3393, 1), (0, 329))}
+    calls, _ = _count_kernel_calls(monkeypatch)
+    for key, zero in reference.items():
+        assert bessel_zero(*key) == zero, key
+    assert bessel._bracket(0, 329)[2] > bessel._SLOPE_CHECKED_X
+    assert calls[0] == 10 * len(reference)
+
+
+def test_first_zero_bound_lies_below_the_first_zero(cold_zeros):
+    # the walk calls no kernel below n + 1.8557571 n^(1/3) (Qu & Wong 1999);
+    # the least margin is 0.1766, at n = 200
+    for n in range(1, 201):
+        bound = n + bessel._FIRST_ZERO * n ** (1.0 / 3.0)
+        assert bessel_zero(n, 1) - bound > 0.17, n
+
+
+def test_slope_at_the_zeros_meets_the_replay_window(cold_zeros):
+    # the window 2 * _LOCATE_TOL / 0.02 needs |J_n'| >= 0.02 at every zero
+    # the command line lists: the corners of the `zeros` caps and every mode
+    # of `spectrum --count 5000`; the least is 0.0312, at (200, 1).  The
+    # last zeros below argument 1030 at n = 0 and 200 keep it too.
+    keys = {(n, k) for n in range(190, 201) for k in range(1, 10)}
+    keys |= {(n, k) for n in range(10) for k in range(190, 201)}
+    keys |= {(mode.n, mode.k) for mode in enumerate_spectrum(5000)}
+    keys |= {(0, 328), (200, 234)}
+    assert math.isclose(bessel._REPLAY_GUARD, 2.0 * bessel._LOCATE_TOL / 0.02)
+    for n, k in keys:
+        zero = bessel_zero(n, k)
+        assert zero <= bessel._SLOPE_CHECKED_X, (n, k)
+        assert abs(bessel_j_prime(n, zero)) >= 0.02, (n, k)
+    assert bessel_zero(0, 329) > bessel._SLOPE_CHECKED_X
+    assert bessel_zero(200, 235) > bessel._SLOPE_CHECKED_X
+
+
+def _count_miller_passes(monkeypatch, work) -> int:
+    calls = [0]
+    miller = _core._miller
+
+    def counted(n, x):
+        calls[0] += 1
+        return miller(n, x)
+
+    monkeypatch.setattr(_core, "_miller", counted)
+    work()
+    return calls[0]
+
+
+def test_miller_passes_per_workload(cold_zeros, monkeypatch):
+    # the walk skips the points below the first zero's bound and the
+    # locating Newton run stops at _LOCATE_TOL: 6,409 passes, where the
+    # finder that evaluated those points and located to 1e-14 made 7,692
+    passes = _count_miller_passes(monkeypatch, lambda: enumerate_spectrum(1500))
+    assert passes <= 6450
+    bessel._zero_value.cache_clear()
+    bessel._WALKS.clear()
+    # 4,407, where it made 5,119
+    passes = _count_miller_passes(monkeypatch, lambda: [bessel_zero(*key) for key in _TABLE])
+    assert passes <= 4450
 
 
 def _failing_kernel(fail_at: int, exc: BaseException):
@@ -342,18 +417,19 @@ def _failing_kernel(fail_at: int, exc: BaseException):
 
 
 def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
-    # the walk of J_7 to k = 30 evaluates its start point (call 1), then two
-    # or three points per sign change; calls 2 to 20 span its first six sign
-    # changes and the steps toward the seventh, and the last two calls of an
-    # uninterrupted run fall at its end
+    # the walk of J_7 to k = 30 first calls the kernel at 10.93, the first
+    # grid point above its first zero's bound, then at two or three points
+    # per sign change; calls 1 to 15 span its first six sign changes and the
+    # steps toward the seventh, and the last two calls of an uninterrupted
+    # run fall at its end
     reference = [_fresh_scan_zero(7, k) for k in range(1, 31)]
     xs = []
     monkeypatch.setattr(bessel, "bessel_j_kernel", lambda n, x: xs.append(x) or bessel_j_kernel(n, x))
     bessel_zero(7, 30)
     monkeypatch.undo()
     last = len(xs)
-    assert last > 21
-    for fail_at in [*range(1, 21), last - 1, last]:
+    assert last > 16
+    for fail_at in [*range(1, 16), last - 1, last]:
         exc = KeyboardInterrupt() if fail_at % 2 else RuntimeError("kernel fault")
         bessel._zero_value.cache_clear()
         bessel._WALKS.clear()
@@ -377,11 +453,12 @@ def test_exhausted_scan_raises_without_walking_again(cold_zeros, monkeypatch):
     monkeypatch.setattr(bessel, "bessel_j_kernel", never_changes_sign)
     with pytest.raises(ZeroFindingError, match="scan exhausted"):
         bessel_zero(3, 1)
-    # the start point and 100000 steps, as the fresh scan took
-    assert calls[0] == 100001
+    # the start point and 100000 steps, as the fresh scan took, less the
+    # four points below J_3's first zero's bound 5.68, which it skips
+    assert calls[0] == 100001 - 4
     with pytest.raises(ZeroFindingError, match="scan exhausted"):
         bessel_zero(3, 2)
-    assert calls[0] == 100001
+    assert calls[0] == 100001 - 4
 
 
 def test_concurrent_walks_agree(cold_zeros):
