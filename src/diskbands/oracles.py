@@ -10,9 +10,11 @@ derivative of the disk eigenfunction by the quarter-arc integrals of
 
 Each mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a
 mesh and its doubled mesh once each, so the eigenvalue check, the Richardson
-guard and the convergence ratios share two solves; each solve's bisection
+guard and the convergence ratios share two solves.  Each solve's bisection
 reuses the Sturm counts it has taken, sweeping only midpoints whose side they
-leave open.
+leave open, and takes its first counts from a Newton estimate of each
+eigenvalue and a bracket of relative half-width 1e-10 around it; the
+eigenvalues are bitwise those of the bisection that sweeps every midpoint.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ largest errors observed on these samples.  The plain loops that the Miller
 recurrence, the Sturm count and the bisection were tuned from are kept here
 as bitwise references."""
 
+import math
 import random
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -202,27 +204,41 @@ def _reference_sturm_count(d, e, x):
     return count
 
 
+def _verify_matrices():
+    # the disk oracle's matrices at the verify suite's meshes
+    return [
+        _assemble(n, mesh)
+        for mesh in (RadialMesh(512), RadialMesh(512).doubled())
+        for n in (0, 1, 2)
+    ]
+
+
 def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
-    # every count the solver takes from its table of squares equals the
-    # squaring sweep's, so the bisection and the eigenvalues are unchanged;
-    # the matrices are the disk oracle's at the verify suite's meshes
-    sweep = _core._sturm_count
+    # every count the solver takes from its table of squares, in its Sturm
+    # sweeps and in its Newton sweeps, equals the squaring sweep's, so the
+    # bisection and the eigenvalues are unchanged
+    sturm, newton = _core._sturm_count, _core._sturm_newton
     sweeps = []
 
-    def checked(d, e2, x):
-        count = sweep(d, e2, x)
+    def checked_sturm(d, e2, x):
+        count = sturm(d, e2, x)
         assert count == _reference_sturm_count(d, off, x), x
         sweeps.append(x)
         return count
 
-    monkeypatch.setattr(_core, "_sturm_count", checked)
-    for mesh in (RadialMesh(512), RadialMesh(512).doubled()):
-        for n in (0, 1, 2):
-            diag, off = _assemble(n, mesh)
-            tridiag_smallest_eigenvalues(diag, off, 2)
-    # the bisection reuses the counts it has taken: 684 sweeps when every
-    # midpoint was swept
-    assert len(sweeps) == 592
+    def checked_newton(d, e2, x):
+        count, slope = newton(d, e2, x)
+        assert count == _reference_sturm_count(d, off, x), x
+        sweeps.append(x)
+        return count, slope
+
+    monkeypatch.setattr(_core, "_sturm_count", checked_sturm)
+    monkeypatch.setattr(_core, "_sturm_newton", checked_newton)
+    for diag, off in _verify_matrices():
+        tridiag_smallest_eigenvalues(diag, off, 2)
+    # 132 Sturm and 78 Newton sweeps; 684 when every midpoint was swept and
+    # 592 when the bisection reused its counts with no Newton hint
+    assert len(sweeps) == 210
 
 
 def _reference_bisection(d, e, count):
@@ -306,5 +322,49 @@ def _tridiagonals(draw):
 @example(([2.0] * 8, [0.0] * 7, 6))
 @example(([1.0, 1.0 + 1e-13, 1.0, 1.0 - 1e-13] * 3, [0.0, 1e-9, 0.0] * 3 + [0.0, 1e-9], 6))
 @example(([5.0, -1.0, 5.0, -1.0, 5.0], [1.0, 0.0, 1.0, 0.0], 5))
+# the Newton hint's edge cases: a zero eigenvalue of multiplicity 3, an
+# all-negative spectrum (the first run starts at 0, above every eigenvalue),
+# a zero pivot at the first run's start, and two eigenvalues 8e-14 apart
+# inside the bracket certified around the first run's estimate
+@example(([0.0] * 3, [0.0] * 2, 3))
+@example(([-5.0, -3.0, -4.0, -6.0], [1.0, 0.5, 0.25], 4))
+@example(([0.0, 0.0], [0.0], 1))
+@example(([3e-11, 2.0, 3e-11 + 8e-14], [0.0, 0.0], 3))
 def test_solver_equals_plain_bisection_on_drawn_matrices(case):
     _assert_solver_is_reference(*case)
+
+
+@pytest.fixture(scope="module")
+def verify_reference():
+    return [
+        [v.hex() for v in _reference_bisection(diag, off, 2)]
+        for diag, off in _verify_matrices()
+    ]
+
+
+_WRONG = (math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("wrong", _WRONG)
+@pytest.mark.parametrize("target", ("estimate", "slope"))
+def test_a_wrong_hint_changes_no_eigenvalue(
+    monkeypatch, verify_reference, target, wrong
+):
+    # a Newton estimate, or a Newton sweep's slope, replaced by an absurd
+    # value: the hint may then settle fewer midpoints, but the counts it
+    # takes are true, so the verify meshes' eigenvalues stay the plain
+    # bisection's bitwise, with no exception
+    if target == "estimate":
+        monkeypatch.setattr(_core, "_newton_estimate", lambda *args: wrong)
+    else:
+        newton = _core._sturm_newton
+
+        def wrong_slope(d, e2, x):
+            return newton(d, e2, x)[0], wrong
+
+        monkeypatch.setattr(_core, "_sturm_newton", wrong_slope)
+    got = [
+        [v.hex() for v in tridiag_smallest_eigenvalues(diag, off, 2)]
+        for diag, off in _verify_matrices()
+    ]
+    assert got == verify_reference
