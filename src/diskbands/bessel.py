@@ -35,16 +35,26 @@ steps past the last bracket found, and the zeros of one order cost O(k)
 kernel calls in all, in any request order.  The walk calls the kernel at
 no grid point below n + 1.8557571 n^(1/3), which Qu & Wong (Trans. AMS 351,
 1999) prove lies below j_{n,1} for n > 0, so J_n > 0 there.  After each
-bracket [x_s, x_{s+1}] the walk steps over x_{s+2} and x_{s+3} without
-calling the kernel.  Both keep the sign of J_n(x_{s+1}): sqrt(x) J_n(x)
-solves u'' + (1 - (n^2 - 1/4)/x^2) u = 0, so by Sturm comparison the zeros
-beyond the first lie at least pi / sqrt(1 + 1/(4 j_{0,1}^2)) ~ 3.076 apart
-for every n >= 0, and both points lie at least 0.72 from any zero.  Every
-skipped point still counts against _MAX_SCAN.  When a bracket starts at a
-skipped point, the kernel is called there once the sign change is seen.
-So the walk takes the grid points a fresh scan from the origin side would
-take and evaluates every bracket end at the same point, and every bracket,
-and every zero polished from it, is bitwise the same.
+bracket (a, b] it calls the kernel at no grid point below a +
+`_spacing_floor(n, a, b)` - 1e-5, and those points keep the sign of
+J_n(b): sqrt(x) J_n(x) solves u'' + (1 - (n^2 - 1/4)/x^2) u = 0, so by Sturm
+comparison the next zero lies at least the floor beyond the bracket's zero.
+For n = 0 the floor is pi / sqrt(1 + 1/(4 a^2)), below pi, so the walk skips
+the two points after b.  For n >= 1 the zeros lie more than pi apart, and
+farther apart near x = n, and the floor, an even iterate of the spacing map
+d -> pi / sqrt(1 - (n^2 - 1/4)/(b + d)^2) from pi, skips more.  A skipped
+point lies more than 1e-5 before the next zero, where |J_n| is above the
+kernel's error by the slope bound above, so the kernel would have given the
+same sign; past order 200 or argument 1030, where that bound is not checked,
+the floor is 3.5 pi/4 and the walk skips only the two points after b, which
+lie at least 0.72 from any zero.  Every skipped point still takes its float
+step and counts against _MAX_SCAN.  When a bracket starts at a skipped
+point, the kernel is called there once the sign change is seen.  So the walk
+takes the grid points a fresh scan from the origin side would take and
+evaluates every bracket end at the same point, and every bracket, and every
+zero polished from it, is bitwise the same.  `zero_floor(n, k)` gives the
+spectrum a float below j_{n,k}, from Qu & Wong's bound or from j_{n,k-1}
+and its floor, with no Miller pass.
 """
 
 from __future__ import annotations
@@ -112,33 +122,32 @@ def bessel_zero(n: int, k: int) -> float:
 
 
 # n -> (x, J_n(x) or None at a skipped point, steps taken, brackets
-# (a, J_n(a), b, J_n(b)) passed) of the pi/4 walk of order n.  Each step
-# stores one new tuple, so an exception in mid-walk leaves the last stored
-# state, never a half-updated one; and threads walking one order at once
-# store states of the same walk, so the worst a race costs is steps taken
-# twice.
-_WALKS: dict[int, tuple[float, float | None, int, tuple]] = {}
+# (a, J_n(a), b, J_n(b)) passed, the point below which the walk calls no
+# kernel) of the pi/4 walk of order n.  Each step stores one new tuple, so
+# an exception in mid-walk leaves the last stored state, never a
+# half-updated one; and threads walking one order at once store states of
+# the same walk, so the worst a race costs is steps taken twice.
+_WALKS: dict[int, tuple[float, float | None, int, tuple, float]] = {}
 
 
 def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
     """Sign-change bracket k of the pi/4 walk of J_n, extending the walk
     only as far as bracket k."""
     walk = _WALKS.get(n)
-    # J_n > 0 below this bound, and every later zero is a sign change of the
-    # walk (zeros > 3 apart)
-    positive_below = n + _FIRST_ZERO * n ** (1.0 / 3.0)
     if walk is None:
+        # J_n > 0 below the first zero's bound
+        skip_below = zero_floor(n, 1)
         x = n + 1e-9 if n > 0 else 1e-9
-        fx = None if x < positive_below else bessel_j_kernel(n, x)
-        walk = _WALKS[n] = (x, fx, 0, ())
-    x, fx, steps, brackets = walk
+        fx = None if x < skip_below else bessel_j_kernel(n, x)
+        walk = _WALKS[n] = (x, fx, 0, (), skip_below)
+    x, fx, steps, brackets, skip_below = walk
     while len(brackets) < k:
         if steps >= _MAX_SCAN:
             raise ZeroFindingError("scan exhausted before zero (n=%d, k=%d)" % (n, k))
         xn = x + _SCAN_STEP
-        if xn < positive_below:
+        if xn < skip_below:
             x, fx, steps = xn, None, steps + 1
-            _WALKS[n] = (x, fx, steps, brackets)
+            _WALKS[n] = (x, fx, steps, brackets, skip_below)
             continue
         fxn = bessel_j_kernel(n, xn)
         while fxn == 0.0:  # exact grid hit: nudge to restore a sign bracket
@@ -151,12 +160,45 @@ def _bracket(n: int, k: int) -> tuple[float, float, float, float]:
             if fx is None:
                 fx = bessel_j_kernel(n, x)
             brackets += ((x, fx, xn, fxn),)
-            # the next two points lie at least 0.72 from any zero: skip them
-            x, fx, steps = xn + _SCAN_STEP + _SCAN_STEP, None, steps + 3
-        else:
-            x, fx, steps = xn, fxn, steps + 1
-        _WALKS[n] = (x, fx, steps, brackets)
+            # the points below this bound keep the sign of J_n(xn) and lie
+            # more than 1e-5 before the next zero
+            skip_below = x + _spacing_floor(n, x, xn) - 1e-5
+        x, fx, steps = xn, fxn, steps + 1
+        _WALKS[n] = (x, fx, steps, brackets, skip_below)
     return brackets[k - 1]
+
+
+def zero_floor(n: int, k: int) -> float:
+    """A float below j_{n,k} that costs no Miller pass once j_{n,k-1} is
+    found: Qu & Wong's bound for k = 1 (0 for n = 0), else j_{n,k-1} plus
+    the spacing floor of its bracket."""
+    if k == 1:
+        return n + _FIRST_ZERO * n ** (1.0 / 3.0)
+    a, _, b, _ = _bracket(n, k - 1)
+    return _zero_value(n, k - 1) + _spacing_floor(n, a, b)
+
+
+def _spacing_floor(n: int, a: float, b: float) -> float:
+    """A lower bound on j_{n,k+1} - j_{n,k}, and so on j_{n,k+1} - a, for
+    the zero j_{n,k} in the walk's bracket (a, b].  sqrt(x) J_n(x) solves
+    u'' + q u = 0 with q = 1 - (n^2 - 1/4)/x^2, so by Sturm comparison two
+    consecutive zeros lie at least pi / sqrt(max q) apart, the maximum taken
+    between them.  For n = 0, q falls with x and is largest at a.  For
+    n >= 1 it rises, so the spacing d satisfies d >= g(d) = pi / sqrt(q(b +
+    d)); g falls with d, so d lies above the fixed point of g, and the even
+    iterates of g from pi lie below it.  Past the checked slope range the
+    floor is 3.5 pi/4 = 2.75, below every spacing (the least floor, 3.07, is
+    that of n = 0 at its first bracket's left end, 3 pi/4), so that the walk
+    there skips only the two points after a bracket."""
+    if n > _SLOPE_CHECKED_N or b > _SLOPE_CHECKED_X:
+        return 3.5 * _SCAN_STEP
+    if n == 0:
+        return math.pi / math.sqrt(1.0 + 0.25 / (a * a))
+    c = n * n - 0.25
+    d = math.pi
+    for _ in range(4):  # an even count
+        d = math.pi / math.sqrt(1.0 - c / ((b + d) * (b + d)))
+    return d
 
 
 @lru_cache(maxsize=None)

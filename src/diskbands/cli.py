@@ -220,9 +220,11 @@ def _emit(chunks, args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ tables
 #
 # Every table is a non-empty iterable of rows in their JSON shape.  JSON
-# writes each row with json.dumps.  The CSV header and cells derive from that
-# shape: a nested dict becomes <key>_<subkey> columns, a list <key>_1,
-# <key>_2, ...; None prints as an empty cell and booleans as true/false.
+# writes its rows with json.dumps, a list of up to _JSON_BATCH of them per
+# call, since the encoder's setup costs about as much as a short row.  The
+# CSV header and cells derive from that shape: a nested dict becomes
+# <key>_<subkey> columns, a list <key>_1, <key>_2, ...; None prints as an
+# empty cell and booleans as true/false.
 # Rows hold only JSON types (floats as Python floats), and every float is
 # stored rounded by _jnum, so the 15 significant digits of the CSV and the
 # JSON numbers agree.  Neither format has a text for a NaN or an infinity,
@@ -236,11 +238,16 @@ def _emit(chunks, args: argparse.Namespace) -> None:
 # part of a table not written by json.dumps, as a sweep writes up to 513^2
 # samples: both formats turn each eta into text once per axis and each
 # distinct value once per block, since a sweep repeats its values, and join
-# those texts one eta1 row of the grid at a time.  Both formats write one
-# string per row, or per eta1 row of a block.  CSV prints the raw floats:
-# %.15g prints a float as it prints its _jnum (DBL_DIG is 15).  JSON refuses
-# the few finite floats above the largest 15-digit one, whose _jnum is an
-# infinity, as it refuses a row's infinity.
+# those texts one eta1 row of the grid at a time.  CSV writes one string
+# per row, JSON one per batch of rows, and both one per eta1 row of a
+# block.  CSV prints the raw floats: %.15g prints a float as it prints its
+# _jnum (DBL_DIG is 15).  JSON refuses the few finite floats above the
+# largest 15-digit one, whose _jnum is an infinity, as it refuses a row's
+# infinity.
+
+
+# the most rows that one json.dumps call writes
+_JSON_BATCH = 1024
 
 
 class _Block(Record):
@@ -365,34 +372,43 @@ def _json_samples(block: _Block, encode):
     yield "[]" if opening == "[" else "\n   ]"
 
 
+def _ends_in_block(row: dict) -> bool:
+    return type(next(reversed(row.values()), None)) is _Block
+
+
 def _json_chunks(meta: dict, rows):
     """Yield the text of `json.dumps({"meta": meta, "rows": rows}, indent=1)
     + "\n"`, drawing the row dicts of `rows`, which is never empty, as they
-    are written.  A row is written by json.dumps and indented to its depth
-    line by line, which is exact because JSON text never holds a raw newline
-    inside a string; a non-finite float raises ValueError, and a value that
-    json.dumps cannot write raises TypeError.  A _Block, the last value of
-    its row, is written by `_json_samples` as the list of its samples,
-    `{eta1, eta2, value}` dicts under its keys with every float rounded by
-    _jnum, one eta1 row of the grid per string."""
+    are written.  Each run of rows without a block is written by json.dumps
+    as lists of at most _JSON_BATCH rows, each list's text less its brackets
+    indented one level deeper line by line, which is exact because JSON text
+    never holds a raw newline inside a string; a non-finite float raises
+    ValueError, and a value that json.dumps cannot write raises TypeError.
+    A _Block, the last value of its row, is written by `_json_samples` as
+    the list of its samples, `{eta1, eta2, value}` dicts under its keys with
+    every float rounded by _jnum, one eta1 row of the grid per string."""
     # json loads here, on the one path that writes JSON; every row is written
-    # by one encoder, as json.dumps(row, indent=1) writes it
+    # by one encoder, as json.dumps(rows, indent=1) writes it
     import json
 
     encode = json.JSONEncoder(indent=1, allow_nan=False).encode
     head, _, tail = encode({"meta": meta, "rows": [None]}).rpartition("null")
     sep = head
-    for row in rows:
-        key, last = next(reversed(row.items()), (None, None))
-        if type(last) is _Block:
+    for blocks, run in itertools.groupby(rows, _ends_in_block):
+        if not blocks:
+            while batch := list(itertools.islice(run, _JSON_BATCH)):
+                # the list's text less its opening "[\n " and closing "\n]"
+                yield sep + encode(batch)[3:-2].replace("\n", "\n ")
+                sep = ",\n  "
+            continue
+        for row in run:
             # the row's text up to the value of its last key
+            key = next(reversed(row))
             text = encode({**row, key: None})[:-len("null\n}")]
             yield sep + text.replace("\n", "\n  ")
-            yield from _json_samples(last, encode)
+            yield from _json_samples(row[key], encode)
             yield "\n  }"
-        else:
-            yield sep + encode(row).replace("\n", "\n  ")
-        sep = ",\n  "
+            sep = ",\n  "
     yield tail + "\n"
 
 

@@ -7,8 +7,11 @@ coefficients give.  n = 0 gives simple eigenvalues, n >= 1 double ones
 carrying a cosine and a sine branch.  `enumerate_spectrum` lists the modes
 ascending by eigenvalue with the cosine branch preceding the sine branch of
 each double eigenvalue: it merges the increasing zero sequences j_{n,1} <
-j_{n,2} < ... of the orders n through a heap, and finds j_{n,k+1} only once
-j_{n,k} is listed, and j_{n+1,1} only once j_{n,1} is.
+j_{n,2} < ... of the orders n through a heap.  Once j_{n,k} is listed, the
+heap holds j_{n,k+1} under `bessel.zero_floor`'s lower bound, and once
+j_{n,1} is, j_{n+1,1} under the larger of j_{n,1} and Qu & Wong's bound.  A
+zero is found only when its bound reaches the top of the heap, so the
+spectrum finds the zeros it lists and only a few more.
 
 The module also holds the expansion parameters and the error types that the
 command line maps to exit codes; they need none of the Floquet modules, so
@@ -24,7 +27,7 @@ import enum
 import heapq
 import math
 
-from .bessel import bessel_j, bessel_zero
+from .bessel import bessel_j, bessel_zero, zero_floor
 
 DISK_RADIUS = 0.5
 
@@ -214,16 +217,22 @@ def enumerate_spectrum(count: int) -> list[ModeIndex]:
     expanded into adjacent (cosine, sine) entries."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError("count must be a positive integer, got %r" % (count,))
-    # merge the ascending zero sequences of the orders n = 0, 1, ...; since
-    # j_{n,1} < j_{n+1,1}, order n + 1 need not enter the heap before j_{n,1}
-    # leaves it
-    heap = [(bessel_zero(0, 1), 0, 1)]
+    # merge the ascending zero sequences of the orders n = 0, 1, ... through
+    # a heap of (key, n, k, exact): an exact entry's key is j_{n,k}, any
+    # other's a lower bound on it, and the zero is found only when such an
+    # entry reaches the top.  An exact entry on top lies below every key, so
+    # below every zero not yet listed.  Order n + 1 enters once j_{n,1} is
+    # listed, keyed at least j_{n,1}, since j_{n,1} < j_{n+1,1}.
+    heap = [(bessel_zero(0, 1), 0, 1, True)]
     out: list[ModeIndex] = []
     while len(out) < count:
-        _, n, k = heapq.heappop(heap)
+        z, n, k, exact = heap[0]
+        if not exact:
+            heapq.heapreplace(heap, (bessel_zero(n, k), n, k, True))
+            continue
         parities = (Parity.SIMPLE,) if n == 0 else (Parity.COSINE, Parity.SINE)
         out += [ModeIndex(n, k, p) for p in parities]
-        heapq.heappush(heap, (bessel_zero(n, k + 1), n, k + 1))
+        heapq.heapreplace(heap, (zero_floor(n, k + 1), n, k + 1, False))
         if k == 1:
-            heapq.heappush(heap, (bessel_zero(n + 1, 1), n + 1, 1))
+            heapq.heappush(heap, (max(z, zero_floor(n + 1, 1)), n + 1, 1, False))
     return out[:count]

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from diskbands import ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
-from diskbands import _core, bessel
+from diskbands import _core, bessel, cli
 from diskbands._core import bessel_j_kernel
 from diskbands.spectrum import enumerate_spectrum
 
@@ -193,17 +193,6 @@ def _fresh_scan_zero(n: int, k: int) -> float:
     return root
 
 
-@pytest.fixture
-def cold_zeros():
-    # no cached zero and no walk, before and after: a test that breaks the
-    # kernel must not leave a walk made with it behind
-    bessel._zero_value.cache_clear()
-    bessel._WALKS.clear()
-    yield
-    bessel._zero_value.cache_clear()
-    bessel._WALKS.clear()
-
-
 def _hex(bracket) -> tuple:
     return tuple(v.hex() for v in bracket)
 
@@ -304,9 +293,10 @@ def test_replay_calls_the_kernel_only_inside_the_window(cold_zeros, monkeypatch)
         assert nearest <= bessel._REPLAY_GUARD + 1e-5, (n, x)
     # 38 calls, where the evaluated bisection makes 6,000
     assert calls[0] <= 40
-    # the walks skip the points below the first zero's bound and the two
-    # after each bracket: 2,674 calls when they evaluated every point
-    assert calls[1] <= 1380
+    # the walks skip the points below the first zero's bound and, after each
+    # bracket, those below its spacing floor: 1,206 calls, 1,371 when they
+    # skipped two points per bracket, 2,674 when they evaluated every point
+    assert calls[1] <= 1210
 
 
 def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
@@ -357,7 +347,52 @@ def test_first_zero_bound_lies_below_the_first_zero(cold_zeros):
     # the least margin is 0.1766, at n = 200
     for n in range(1, 201):
         bound = n + bessel._FIRST_ZERO * n ** (1.0 / 3.0)
+        assert bessel.zero_floor(n, 1) == bound
         assert bessel_zero(n, 1) - bound > 0.17, n
+
+
+# the orders and depths of the `zeros` caps (n <= 9 with k up to 200, n <=
+# 200 with k up to 9) and a grid in between
+_FLOOR_KEYS = {(n, k) for n in range(10) for k in range(1, 201)}
+_FLOOR_KEYS |= {(n, k) for n in range(201) for k in range(1, 10)}
+_FLOOR_KEYS |= {(n, k) for n in range(10, 201, 10) for k in range(10, 101, 6)}
+
+
+def test_spacing_floor_lies_below_the_next_zero(cold_zeros):
+    # after the bracket (a, b] of j_{n,k} the walk skips the grid points
+    # below a + floor - 1e-5, and the spectrum keys j_{n,k+1} at j_{n,k} +
+    # floor: both must lie below j_{n,k+1}, the first by more than 1e-5
+    margins = []
+    for n, k in sorted(_FLOOR_KEYS):
+        a, _, b, _ = bessel._bracket(n, k)
+        floor = bessel._spacing_floor(n, a, b)
+        after = bessel_zero(n, k + 1)
+        assert floor < after - bessel_zero(n, k), (n, k)
+        assert bessel.zero_floor(n, k + 1) == bessel_zero(n, k) + floor
+        margins.append((after - (a + floor), (n, k)))
+    # the least is 6.6e-5, at (7, 110)
+    least = min(margins)
+    assert least[0] > 2e-5, least
+
+
+@pytest.mark.parametrize("n, ks", [(201, range(1, 10)), (0, range(329, 336))])
+def test_walk_past_the_checked_range_skips_two_points(cold_zeros, monkeypatch, n, ks):
+    # past order 200 or argument 1030 the walk calls the kernel at the third
+    # grid point after each bracket, as it did before the spacing floor
+    if ks[0] > 1:
+        bessel._bracket(n, ks[0] - 1)
+    xs = []
+    monkeypatch.setattr(bessel, "bessel_j_kernel", lambda m, x: xs.append(x) or bessel_j_kernel(m, x))
+    for k in ks:
+        _, _, b, _ = bessel._bracket(n, k)
+        if k == ks[-1]:
+            break
+        assert n > bessel._SLOPE_CHECKED_N or b > bessel._SLOPE_CHECKED_X
+        third = b
+        for _ in range(3):
+            third += bessel._SCAN_STEP
+        bessel._bracket(n, k + 1)
+        assert xs[xs.index(b) + 1] == third, (n, k)
 
 
 def test_slope_at_the_zeros_meets_the_replay_window(cold_zeros):
@@ -391,17 +426,24 @@ def _count_miller_passes(monkeypatch, work) -> int:
     return calls[0]
 
 
-def test_miller_passes_per_workload(cold_zeros, monkeypatch):
-    # the walk skips the points below the first zero's bound and the
-    # locating Newton run stops at _LOCATE_TOL: 6,409 passes, where the
-    # finder that evaluated those points and located to 1e-14 made 7,692
-    passes = _count_miller_passes(monkeypatch, lambda: enumerate_spectrum(1500))
-    assert passes <= 6450
+def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
+    # the benchmark's spectrum ops, in-process from cold caches.  The walk
+    # skips the points below the first zero's bound and below each
+    # bracket's spacing floor, the locating Newton run stops at _LOCATE_TOL
+    # and the spectrum finds only the zeros it lists and a few more: 5,419
+    # passes, where the finder that skipped two points per bracket and found
+    # every zero it keyed made 6,409, and the one that evaluated every walk
+    # point and located to 1e-14 made 7,692
+    def run(*argv):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out
+
+    assert _count_miller_passes(monkeypatch, lambda: run("spectrum", "--count", "1500")) <= 5450
     bessel._zero_value.cache_clear()
     bessel._WALKS.clear()
-    # 4,407, where it made 5,119
-    passes = _count_miller_passes(monkeypatch, lambda: [bessel_zero(*key) for key in _TABLE])
-    assert passes <= 4450
+    # 4,242, where they made 4,407 and 5,119
+    zeros = lambda: run("zeros", "--n-max", "29", "--k-max", "20")
+    assert _count_miller_passes(monkeypatch, zeros) <= 4270
 
 
 def _failing_kernel(fail_at: int, exc: BaseException):

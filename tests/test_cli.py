@@ -735,6 +735,48 @@ def test_block_guards():
             assert "".join(cli._csv_chunks([row])).count("%.15g" % top) == cells
 
 
+def _table_rows(size):
+    return [{"n": i, "j": i / 7.0, "on": [i % 2 == 0, None], "p": {"s": "c%d" % i}} for i in range(size)]
+
+
+@pytest.mark.parametrize("size", [1023, 1024, 1025, 2049])
+def test_json_rows_are_written_in_batches(size):
+    # one string per batch of at most 1024 rows, between the head and tail
+    rows = _table_rows(size)
+    chunks = list(cli._json_chunks({"grid": 3}, iter(rows)))
+    assert "".join(chunks) == json.dumps({"meta": {"grid": 3}, "rows": rows}, indent=1) + "\n"
+    assert len(chunks) == -(-size // cli._JSON_BATCH) + 1
+
+
+def test_json_batches_around_block_rows():
+    # a block row first, between two batches and last, and an empty row
+    axis, values = [0.0, 0.5, 1.0], [0.25 * i for i in range(9)]
+    block = {"n": 1, "samples": cli._Block(("eta1", "eta2", "value"), axis, values)}
+    expanded = {"n": 1, "samples": [
+        {"eta1": a, "eta2": b, "value": values[3 * i + j]}
+        for i, a in enumerate(axis) for j, b in enumerate(axis)
+    ]}
+    rows = _table_rows(2049)
+    for layout in (
+        [block, *rows],
+        [*rows[:1024], block, *rows[1024:]],
+        [*rows, block],
+        [block, {}, block],
+        [{}, *rows[:1024], {}],
+    ):
+        text = "".join(cli._json_chunks({}, iter(layout)))
+        doc = {"meta": {}, "rows": [expanded if row is block else row for row in layout]}
+        assert text == json.dumps(doc, indent=1) + "\n"
+
+
+def test_json_batch_refuses_a_nonfinite_float_in_its_last_row():
+    for last in (cli._JSON_BATCH - 1, 2 * cli._JSON_BATCH - 1):
+        rows = _table_rows(last + 1)
+        rows[last]["j"] = math.nan
+        with pytest.raises(ValueError):
+            "".join(cli._json_chunks({}, rows))
+
+
 def test_count_and_zero_caps_are_checked_before_any_work(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("the command ran before its cap check")

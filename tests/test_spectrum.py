@@ -24,6 +24,7 @@ from diskbands import (
     enumerate_spectrum,
     limit_eigenvalue,
 )
+from diskbands import bessel, cli
 from diskbands.spectrum import replace
 
 
@@ -155,6 +156,29 @@ def test_limit_values_match_radial_solver():
             parity = Parity.SIMPLE if n == 0 else Parity.COSINE
             exact = limit_eigenvalue(ModeIndex(n, k, parity))
             assert approx == pytest.approx(exact, rel=2e-5)
+
+
+def test_lazy_heap_lists_the_sorted_zeros(cold_zeros):
+    # every prefix of the spectrum is the reference sort by (j, n, k) of the
+    # zeros in a box that holds every zero below the 600th mode's
+    box = sorted((bessel_zero(n, k), n, k) for n in range(61) for k in range(1, 21))
+    reference = [
+        (n, k, p) for _, n, k in box for p in (("simple",) if n == 0 else ("c", "s"))
+    ][:600]
+    last = bessel_zero(*reference[-1][:2])
+    assert last < min(bessel_zero(61, 1), bessel_zero(0, 21))
+    for count in range(1, 601):
+        assert [(m.n, m.k, m.parity.value) for m in enumerate_spectrum(count)] == reference[:count]
+
+
+@pytest.mark.parametrize("count, most", [(1500, 770), (5000, 2530)])
+def test_spectrum_finds_few_zeros_it_does_not_list(cold_zeros, capsys, count, most):
+    # from cold caches the command finds 765 zeros for 1500 modes (763
+    # listed) and 2,524 for 5000 (2,523 listed), where keying each order's
+    # next zero by its value found 835 and 2,657
+    assert cli.main(["spectrum", "--count", str(count)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == count + 1
+    assert bessel._zero_value.cache_info().currsize <= most
 
 
 def test_enumerate_count_validation():
