@@ -8,20 +8,21 @@ identical inputs produce byte-identical output.  Exit codes: 0 ok, 1 usage or
 config error, 2 numerical failure, 3 internal consistency failure or other
 internal fault.
 
-Each subcommand names its handler in `_build_parser`, and each setting is one
-row of `_KEYS`: its config key, the dest, type, default and help of its flag,
-which `_add_common_flags` generates from the row.  A handler reads every
-setting from its parsed arguments, which `_resolve_config` fills in from the
-flags, then the config file, then the defaults.  Every size a command is
-asked for (`--count`, the zeros table, the sweep `count * grid^2`) is checked
-against its cap before any work.  The json module loads only when a command
-writes JSON, and traceback only to report an internal failure; typing never
-loads.
+Each subcommand is one row of `_COMMANDS`: its handler, help, least --count
+and own flags; each setting is one row of `_KEYS`: its config key, the dest,
+type, default and help of its flag.  `_parse_args` reads argv against these
+tables, and `_help` writes the --help texts from them; the standard library's
+argparse, with the gettext, locale and shutil it loads, never loads.  A
+handler reads every setting from its parsed arguments, which
+`_resolve_config` fills in from the flags, then the config file, then the
+defaults.  Every size a command is asked for (`--count`, the zeros table,
+the sweep `count * grid^2`) is checked against its cap before any work.  The
+json module loads only when a command writes JSON, and traceback only to
+report an internal failure; typing never loads.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import os
@@ -151,7 +152,7 @@ def _mode_key(key: str) -> tuple[int, int]:
     return n, k
 
 
-def _resolve_config(args: argparse.Namespace) -> None:
+def _resolve_config(args: _Args) -> None:
     """Fill in each setting of `args` that no flag set, from the config file,
     then from its default; validate them, and set `args.params` and
     `args.error_constants`."""
@@ -197,7 +198,7 @@ def _resolve_config(args: argparse.Namespace) -> None:
         raise ConfigError("unknown output format %r" % (args.format,))
 
 
-def _emit(chunks, args: argparse.Namespace) -> None:
+def _emit(chunks, args: _Args) -> None:
     """Write the strings of `chunks` in turn to --out, or to stdout."""
     if args.out is None or args.out == "-":
         try:
@@ -412,7 +413,7 @@ def _json_chunks(meta: dict, rows):
     yield tail + "\n"
 
 
-def _write_table(args: argparse.Namespace, rows, uncertified: bool | None = None) -> None:
+def _write_table(args: _Args, rows, uncertified: bool | None = None) -> None:
     """Emit `rows`, any iterable of row dicts, as CSV lines or as one JSON
     document with a meta block, writing as the rows are drawn."""
     if args.format == "csv":
@@ -437,7 +438,7 @@ def _eta(p: FloquetPoint) -> list[float]:
     return [_jnum(p.eta1), _jnum(p.eta2)]
 
 
-def _band_table(args: argparse.Namespace) -> tuple[list[BandInterval], bool]:
+def _band_table(args: _Args) -> tuple[list[BandInterval], bool]:
     """The band records of the first `args.count` modes, and whether any pad
     is uncertified, which a note on stderr reports."""
     from .bands import band_table
@@ -463,7 +464,7 @@ def _check_range(name: str, value: int, least: int, most: int) -> None:
         raise ConfigError("%s must lie in [%d, %d], got %r" % (name, least, most, value))
 
 
-def cmd_zeros(args: argparse.Namespace) -> int:
+def cmd_zeros(args: _Args) -> int:
     _check_range("--n-max", args.n_max, 0, MAX_N)
     _check_range("--k-max", args.k_max, 1, MAX_K)
     _check_range("(n-max + 1) * k-max", (args.n_max + 1) * args.k_max, 1, MAX_ZEROS)
@@ -476,7 +477,7 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: _Args) -> int:
     rows = [
         {**_mode_fields(m), "lambda0": _jnum(limit_eigenvalue(m))}
         for m in enumerate_spectrum(args.count)
@@ -485,7 +486,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bands(args: argparse.Namespace) -> int:
+def cmd_bands(args: _Args) -> int:
     bands, uncertified = _band_table(args)
     rows = [
         {
@@ -504,7 +505,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gaps(args: argparse.Namespace) -> int:
+def cmd_gaps(args: _Args) -> int:
     from .bands import gap_reports
 
     bands, uncertified = _band_table(args)
@@ -587,7 +588,7 @@ def _render_svg(bands: list[BandInterval], reports, uncertified: bool) -> str:
     return "".join(out)
 
 
-def cmd_diagram(args: argparse.Namespace) -> int:
+def cmd_diagram(args: _Args) -> int:
     total = args.count * args.grid**2
     if args.format != "svg" and total > MAX_DIAGRAM_SAMPLES:
         raise ConfigError(
@@ -616,7 +617,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: _Args) -> int:
     from .verify import verify_checks
 
     checks = verify_checks(args.params, args.grid)
@@ -643,52 +644,132 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract wants 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ConfigError(message)
+def _count_command(handler, text: str, least: int) -> tuple:
+    # a command that takes --count, at least `least` modes
+    return handler, text, least, {"count": (10, "modes, %d to %d" % (least, MAX_COUNT))}
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, default) -> None:
-    # the same flags hang off the main parser and every subcommand; the
-    # subcommand copies use SUPPRESS so an absent flag does not clobber a
-    # value parsed before the subcommand name
-    for name, kind, value, text in _KEYS.values():
-        parser.add_argument(
-            "--" + name.replace("_", "-"), type=kind, default=default,
-            help=text if value is None else "%s (default %g)" % (text, value),
-            choices=_FORMATS if name == "format" else None,
-        )
-    parser.add_argument("--config", default=default, help="key=value config file; flags override it")
+# subcommand -> (handler, help, least --count, its own flags); each own flag
+# is an integer, dest -> (default, help), and the least --count is None for
+# a command without that flag
+_COMMANDS = {
+    "zeros": (cmd_zeros, "table of Bessel zeros j_{n,k}", None, {
+        "n_max": (8, "largest order n, 0 to %d" % MAX_N),
+        "k_max": (5, "zeros per order, 1 to %d" % MAX_K),
+    }),
+    "spectrum": _count_command(cmd_spectrum, "leading limit eigenvalues in order", 1),
+    "bands": _count_command(cmd_bands, "band intervals with pads and lengths", 1),
+    "gaps": _count_command(cmd_gaps, "gap reports for adjacent band pairs", 2),
+    "diagram": _count_command(cmd_diagram, "band diagram (SVG) or sweep samples", 1),
+    "verify": (cmd_verify, "run the numerical cross-check suite", None, {}),
+}
 
 
-def _build_parser() -> _Parser:
-    common_main = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(common_main, None)
-    common_sub = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(common_sub, argparse.SUPPRESS)
+class _Args:
+    """The settings of one run: `command`, and one attribute per flag dest."""
 
-    parser = _Parser(
-        prog="diskbands", description=__doc__.splitlines()[0], parents=[common_main]
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("zeros", parents=[common_sub], help="table of Bessel zeros j_{n,k}")
-    p.add_argument("--n-max", type=int, default=8, help="largest order n, 0 to %d (default %%(default)s)" % MAX_N)
-    p.add_argument("--k-max", type=int, default=5, help="zeros per order, 1 to %d (default %%(default)s)" % MAX_K)
-    p.set_defaults(handler=cmd_zeros)
-    for name, handler, least, text in (
-        ("spectrum", cmd_spectrum, 1, "leading limit eigenvalues in order"),
-        ("bands", cmd_bands, 1, "band intervals with pads and lengths"),
-        ("gaps", cmd_gaps, 2, "gap reports for adjacent band pairs"),
-        ("diagram", cmd_diagram, 1, "band diagram (SVG) or sweep samples"),
-    ):
-        p = sub.add_parser(name, parents=[common_sub], help=text)
-        p.add_argument("--count", type=int, default=10, help="modes, %d to %d (default %%(default)s)" % (least, MAX_COUNT))
-        p.set_defaults(handler=handler, least_count=least)
-    verify = sub.add_parser("verify", parents=[common_sub], help="run the numerical cross-check suite")
-    verify.set_defaults(handler=cmd_verify)
-    return parser
+    def __contains__(self, name: str) -> bool:
+        return name in self.__dict__
+
+
+def _flags(command: str | None) -> dict:
+    # flag -> (dest, type, default, help) of every flag that --help lists
+    # after -h: the _KEYS flags and --config, then the command's own
+    rows = [*_KEYS.values(), ("config", str, None, "key=value config file; flags override it")]
+    if command is not None:
+        rows += [(dest, int, *row) for dest, row in _COMMANDS[command][3].items()]
+    return {"--" + row[0].replace("_", "-"): row for row in rows}
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: diskbands [options] {%s} [options]" % ",".join(_COMMANDS), "",
+                 __doc__.splitlines()[0], "", "commands:"]
+        lines += ["  %-10s%s" % (name, row[1]) for name, row in _COMMANDS.items()]
+    else:
+        lines = ["usage: diskbands %s [options]" % command, "", _COMMANDS[command][1]]
+    lines += ["", "options:", "  -h, --help", "      show this help message and exit"]
+    for flag, (dest, _, default, text) in _flags(command).items():
+        metavar = "{%s}" % ",".join(_FORMATS) if dest == "format" else dest.upper()
+        if default is not None:
+            text = "%s (default %g)" % (text, default)
+        lines += ["  %s %s" % (flag, metavar), "      " + text]
+    return "\n".join(lines) + "\n"
+
+
+def _is_flag(word: str) -> bool:
+    # "-" alone, a number and a text with a space are values, as argparse
+    # reads them, so that --epsilon -1 reaches its validation
+    if not word.startswith("-") or word == "-" or " " in word:
+        return False
+    try:
+        float(word)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_args(argv: list[str]) -> _Args:
+    """The settings `argv` names: `command`, each common flag's value or None
+    where it is absent, and each of the command's own flags' value or
+    default.  Flags go before or after the command, with their value as the
+    next word or after "="; a unique prefix names a flag, and the last of a
+    repeated flag wins.  -h or --help prints the help of the program, or of
+    the command named before it, and exits 0; every usage fault raises one
+    ConfigError."""
+    args = _Args()
+    args.command = None
+    flags = _flags(None)
+    for dest, *_ in flags.values():
+        setattr(args, dest, None)
+    # words no flag or command takes, reported together at the end
+    extras = []
+    words = iter(argv)
+    for word in words:
+        if not _is_flag(word):
+            if args.command is not None:
+                extras.append(word)
+            elif word in _COMMANDS:
+                args.command = word
+                flags = _flags(word)
+                for dest, row in _COMMANDS[word][3].items():
+                    setattr(args, dest, row[0])
+            else:
+                raise ConfigError("argument command: invalid choice: %r (choose from %s)"
+                                  % (word, ", ".join(map(repr, _COMMANDS))))
+            continue
+        name, equals, value = word.partition("=")
+        known = [*flags, "--help"] if name.startswith("--") and name != "--" else []
+        names = [name] if name in known else [flag for flag in known if flag.startswith(name)]
+        if len(names) > 1:
+            raise ConfigError("ambiguous option: %s could match %s" % (name, ", ".join(names)))
+        if word == "-h" or names == ["--help"]:
+            if equals:
+                raise ConfigError("argument -h/--help: ignored explicit argument %r" % value)
+            sys.stdout.write(_help(args.command))
+            raise SystemExit(EXIT_OK)
+        if not names:
+            extras.append(word)
+            continue
+        flag = names[0]
+        dest, kind = flags[flag][:2]
+        if not equals:
+            value = next(words, None)
+            if value is None or _is_flag(value):
+                raise ConfigError("argument %s: expected one argument" % flag)
+        try:
+            setattr(args, dest, kind(value))
+        except ValueError:
+            raise ConfigError("argument %s: invalid %s value: %r"
+                              % (flag, kind.__name__, value)) from None
+        if dest == "format" and value not in _FORMATS:
+            raise ConfigError("argument --format: invalid choice: %r (choose from %s)"
+                              % (value, ", ".join(map(repr, _FORMATS))))
+    if args.command is None:
+        raise ConfigError("the following arguments are required: command")
+    if extras:
+        raise ConfigError("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -704,14 +785,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         _resolve_config(args)
-        if "count" in args:
-            _check_range("--count", args.count, args.least_count, MAX_COUNT)
+        handler, _, least, _ = _COMMANDS[args.command]
+        if least is not None:
+            _check_range("--count", args.count, least, MAX_COUNT)
             # spectrum lists modes; the other commands sweep grid^2 points per mode
             if args.command != "spectrum":
                 _check_range("count * grid^2", args.count * args.grid**2, 1, MAX_SWEEP)
-        return args.handler(args)
+        return handler(args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,6 @@ import functools
 import math
 
 from .bessel import bessel_j_prime, bessel_zero
-from ._quad import arc_integrals
 # ExpansionParams and QuadratureConvergenceError live in the spectrum module
 # and are re-exported here
 from .spectrum import (
@@ -166,6 +165,10 @@ def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
     split the first-order correction of the double mode (n, k); the arc
     integrals I_c, I_s are computed by composite Gauss-Legendre, panels
     doubled until stable."""
+    # only verify runs this, so _quad (and cmath with it) loads here, not
+    # for every sweep
+    from ._quad import arc_integrals
+
     if n < 1:
         raise ValueError("n must be >= 1 for double modes, got %r" % (n,))
     z, gap = _derivative_gap(n, k)

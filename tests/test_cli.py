@@ -113,6 +113,41 @@ def test_flags_accepted_before_and_after_subcommand(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "canonical, spelling",
+    [
+        (["bands", "--count", "3"], ["bands", "--count=3"]),
+        (["bands", "--count", "3"], ["bands", "--cou", "3"]),
+        (["bands", "--count", "3"], ["bands", "--cou=3"]),
+        # the last of a repeated flag wins, also across the command
+        (["bands", "--count", "3"], ["bands", "--count", "7", "--count", "3"]),
+        (["spectrum", "--count", "3", "--format", "json", "--epsilon", "1e-2"],
+         ["--epsilon", "0.5", "spectrum", "--count", "3", "--format", "json", "--epsilon", "1e-2"]),
+        (["spectrum", "--count", "3", "--format", "json", "--epsilon", "1e-2"],
+         ["--eps", "1e-2", "spectrum", "--count", "3", "--format", "json"]),
+        (["bands", "--count", "3"], ["bands", "--count", "3", "--out", "-"]),
+        (["zeros", "--n-max", "2", "--k-max", "2"], ["zeros", "--n", "2", "--k=2"]),
+    ],
+)
+def test_flag_spellings_give_the_canonical_output(capsys, canonical, spelling):
+    assert cli.main(canonical) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    assert cli.main(spelling) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_negative_flag_value_reaches_validation(tmp_path, capsys):
+    # a negative number after a flag is its value, not a flag, so it fails
+    # where the same value from a config file fails
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = -1\n")
+    expected = "error: epsilon must lie in (0, 1), got -1.0\n"
+    for argv in (["bands", "--config", str(cfg)], ["bands", "--epsilon=-1"],
+                 ["bands", "--epsilon", "-1"], ["--epsilon", "-1", "bands"]):
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr() == ("", expected), argv
+
+
 def test_deterministic_output():
     one = run("bands", "--count", "10")
     two = run("bands", "--count", "10")
@@ -192,7 +227,7 @@ def test_help_shows_each_flag_default(capsys, command):
     with pytest.raises(SystemExit):
         cli.main([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    args = cli._build_parser().parse_args([command])
+    args = cli._parse_args([command])
     cli._resolve_config(args)
     # one entry per option line: the flag, its metavar and its help
     entry = re.compile(r"--([a-z-]+) [A-Z_]+ .*\(default ([^)]*)\)")
@@ -364,6 +399,27 @@ def test_usage_errors():
         ["nonsense"],
         ["bands", "--no-such-flag"],
         ["bands", "--epsilon", "1"],
+        # faults of the command line itself: no command, an ambiguous or
+        # unknown flag, a missing or bad value, a flag the command does not
+        # take, a word no flag takes
+        [],
+        ["--e", "1e-2", "bands"],
+        ["bands", "--e", "1e-2"],
+        ["bands", "--c", "x"],
+        ["bands", "--count"],
+        ["bands", "--out", "--format", "csv"],
+        ["bands", "--count", "3.0"],
+        ["bands", "--count", "0x10"],
+        ["bands", "--count="],
+        ["bands", "--format", "xml"],
+        ["bands", "--help=1"],
+        ["--count", "3", "spectrum"],
+        ["zeros", "--count", "3"],
+        ["verify", "--count", "3"],
+        ["bands", "extra"],
+        ["bands", "gaps"],
+        ["bands", "--"],
+        ["--", "bands"],
         # the pad C eps^gamma overflows to infinity, which strict JSON
         # cannot hold
         ["bands", "--count", "2", "--epsilon", "1e300", "--m", "0.45",

@@ -228,14 +228,15 @@ def _reference_correction_matrix(n, k, eta):
 
 
 def test_correction_matrix_equals_uncached_loop_bitwise(monkeypatch):
+    # correction_matrix imports arc_integrals from _quad on each call
     depth = []
-    cached = corrections.arc_integrals
+    cached = _quad.arc_integrals
 
     def recorded(n, eta1, eta2, panels):
         depth.append(panels)
         return cached(n, eta1, eta2, panels)
 
-    monkeypatch.setattr(corrections, "arc_integrals", recorded)
+    monkeypatch.setattr(_quad, "arc_integrals", recorded)
     axis = floquet_axis(9)
     for n in range(1, 8):
         for e1 in axis:

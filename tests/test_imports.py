@@ -2,8 +2,9 @@
 command, `verify` included, runs without loading numpy, and with numpy
 blocked `verify` still writes its golden output; `zeros` and `spectrum` also
 run without the Floquet modules, and no command loads xml.etree.  No command
-loads dataclasses, inspect, traceback or typing, and only JSON output loads
-json."""
+loads dataclasses, inspect, traceback, typing, argparse, gettext, locale or
+shutil, only JSON output loads json, and only verify loads the boundary
+quadrature."""
 
 import json
 import subprocess
@@ -79,6 +80,10 @@ sys.stderr.write("%d %s" % (code, " ".join(sys.modules)))
 # set-up, typing only names types, and json is loaded only to write JSON
 SETUP_ONLY = {"dataclasses", "inspect", "traceback", "typing"}
 
+# argparse, with the gettext and locale it loads and the shutil its help
+# formatter loads, would only read the command line
+PARSER_ONLY = {"argparse", "gettext", "locale", "shutil"}
+
 
 @pytest.mark.parametrize(
     "argv, writes_json",
@@ -111,7 +116,10 @@ def test_commands_load_no_setup_only_module(argv, writes_json):
     loaded = set(loaded) - set(bare.stderr.split(" "))
     assert "diskbands.cli" in loaded
     assert not loaded & SETUP_ONLY
+    assert not loaded & PARSER_ONLY
     assert ("json" in loaded) is writes_json
+    # the boundary quadrature serves verify's checks alone
+    assert ("diskbands._quad" in loaded) is (argv[0] == "verify")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
