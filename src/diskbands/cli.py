@@ -190,10 +190,7 @@ def _resolve_config(args: _Args) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     args.error_constants = constants
-    if not (3 <= args.grid <= MAX_GRID):
-        raise ConfigError(
-            "grid resolution must lie in [3, %d], got %r" % (MAX_GRID, args.grid)
-        )
+    _check_range("grid resolution", args.grid, 3, MAX_GRID)
     if args.format not in _FORMATS:
         raise ConfigError("unknown output format %r" % (args.format,))
 

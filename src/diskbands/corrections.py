@@ -11,10 +11,13 @@ vanishes and the correction is undetermined at this order.
 All that rests on the form of Lambda1 is here too, keyed by ModeIndex: its
 grid table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
 extremes (`lambda1_extremes(mode, axis)`), the lattice EXTREME_AXIS of exact
-extremizers, and the closed-form range max - min (`lambda1_range`).  The
-commands reach Lambda1 only through these.  The scalar entry points
-`lambda1_simple`, `lambda1_multiple`, `CorrectionValue.lambda1_at` and
-`lambda_expansion` are library API, kept for the benchmark's tracer.
+extremizers, and the closed-form range max - min (`lambda1_range`, the
+table on that lattice).  The commands reach Lambda1 only through these.
+Only `_lambda1_table` writes a Lambda1 constant, and it and
+`correction_matrix` read one cached `_first_order_prefactor`, so a change to
+the first-order constants edits those two functions.  The scalar entry
+points `lambda1_simple`, `lambda1_multiple`, `CorrectionValue.lambda1_at`
+and `lambda_expansion` are library API, kept for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -77,16 +80,17 @@ def _derivative_gap(n: int, k: int) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _simple_amplitude(k: int) -> tuple[float, float]:
-    # (j_{0,k}, J_1(j_{0,k}) = -J_0'(j_{0,k})) of the simple mode (0, k)
-    z = bessel_zero(0, k)
-    return z, -bessel_j_prime(0, z)
+def _first_order_prefactor(n: int, k: int) -> float:
+    # 2 J_n'(j_{n,k}) / (j_{n,k} (1 - pi/4)), the factor of every double mode's Lambda1
+    z, gap = _derivative_gap(n, k)
+    return gap / (z * SOFT_CELL_AREA)
 
 
 def c0_simple(k: int, eta: FloquetPoint) -> float:
     """Compatibility constant of a simple mode:
     pi J_1(j_{0,k}) cos(eta1/2) cos(eta2/2) / (j_{0,k} (1 - pi/4))."""
-    z, j1 = _simple_amplitude(k)
+    z, gap = _derivative_gap(0, k)
+    j1 = -0.5 * gap  # J_1(j_{0,k}) = -J_0'(j_{0,k})
     return (
         math.pi
         / (z * SOFT_CELL_AREA)
@@ -130,14 +134,13 @@ def _lambda1_table(n: int, k: int, rows, columns) -> list[list[float]]:
     s1, c1 = rows
     s2, c2 = columns
     if n == 0:
-        j1 = _simple_amplitude(k)[1]
+        j1 = -0.5 * _derivative_gap(0, k)[1]
         scale = 2.0 * math.pi / SOFT_CELL_AREA
         return [
             [(scale * amp) * amp for amp in [u * b for b in c2]]
             for u in [j1 * a for a in c1]
         ]
-    z, gap = _derivative_gap(n, k)
-    pref = gap / (z * SOFT_CELL_AREA)
+    pref = _first_order_prefactor(n, k)
     if n % 4 == 2:
         q = pref * (64.0 / (n * n))
         w2 = [b * b for b in s2]
@@ -171,8 +174,7 @@ def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
 
     if n < 1:
         raise ValueError("n must be >= 1 for double modes, got %r" % (n,))
-    z, gap = _derivative_gap(n, k)
-    pref = gap / (z * SOFT_CELL_AREA)
+    pref = _first_order_prefactor(n, k)
     panels = 8  # 32 nodes per quarter-arc
     prev: tuple[complex, complex] | None = None
     while panels <= _MAX_PANELS:
@@ -270,6 +272,8 @@ def lambda1_grid(mode: ModeIndex, axis) -> list[float]:
 # candidate extremizer components: Lambda1 factors through cos/sin of eta_i/2,
 # so extrema over the closed square lie on the tensor grid {-pi, 0, pi}^2
 EXTREME_AXIS = (0.0, math.pi, -math.pi)
+# the lattice's half-angle factors; pi and -pi reduce to the same point
+_LATTICE = _half_angle_factors(EXTREME_AXIS[:2])
 
 
 # lambda1_extremes scans a row in full when its slope in w = sin^2(eta2/2) is
@@ -335,16 +339,13 @@ def lambda1_extremes(
 
 def lambda1_range(n: int, k: int) -> float | None:
     """max - min of Lambda1 over eta for the simple mode (n = 0) or the sine
-    branch of the double mode (n, k), in closed form; None for n = 0 (mod 4),
-    where first-order theory is silent."""
-    if n == 0:
-        j1 = _simple_amplitude(k)[1]
-        return (2.0 * math.pi / SOFT_CELL_AREA) * j1 * j1
-    if n % 4 == 0:
+    branch of the double mode (n, k): the `_lambda1_table` on the lattice
+    EXTREME_AXIS, where the extremes lie in exact arithmetic; None for
+    n = 0 (mod 4), where first-order theory is silent."""
+    if n % 4 == 0 and n != 0:
         return None
-    z, gap = _derivative_gap(n, k)
-    num = 64.0 if n % 4 == 2 else 16.0
-    return abs(num / (z * n * n * SOFT_CELL_AREA) * gap)
+    values = [v for row in _lambda1_table(n, k, _LATTICE, _LATTICE) for v in row]
+    return max(values) - min(values)
 
 
 class Expansion(Record):

@@ -32,12 +32,11 @@ from diskbands import (
     limit_eigenvalue,
     swept_band_width,
 )
-from diskbands import bands
+from diskbands import bands, cli
 from diskbands import corrections
 from diskbands.corrections import (
     EXTREME_AXIS,
     _derivative_gap,
-    _simple_amplitude,
     lambda1_extremes,
     lambda1_grid,
 )
@@ -289,6 +288,37 @@ def test_detect_gaps_checks_swept_lengths(monkeypatch):
         detect_gaps(10, PARAMS)
 
 
+def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
+    # lambda1_range reads the table on the lattice only, so the swept length
+    # is checked against it wherever the grid finds a larger extreme.  Here
+    # the table's eta1 = pi/2 row, off the lattice and on the 33-point grid,
+    # stands 1e-6 of the range above the lattice maximum: well inside
+    # band_interval's grid slack, far outside the 1e-8 band-length bound
+    table, lattice = corrections._lambda1_table, corrections._LATTICE
+    row_sine = math.sin(0.25 * math.pi)
+
+    def bumped(n, k, rows, columns):
+        values = [v for row in table(n, k, lattice, lattice) for v in row]
+        peak = max(values) + 1e-6 * (max(values) - min(values))
+        return [
+            [peak] * len(row) if abs(s - row_sine) < 1e-12 else row
+            for s, row in zip(rows[0], table(n, k, rows, columns))
+        ]
+
+    monkeypatch.setattr(corrections, "_lambda1_table", bumped)
+    with pytest.raises(InternalConsistencyError, match="band length mismatch"):
+        band_table(10, PARAMS)
+    assert cli.main(["bands"]) == cli.EXIT_INTERNAL
+    assert cli.main(["verify"]) == cli.EXIT_NUMERICAL
+    out = capsys.readouterr().out
+    # the closed-form trace is the same table on verify's 5-point grid,
+    # which holds eta1 = pi/2 too
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL correction-trace-vs-quadrature",
+        "FAIL band-length-closed-vs-sweep",
+    ]
+
+
 def test_band_length_check_rejects_nan():
     # both comparisons of the swept against the closed-form length must
     # fail on a NaN length: the flat cosine branch and a swept branch
@@ -465,7 +495,7 @@ def _numpy_table(mode, axis):
     if mode.parity is Parity.COSINE:
         return np.zeros(len(axis) * len(axis))
     if n == 0:
-        amp = (_simple_amplitude(mode.k)[1] * c)[:, None] * c
+        amp = ((-0.5 * _derivative_gap(0, mode.k)[1]) * c)[:, None] * c
         return ((2.0 * math.pi / SOFT_CELL_AREA) * amp * amp).ravel()
     z, gap = _derivative_gap(n, mode.k)
     pref = gap / (z * SOFT_CELL_AREA)

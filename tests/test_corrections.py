@@ -21,7 +21,9 @@ from diskbands import (
     c0_multiple,
     c0_quadrature,
     c0_simple,
+    band_length,
     correction_matrix,
+    enumerate_spectrum,
     floquet_axis,
     lambda1_multiple,
     lambda1_simple,
@@ -250,6 +252,54 @@ def test_correction_matrix_equals_uncached_loop_bitwise(monkeypatch):
                     for g, r in zip(got_row, ref_row):
                         assert g.real.hex() == r.real.hex(), case
                         assert g.imag.hex() == r.imag.hex(), case
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 9, 33])
+def test_lambda1_range_is_the_grid_range_bitwise(resolution):
+    # lambda1_range reads _lambda1_table on the lattice EXTREME_AXIS, whose
+    # points every odd grid holds, and no other grid point lies beyond it
+    axis = floquet_axis(resolution)
+    modes = [
+        m for m in enumerate_spectrum(40)
+        if branch_for(m) in (Branch.SIMPLE, Branch.SINE)
+    ]
+    assert len(modes) > 10
+    for mode in modes:
+        values = corrections.lambda1_grid(mode, axis)
+        span = corrections.lambda1_range(mode.n, mode.k)
+        assert span.hex() == (max(values) - min(values)).hex(), mode.label()
+
+
+def test_one_prefactor_feeds_every_double_mode_constant(monkeypatch):
+    # the table, the closed-form range, the band length and the quadrature
+    # matrix all read _first_order_prefactor; doubling it doubles each
+    # exactly, since a factor of 2 is exact in every later float operation
+    axis = floquet_axis(9)
+    eta = FloquetPoint(0.9, -1.7)
+    params = ExpansionParams(1e-3, 0.25)
+    modes = [ModeIndex(n, k, Parity.SINE) for n in (1, 2, 3, 5, 6, 7) for k in (1, 2)]
+
+    def constants():
+        rows = []
+        for m in modes:
+            matrix = correction_matrix(m.n, m.k, eta)
+            rows.append((
+                corrections.lambda1_grid(m, axis),
+                corrections.lambda1_range(m.n, m.k),
+                band_length(m, params).leading,
+                matrix[0][0] + matrix[1][1],
+            ))
+        return rows
+
+    before = constants()
+    prefactor = corrections._first_order_prefactor
+    monkeypatch.setattr(
+        corrections, "_first_order_prefactor", lambda n, k: 2.0 * prefactor(n, k)
+    )
+    for (grid, span, length, trace), doubled in zip(before, constants()):
+        assert doubled[0] == [2.0 * v for v in grid]
+        assert doubled[1:] == (2.0 * span, 2.0 * length, 2.0 * trace)
+        assert span != 0.0 and trace != 0.0
 
 
 def test_lambda1_multiple_branches():
