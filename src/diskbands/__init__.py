@@ -35,28 +35,20 @@ _EXPORTS = {
     "corrections": (
         "SOFT_CELL_AREA",
         "Branch",
-        "CorrectionValue",
-        "Expansion",
         "FloquetPoint",
-        "MultipleCorrection",
         "UndeterminedCorrectionError",
         "branch_for",
         "c0_multiple",
         "c0_simple",
         "correction_matrix",
-        "lambda1_multiple",
-        "lambda1_simple",
-        "lambda_expansion",
     ),
     "bands": (
         "BandInterval",
-        "BandLength",
         "GapReport",
         "band_interval",
         "band_length",
         "band_table",
         "brillouin_sweep",
-        "detect_gaps",
         "floquet_axis",
         "gap_reports",
         "swept_band_width",
@@ -65,7 +57,6 @@ _EXPORTS = {
         "RadialMesh",
         "boundary_arc_length",
         "c0_quadrature",
-        "convergence_ratios",
         "disk_dirichlet_eigenvalues",
         "disk_mesh_doubling",
         "error_ratios",

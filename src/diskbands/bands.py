@@ -122,22 +122,13 @@ def band_interval(
     )
 
 
-class BandLength(Record):
-    """Leading-order band length |coef| eps^{2m}; `leading` is None when the
-    first-order term vanishes identically and the width is only O(eps^{2m})."""
-
-    leading: float | None
-    order_note: str
-
-
-def band_length(mode: ModeIndex, params: ExpansionParams) -> BandLength:
-    """Closed-form first-order band length of the branch pair containing
-    `mode` (parity-independent: both branches of a double mode sweep bands
-    whose union has this leading width)."""
+def band_length(mode: ModeIndex, params: ExpansionParams) -> float | None:
+    """Closed-form first-order band length eps^{2m} (max - min) Lambda1 of
+    the branch pair containing `mode` (both branches of a double mode sweep
+    bands whose union has this width); None for n = 0 (mod 4), where the
+    first-order term vanishes and the width is only O(eps^{2m})."""
     span = lambda1_range(mode.n, mode.k)
-    if span is None:
-        return BandLength(None, "undetermined, O(eps^%.6g)" % (2.0 * params.m))
-    return BandLength(span * params.first_order_scale, "remainder O(eps^%.6g)" % params.gamma)
+    return None if span is None else span * params.first_order_scale
 
 
 def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> None:
@@ -150,7 +141,7 @@ def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> 
             )
         return
     # band_table checks determined bands only, whose closed form is a number
-    expected = band_length(m, params).leading
+    expected = band_length(m, params)
     if not (abs(length - expected) <= 1e-8 * abs(expected)):
         raise InternalConsistencyError(
             "band length mismatch for %s: swept %r vs closed form %r"

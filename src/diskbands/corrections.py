@@ -11,13 +11,14 @@ vanishes and the correction is undetermined at this order.
 All that rests on the form of Lambda1 is here too, keyed by ModeIndex: its
 grid table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
 extremes (`lambda1_extremes(mode, axis)`), the lattice EXTREME_AXIS of exact
-extremizers, and the closed-form range max - min (`lambda1_range`, the
-table on that lattice).  The commands reach Lambda1 only through these.
-Only `_lambda1_table` writes a Lambda1 constant, and it and
-`correction_matrix` read one cached `_first_order_prefactor`, so a change to
-the first-order constants edits those two functions.  The scalar entry
-points `lambda1_simple`, `lambda1_multiple`, `CorrectionValue.lambda1_at`
-and `lambda_expansion` are library API, kept for the benchmark's tracer.
+extremizers, {0, pi}^2, and the closed-form range max - min (`lambda1_range`,
+the table on that lattice).  The commands and the acceptance gate reach
+Lambda1 only through these.  Only `_lambda1_table` writes a Lambda1
+constant, and it and `correction_matrix` read one cached
+`_first_order_prefactor`, so a change to the first-order constants edits
+those two functions.  The scalar entry points `lambda1_simple`,
+`lambda1_multiple`, `CorrectionValue.lambda1_at` and `lambda_expansion` are
+not exported; only the benchmark's tracer and their unit tests call them.
 """
 
 from __future__ import annotations
@@ -270,10 +271,10 @@ def lambda1_grid(mode: ModeIndex, axis) -> list[float]:
 
 
 # candidate extremizer components: Lambda1 factors through cos/sin of eta_i/2,
-# so extrema over the closed square lie on the tensor grid {-pi, 0, pi}^2
-EXTREME_AXIS = (0.0, math.pi, -math.pi)
-# the lattice's half-angle factors; pi and -pi reduce to the same point
-_LATTICE = _half_angle_factors(EXTREME_AXIS[:2])
+# so extrema over the closed square lie on the tensor grid {0, pi}^2 (pi and
+# -pi reduce to the same point)
+EXTREME_AXIS = (0.0, math.pi)
+_LATTICE = _half_angle_factors(EXTREME_AXIS)
 
 
 # lambda1_extremes scans a row in full when its slope in w = sin^2(eta2/2) is

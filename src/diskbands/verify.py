@@ -108,7 +108,7 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
         if branch_for(m) in (Branch.COSINE, Branch.UNDETERMINED):
             continue
         swept = swept_band_width(m.n, m.k, params, grid_resolution)
-        closed = band_length(m, params).leading
+        closed = band_length(m, params)
         worst = _max(worst, abs(swept - closed) / abs(closed))
     checks.append(Check("band-length-closed-vs-sweep", worst, 1e-8, "max relative error = %.3g" % worst))
     return checks

@@ -22,19 +22,19 @@ from diskbands import (
     branch_for,
     Branch,
     band_length,
+    band_table,
     c0_multiple,
     c0_quadrature,
     c0_simple,
-    convergence_ratios,
     correction_matrix,
-    detect_gaps,
-    disk_dirichlet_eigenvalues,
+    disk_mesh_doubling,
     enumerate_spectrum,
+    error_ratios,
     floquet_axis,
-    lambda1_multiple,
-    lambda1_simple,
+    gap_reports,
     swept_band_width,
 )
+from diskbands.corrections import lambda1_grid
 
 import numpy as np
 
@@ -138,14 +138,15 @@ def test_criterion_3_disk_oracle():
     worst_rel = 0.0
     mesh = RadialMesh(2048)
     for n in (0, 1, 2):
-        numeric = disk_dirichlet_eigenvalues(n, 2, mesh)
-        for k, value in enumerate(numeric, start=1):
+        # one solve per mesh serves the eigenvalues and the ratios
+        coarse, fine = disk_mesh_doubling(n, 2, mesh)
+        for k, value in enumerate(coarse, start=1):
             exact = 4.0 * bessel_zero(n, k) ** 2
             rel = abs(value - exact) / exact
             worst_rel = max(worst_rel, rel)
             if rel > 1e-3:
                 violations.append("rel err %.3g at n=%d k=%d" % (rel, n, k))
-        for ratio in convergence_ratios(n, 2, mesh):
+        for ratio in error_ratios(n, coarse, fine):
             if not 3.5 <= ratio <= 4.5:
                 violations.append("convergence ratio %.3g at n=%d" % (ratio, n))
     elapsed = time.perf_counter() - start
@@ -263,7 +264,7 @@ def test_criterion_6_band_lengths():
                 mode = ModeIndex(n, k, parity)
                 if branch_for(mode) is Branch.UNDETERMINED:
                     continue
-                closed = band_length(mode, params).leading
+                closed = band_length(mode, params)
                 swept = swept_band_width(n, k, params)
                 rel = abs(swept - closed) / closed
                 worst = max(worst, rel)
@@ -288,7 +289,7 @@ def test_criterion_7_gap_detection():
     start = time.perf_counter()
     violations = []
     params = ExpansionParams(1e-3, 0.25)
-    reports = detect_gaps(10, params)
+    reports = gap_reports(band_table(10, params), params)
     by_pair = {(r.below.label(), r.above.label()): r for r in reports}
     certified = {p for p, r in by_pair.items() if r.certified}
     expected_certified = {
@@ -304,7 +305,8 @@ def test_criterion_7_gap_detection():
             violations.append("%r reason %r" % (pair, by_pair[pair].reason))
     if by_pair[("1,1,s", "2,1,c")].reason != "first-order-flat":
         violations.append("flat pair reason %r" % by_pair[("1,1,s", "2,1,c")].reason)
-    wide = {(r.below.label(), r.above.label()): r for r in detect_gaps(12, params)}
+    wide_reports = gap_reports(band_table(12, params), params)
+    wide = {(r.below.label(), r.above.label()): r for r in wide_reports}
     for pair in (("1,2,s", "4,1,c"), ("4,1,c", "4,1,s")):
         if wide[pair].reason != "undetermined-band":
             violations.append("%r reason %r" % (pair, wide[pair].reason))
@@ -326,6 +328,10 @@ def test_criterion_8_symmetry():
     two_pi = 2.0 * math.pi
     axis = floquet_axis(9)
 
+    def lambda1(mode, eta):
+        # Lambda1 at eta: entry (0, 1) of the 2x2 grid on (eta1, eta2)
+        return lambda1_grid(mode, (eta.eta1, eta.eta2))[1]
+
     def check(label, value, reference):
         nonlocal worst
         diff = abs(value - reference)
@@ -340,16 +346,19 @@ def test_criterion_8_symmetry():
             negated = eta.negated()
             shifted = FloquetPoint(e1 + two_pi, e2 - two_pi)
             for k in (1, 2):
-                base = lambda1_simple(k, eta)
-                check("simple negation", lambda1_simple(k, negated), base)
-                check("simple shift", lambda1_simple(k, shifted), base)
+                mode = ModeIndex(0, k, Parity.SIMPLE)
+                base = lambda1(mode, eta)
+                check("simple negation", lambda1(mode, negated), base)
+                check("simple shift", lambda1(mode, shifted), base)
             for n in (1, 2, 3):
-                base = lambda1_multiple(n, 1, eta).sine
-                check("sine negation", lambda1_multiple(n, 1, negated).sine, base)
-                check("sine shift", lambda1_multiple(n, 1, shifted).sine, base)
-    peak = lambda1_simple(1, FloquetPoint(0.0, 0.0))
+                mode = ModeIndex(n, 1, Parity.SINE)
+                base = lambda1(mode, eta)
+                check("sine negation", lambda1(mode, negated), base)
+                check("sine shift", lambda1(mode, shifted), base)
+    simple = ModeIndex(0, 1, Parity.SIMPLE)
+    peak = lambda1(simple, FloquetPoint(0.0, 0.0))
     grid_max = max(
-        lambda1_simple(1, FloquetPoint(e1, e2)) for e1 in axis for e2 in axis
+        lambda1(simple, FloquetPoint(e1, e2)) for e1 in axis for e2 in axis
     )
     if grid_max > peak:
         violations.append("simple correction not maximal at origin")

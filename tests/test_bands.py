@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from diskbands import (
     SOFT_CELL_AREA,
-    BandLength,
     Branch,
-    CorrectionValue,
     ExpansionParams,
     FloquetPoint,
     InternalConsistencyError,
@@ -26,19 +24,20 @@ from diskbands import (
     bessel_j_prime,
     bessel_zero,
     brillouin_sweep,
-    detect_gaps,
     floquet_axis,
-    lambda1_simple,
     limit_eigenvalue,
     swept_band_width,
 )
 from diskbands import bands, cli
 from diskbands import corrections
+from diskbands.bands import detect_gaps
 from diskbands.corrections import (
     EXTREME_AXIS,
+    CorrectionValue,
     _derivative_gap,
     lambda1_extremes,
     lambda1_grid,
+    lambda1_simple,
 )
 
 PARAMS = ExpansionParams(1e-3, 0.25)
@@ -103,28 +102,26 @@ def test_band_length_closed_forms():
     simple = band_length(_mode(0, 1, Parity.SIMPLE), PARAMS)
     z = bessel_zero(0, 1)
     expected = 2.0 * math.pi / SOFT_CELL_AREA * bessel_j(1, z) ** 2
-    assert simple.leading == pytest.approx(expected * PARAMS.first_order_scale, rel=1e-12)
+    assert simple == pytest.approx(expected * PARAMS.first_order_scale, rel=1e-12)
 
-    und = band_length(_mode(4, 1, Parity.SINE), PARAMS)
-    assert und.leading is None
-    assert "undetermined" in und.order_note
+    assert band_length(_mode(4, 1, Parity.SINE), PARAMS) is None
 
     sine = band_length(_mode(2, 1, Parity.SINE), PARAMS)
     z2 = bessel_zero(2, 1)
     gap = bessel_j(1, z2) - bessel_j(3, z2)
     coef = abs(64.0 / (z2 * 4.0 * SOFT_CELL_AREA) * gap)
-    assert sine.leading == pytest.approx(coef * PARAMS.first_order_scale, rel=1e-12)
+    assert sine == pytest.approx(coef * PARAMS.first_order_scale, rel=1e-12)
 
     odd = band_length(_mode(3, 1, Parity.SINE), PARAMS)
     z3 = bessel_zero(3, 1)
     coef3 = abs(16.0 / (z3 * 9.0 * SOFT_CELL_AREA) * 2.0 * bessel_j_prime(3, z3))
-    assert odd.leading == pytest.approx(coef3 * PARAMS.first_order_scale, rel=1e-12)
+    assert odd == pytest.approx(coef3 * PARAMS.first_order_scale, rel=1e-12)
 
 
 def test_band_lengths_match_swept_widths():
     for n, k in ((0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2)):
         parity = Parity.SIMPLE if n == 0 else Parity.SINE
-        closed = band_length(_mode(n, k, parity), PARAMS).leading
+        closed = band_length(_mode(n, k, parity), PARAMS)
         swept = swept_band_width(n, k, PARAMS)
         assert swept == pytest.approx(closed, rel=1e-8)
     with pytest.raises(ValueError):
@@ -148,7 +145,7 @@ def test_swept_width_is_the_band_record_length(resolution):
         swept = swept_band_width(m.n, m.k, PARAMS, resolution)
         assert swept == band_interval(m, PARAMS, resolution).length == band.length
         if resolution % 2 == 0:
-            closed = band_length(m, PARAMS).leading
+            closed = band_length(m, PARAMS)
             assert abs(swept - closed) <= 1e-12 * abs(closed), m.label()
 
 
@@ -279,9 +276,7 @@ def test_detect_gaps_checks_swept_lengths(monkeypatch):
 
     def perturbed(mode, params):
         exact = true_length(mode, params)
-        if exact.leading is None:
-            return exact
-        return BandLength(exact.leading * (1.0 + 1e-6), exact.order_note)
+        return None if exact is None else exact * (1.0 + 1e-6)
 
     monkeypatch.setattr(bands, "band_length", perturbed)
     with pytest.raises(InternalConsistencyError):
@@ -319,6 +314,26 @@ def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
     ]
 
 
+def test_band_interval_guard_sees_grid_extremes_off_the_candidates(monkeypatch, capsys):
+    # the grid scan's minimum, lifted by 5% of the band's scale, lies
+    # beyond band_interval's slack of 0.75 step^2 of that scale (about 2.9%
+    # at grid 33); the lattice candidates are left as they are
+    true_extremes = bands.lambda1_extremes
+
+    def lifted(mode, axis):
+        lo, lo_eta, hi, hi_eta = true_extremes(mode, axis)
+        if axis is not corrections.EXTREME_AXIS:
+            lo += 0.05 * max(abs(lo), abs(hi), 1.0)
+        return lo, lo_eta, hi, hi_eta
+
+    monkeypatch.setattr(bands, "lambda1_extremes", lifted)
+    with pytest.raises(InternalConsistencyError, match="disagree with analytic candidates"):
+        band_table(10, PARAMS)
+    assert cli.main(["bands"]) == cli.EXIT_INTERNAL
+    assert cli.main(["verify"]) == cli.EXIT_INTERNAL
+    assert "disagree with analytic candidates" in capsys.readouterr().err
+
+
 def test_band_length_check_rejects_nan():
     # both comparisons of the swept against the closed-form length must
     # fail on a NaN length: the flat cosine branch and a swept branch
@@ -331,8 +346,7 @@ def test_detect_gaps_rejects_nan_closed_length(monkeypatch):
     true_length = bands.band_length
 
     def nan_length(mode, params):
-        exact = true_length(mode, params)
-        return exact if exact.leading is None else BandLength(math.nan, exact.order_note)
+        return None if true_length(mode, params) is None else math.nan
 
     monkeypatch.setattr(bands, "band_length", nan_length)
     with pytest.raises(InternalConsistencyError):

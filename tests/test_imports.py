@@ -6,6 +6,8 @@ loads dataclasses, inspect, traceback, typing, argparse, gettext, locale or
 shutil, only JSON output loads json, and only verify loads the boundary
 quadrature."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -177,6 +179,50 @@ def test_unknown_attribute_raises():
     assert getattr(diskbands, "BACKEND", "missing") == "missing"
     with pytest.raises(ImportError):
         exec("from diskbands import no_such_name", {})
+
+
+# names that only the benchmark's tracer and their own unit tests call: not
+# exported, but each still defined in its module
+TRACER_ONLY = {
+    "corrections": (
+        "CorrectionValue",
+        "Expansion",
+        "MultipleCorrection",
+        "lambda1_multiple",
+        "lambda1_simple",
+        "lambda_expansion",
+    ),
+    "bands": ("detect_gaps",),
+    "oracles": ("convergence_ratios",),
+}
+
+
+def test_tracer_only_names_are_not_exported():
+    for module, names in TRACER_ONLY.items():
+        for name in names:
+            assert name not in diskbands.__all__, name
+            assert not hasattr(diskbands, name), name
+            assert callable(getattr(getattr(diskbands, module), name)), name
+    assert "BandLength" not in diskbands.__all__
+    assert not hasattr(bands, "BandLength")
+
+
+def test_every_tracer_boundary_resolves():
+    # the benchmark's tracer wraps each BOUNDARIES function at its module
+    # path and reports a missing one; read the table without importing it
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "BOUNDARIES"
+    ]
+    boundaries = ast.literal_eval(table)
+    assert len(boundaries) > 20
+    for _, module, path in boundaries:
+        value = importlib.import_module(module)
+        for attr in path.split("."):
+            value = getattr(value, attr)
+        assert callable(value), (module, path)
 
 
 def test_moved_classes_keep_their_old_homes():

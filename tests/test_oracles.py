@@ -21,12 +21,12 @@ from diskbands import (
     c0_multiple,
     c0_quadrature,
     c0_simple,
-    convergence_ratios,
     disk_dirichlet_eigenvalues,
     disk_mesh_doubling,
     error_ratios,
     floquet_axis,
 )
+from diskbands.oracles import convergence_ratios
 
 
 def _bits(values):

@@ -17,10 +17,10 @@ from diskbands import (
     FloquetPoint,
     ModeIndex,
     Parity,
-    detect_gaps,
     enumerate_spectrum,
     limit_eigenvalue,
 )
+from diskbands.bands import detect_gaps
 from diskbands.cli import _fmt, _jnum, _json_chunks
 from diskbands.corrections import lambda1_grid
 

@@ -9,12 +9,10 @@ import pytest
 from diskbands import (
     BandInterval,
     Check,
-    Expansion,
     ExpansionParams,
     FloquetPoint,
     GapReport,
     ModeIndex,
-    MultipleCorrection,
     Parity,
     RadialMesh,
     bessel_j,
@@ -25,6 +23,7 @@ from diskbands import (
     limit_eigenvalue,
 )
 from diskbands import bessel, cli
+from diskbands.corrections import Expansion, MultipleCorrection
 from diskbands.spectrum import replace
 
 
