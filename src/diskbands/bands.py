@@ -16,7 +16,6 @@ import math
 import warnings
 
 from .corrections import (
-    EXTREME_AXIS,
     Branch,
     ExpansionParams,
     FloquetPoint,
@@ -24,6 +23,7 @@ from .corrections import (
     lambda1_extremes,
     lambda1_grid,
     lambda1_range,
+    lattice_extremes,
     reduce_angle,
 )
 # InternalConsistencyError lives in the spectrum module and is re-exported
@@ -89,7 +89,7 @@ def band_interval(
 
     # closed-form extrema land on the half-angle lattice; the grid scan and
     # the candidate list must agree to grid tolerance
-    cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = lambda1_extremes(mode, EXTREME_AXIS)
+    cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = lattice_extremes(mode)
     scale = max(abs(cand_lo), abs(cand_hi), 1.0)
     step = 2.0 * math.pi / (grid_resolution - 1)
     slack = 0.75 * scale * step * step

@@ -1,24 +1,25 @@
 """First-order Floquet corrections in closed form.
 
 The two-scale expansion of an eigenvalue reads Lambda0 + eps^{2m} Lambda1(eta)
-with an error pad C * eps^gamma, gamma = min(3m, 1).  This module carries the
-boundary compatibility constants c0(eta), the rank-one correction matrix M of
-a double eigenvalue (assembled from the quarter-arc integrals of `_quad`),
-and the correction eigenvalues: Lambda1 of a simple mode, and the pair
-{0, tr M} of a double mode.  For n = 0 (mod 4) every first-order quantity
-vanishes and the correction is undetermined at this order.
+with an error pad C * eps^gamma, gamma = min(3m, 1).  For n = 0 (mod 4)
+every first-order quantity vanishes and the correction is undetermined at
+this order.
 
-All that rests on the form of Lambda1 is here too, keyed by ModeIndex: its
-grid table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
+All that rests on the form of Lambda1 is here, keyed by ModeIndex: its grid
+table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
 extremes (`lambda1_extremes(mode, axis)`), the lattice EXTREME_AXIS of exact
-extremizers, {0, pi}^2, and the closed-form range max - min (`lambda1_range`,
-the table on that lattice).  The commands and the acceptance gate reach
-Lambda1 only through these.  Only `_lambda1_table` writes a Lambda1
-constant, and it and `correction_matrix` read one cached
-`_first_order_prefactor`, so a change to the first-order constants edits
-those two functions.  The scalar entry points `lambda1_simple`,
-`lambda1_multiple`, `CorrectionValue.lambda1_at` and `lambda_expansion` are
-not exported; only the benchmark's tracer and their unit tests call them.
+extremizers, {0, pi}^2, and the extremes and closed-form range max - min
+there (`lattice_extremes`, `lambda1_range`), both read from the one table on
+that lattice.  The commands and the acceptance gate reach Lambda1 only
+through these.  Only `_lambda1_table` writes a Lambda1 constant, and it and
+`correction_matrix` read one cached `_first_order_prefactor`, so a change to
+the first-order constants edits those two functions.
+
+The closed forms that only `verify` and the benchmark's tracer call, the
+compatibility constants c0(eta), the rank-one correction matrix M of a
+double eigenvalue (eigenvalues {0, tr M}) and the unexported scalar Lambda1
+entry points, live in `_firstorder` and resolve here on first access (PEP
+562), so the table commands never compile them.
 """
 
 from __future__ import annotations
@@ -36,15 +37,11 @@ from .spectrum import (
     Parity,
     QuadratureConvergenceError,
     Record,
-    limit_eigenvalue,
 )
 
 TWO_PI = 2.0 * math.pi
 # area of the unit cell outside the inscribed disk of radius 1/2
 SOFT_CELL_AREA = 1.0 - math.pi / 4.0
-
-_QUAD_TOL = 1e-10
-_MAX_PANELS = 1024
 
 
 class UndeterminedCorrectionError(RuntimeError):
@@ -87,39 +84,6 @@ def _first_order_prefactor(n: int, k: int) -> float:
     return gap / (z * SOFT_CELL_AREA)
 
 
-def c0_simple(k: int, eta: FloquetPoint) -> float:
-    """Compatibility constant of a simple mode:
-    pi J_1(j_{0,k}) cos(eta1/2) cos(eta2/2) / (j_{0,k} (1 - pi/4))."""
-    z, gap = _derivative_gap(0, k)
-    j1 = -0.5 * gap  # J_1(j_{0,k}) = -J_0'(j_{0,k})
-    return (
-        math.pi
-        / (z * SOFT_CELL_AREA)
-        * j1
-        * math.cos(0.5 * eta.eta1)
-        * math.cos(0.5 * eta.eta2)
-    )
-
-
-def c0_multiple(
-    n: int, k: int, eta: FloquetPoint, coeff_c: complex, coeff_s: complex
-) -> complex:
-    """Compatibility constant of a double mode with angular coefficients
-    (C_c, C_s); identically zero for n = 0 (mod 4)."""
-    if n < 1:
-        raise ValueError("n must be >= 1 for double modes, got %r" % (n,))
-    if n % 4 == 0:
-        return 0j
-    z, gap = _derivative_gap(n, k)
-    base = gap / (n * z * SOFT_CELL_AREA)
-    sa, ca = math.sin(0.5 * eta.eta1), math.cos(0.5 * eta.eta1)
-    sb, cb = math.sin(0.5 * eta.eta2), math.cos(0.5 * eta.eta2)
-    if n % 4 == 2:
-        return 2.0 * base * coeff_s * sa * sb
-    sign = 1.0 if n % 4 == 1 else -1.0
-    return -1j * base * (sign * coeff_c * sa * cb + coeff_s * ca * sb)
-
-
 def _half_angle_factors(axis) -> tuple[list[float], list[float]]:
     # sin and cos of eta_i/2 at each reduced axis value
     halves = [0.5 * reduce_angle(a) for a in axis]
@@ -153,71 +117,6 @@ def _lambda1_table(n: int, k: int, rows, columns) -> list[list[float]]:
     ]
 
 
-def _lambda1_point(n: int, k: int, eta: FloquetPoint) -> float:
-    rows = _half_angle_factors((eta.eta1,))
-    return _lambda1_table(n, k, rows, _half_angle_factors((eta.eta2,)))[0][0]
-
-
-def lambda1_simple(k: int, eta: FloquetPoint) -> float:
-    """First-order correction of the simple mode (0, k):
-    (2 pi / (1 - pi/4)) (J_1(j_{0,k}) cos(eta1/2) cos(eta2/2))^2."""
-    return _lambda1_point(0, k, eta)
-
-
-def correction_matrix(n: int, k: int, eta: FloquetPoint) -> list[list[complex]]:
-    """Rank-one 2x2 matrix M, as nested lists, whose eigenvalues {0, tr M}
-    split the first-order correction of the double mode (n, k); the arc
-    integrals I_c, I_s are computed by composite Gauss-Legendre, panels
-    doubled until stable."""
-    # only verify runs this, so _quad (and cmath with it) loads here, not
-    # for every sweep
-    from ._quad import arc_integrals
-
-    if n < 1:
-        raise ValueError("n must be >= 1 for double modes, got %r" % (n,))
-    pref = _first_order_prefactor(n, k)
-    panels = 8  # 32 nodes per quarter-arc
-    prev: tuple[complex, complex] | None = None
-    while panels <= _MAX_PANELS:
-        cur = arc_integrals(n, eta.eta1, eta.eta2, panels)
-        if prev is not None and max(
-            abs(cur[0] - prev[0]), abs(cur[1] - prev[1])
-        ) < _QUAD_TOL:
-            ic, isn = cur
-            off = pref * (ic * isn)
-            return [[pref * (ic * ic), off], [off, pref * (isn * isn)]]
-        prev = cur
-        panels *= 2
-    raise QuadratureConvergenceError(
-        "arc integrals did not stabilize (n=%d, eta=(%g, %g))"
-        % (n, eta.eta1, eta.eta2)
-    )
-
-
-class MultipleCorrection(Record):
-    """Correction pair (cosine, sine) of a double mode; `undetermined` marks
-    n = 0 (mod 4), where the pair is 0 only because first-order theory is
-    silent and the true band width is unknown at this order."""
-
-    cosine: float
-    sine: float
-    undetermined: bool
-
-    def __iter__(self):
-        yield self.cosine
-        yield self.sine
-
-
-def lambda1_multiple(n: int, k: int, eta: FloquetPoint) -> MultipleCorrection:
-    """Closed-form correction pair (0, tr M) of the double mode (n, k)."""
-    if n < 1 or k < 1:
-        raise ValueError("double modes need n >= 1 and k >= 1, got (%r, %r)" % (n, k))
-    if n % 4 == 0:
-        return MultipleCorrection(0.0, 0.0, True)
-    trace = _lambda1_point(n, k, eta)
-    return MultipleCorrection(0.0, trace, False)
-
-
 class Branch(enum.Enum):
     SIMPLE = "simple"
     COSINE = "cosine"
@@ -243,21 +142,6 @@ def _determined_branch(mode: ModeIndex) -> Branch:
     return branch
 
 
-class CorrectionValue(Record):
-    """Evaluable first-order correction Lambda1(eta) of one mode branch."""
-
-    mode: ModeIndex
-
-    @property
-    def branch(self) -> Branch:
-        return branch_for(self.mode)
-
-    def lambda1_at(self, eta: FloquetPoint) -> float:
-        if _determined_branch(self.mode) is Branch.COSINE:
-            return 0.0
-        return _lambda1_point(self.mode.n, self.mode.k, eta)
-
-
 def lambda1_grid(mode: ModeIndex, axis) -> list[float]:
     """Lambda1 of the mode's branch at every point (axis[i], axis[j]) of the
     tensor grid, as a list flattened row-major over eta1 (index
@@ -275,6 +159,9 @@ def lambda1_grid(mode: ModeIndex, axis) -> list[float]:
 # -pi reduce to the same point)
 EXTREME_AXIS = (0.0, math.pi)
 _LATTICE = _half_angle_factors(EXTREME_AXIS)
+# the lattice's points, row-major as the table on it; FloquetPoint is frozen,
+# so every band can hold the same four
+_LATTICE_POINTS = [FloquetPoint(a, b) for a in EXTREME_AXIS for b in EXTREME_AXIS]
 
 
 # lambda1_extremes scans a row in full when its slope in w = sin^2(eta2/2) is
@@ -349,22 +236,26 @@ def lambda1_range(n: int, k: int) -> float | None:
     return max(values) - min(values)
 
 
-class Expansion(Record):
-    """Two-term eigenvalue value with its error pad; `undetermined` flags an
-    unresolved eps^{2m}-order term (value then equals Lambda0)."""
+def lattice_extremes(mode: ModeIndex) -> tuple[float, FloquetPoint, float, FloquetPoint]:
+    """`lambda1_extremes(mode, EXTREME_AXIS)` from the lattice table that
+    `lambda1_range` reads: its first minimum and maximum in row-major order,
+    with their points."""
+    if _determined_branch(mode) is Branch.COSINE:
+        return 0.0, _LATTICE_POINTS[0], 0.0, _LATTICE_POINTS[0]
+    values = [v for row in _lambda1_table(mode.n, mode.k, _LATTICE, _LATTICE) for v in row]
+    lo, hi = min(values), max(values)
+    return lo, _LATTICE_POINTS[values.index(lo)], hi, _LATTICE_POINTS[values.index(hi)]
 
-    value: float
-    pad: float
-    undetermined: bool = False
+
+# the names that `_firstorder` defines
+_FIRST_ORDER = ("CorrectionValue", "Expansion", "MultipleCorrection", "c0_multiple", "c0_simple",
+                "correction_matrix", "lambda1_multiple", "lambda1_simple", "lambda_expansion")
 
 
-def lambda_expansion(
-    mode: ModeIndex, eta: FloquetPoint, params: ExpansionParams
-) -> Expansion:
-    """Lambda0 + eps^{2m} Lambda1(eta) with pad C eps^gamma, branch selected
-    by the mode's parity."""
-    lam0 = limit_eigenvalue(mode)
-    if branch_for(mode) is Branch.UNDETERMINED:
-        return Expansion(lam0, params.pad, True)
-    lam1 = CorrectionValue(mode).lambda1_at(eta)
-    return Expansion(lam0 + params.first_order_scale * lam1, params.pad, False)
+def __getattr__(name):
+    # PEP 562: `_firstorder` loads only when one of its names is asked for
+    if name in _FIRST_ORDER:
+        from . import _firstorder
+
+        return getattr(_firstorder, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

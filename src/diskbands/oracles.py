@@ -11,10 +11,11 @@ derivative of the disk eigenfunction by the quarter-arc integrals of
 Each mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a
 mesh and its doubled mesh once each, so the eigenvalue check, the Richardson
 guard and the convergence ratios share two solves.  Each solve's bisection
-reuses the Sturm counts it has taken, sweeping only midpoints whose side they
-leave open, and takes its first counts from a Newton estimate of each
-eigenvalue and a bracket of relative half-width 1e-10 around it; the
-eigenvalues are bitwise those of the bisection that sweeps every midpoint.
+(`_sturm`, which only this module imports) reuses the Sturm counts it has
+taken, sweeping only midpoints whose side they leave open, and takes its
+first counts from a Newton estimate of each eigenvalue and a bracket of
+relative half-width 1e-10 around it; the eigenvalues are bitwise those of
+the bisection that sweeps every midpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._core import tridiag_smallest_eigenvalues
+from ._sturm import tridiag_smallest_eigenvalues
 from ._quad import arc_integrals
 from .bessel import bessel_j_prime, bessel_zero
 from .corrections import FloquetPoint

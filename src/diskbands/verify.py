@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 
+from ._firstorder import c0_multiple, c0_simple, correction_matrix
 from .bands import band_length, floquet_axis, swept_band_width
 from .bessel import bessel_j, bessel_zero
-from .corrections import ExpansionParams, FloquetPoint, c0_multiple, c0_simple
-from .corrections import Branch, branch_for, correction_matrix, lambda1_grid
+from .corrections import Branch, ExpansionParams, FloquetPoint, branch_for, lambda1_grid
 from .oracles import RadialMesh, boundary_arc_length, c0_quadrature
 from .oracles import disk_mesh_doubling, error_ratios
 from .spectrum import ModeIndex, Parity, Record, enumerate_spectrum, limit_eigenvalue

@@ -23,7 +23,9 @@ from diskbands import (
     bessel_j,
     bessel_j_prime,
     bessel_zero,
+    branch_for,
     brillouin_sweep,
+    enumerate_spectrum,
     floquet_axis,
     limit_eigenvalue,
     swept_band_width,
@@ -38,6 +40,7 @@ from diskbands.corrections import (
     lambda1_extremes,
     lambda1_grid,
     lambda1_simple,
+    lattice_extremes,
 )
 
 PARAMS = ExpansionParams(1e-3, 0.25)
@@ -497,6 +500,18 @@ def test_extremes_equal_first_occurrence_scan(axes):
             want = _first_extremes(lambda1_grid(mode, axis), axis)
             got = lambda1_extremes(mode, axis)
             assert _bits(got) == _bits(want), (mode.label(), len(axis))
+
+
+def test_lattice_extremes_equal_the_candidate_scan_bitwise():
+    # band_interval's candidates, read from the lattice table, against the
+    # general scan on EXTREME_AXIS, values and points alike, for every
+    # determined branch among the first 5,000 modes
+    modes = [m for m in enumerate_spectrum(5000) if branch_for(m) is not Branch.UNDETERMINED]
+    assert len(modes) == 3794
+    assert {branch_for(m) for m in modes} == {Branch.SIMPLE, Branch.COSINE, Branch.SINE}
+    for mode in modes:
+        want = lambda1_extremes(mode, EXTREME_AXIS)
+        assert _bits(lattice_extremes(mode)) == _bits(want), mode.label()
 
 
 def _numpy_table(mode, axis):

@@ -3,8 +3,9 @@ command, `verify` included, runs without loading numpy, and with numpy
 blocked `verify` still writes its golden output; `zeros` and `spectrum` also
 run without the Floquet modules, and no command loads xml.etree.  No command
 loads dataclasses, inspect, traceback, typing, argparse, gettext, locale or
-shutil, only JSON output loads json, and only verify loads the boundary
-quadrature."""
+shutil, only JSON output loads json, only verify loads the boundary
+quadrature, the Sturm solver and the verify-only first-order closed forms,
+and only diagram loads the diagram writer."""
 
 import ast
 import importlib
@@ -122,6 +123,11 @@ def test_commands_load_no_setup_only_module(argv, writes_json):
     assert ("json" in loaded) is writes_json
     # the boundary quadrature serves verify's checks alone
     assert ("diskbands._quad" in loaded) is (argv[0] == "verify")
+    # each command compiles only the code it runs: the Sturm solver and the
+    # first-order closed forms serve verify, the diagram writer diagram
+    assert ("diskbands._sturm" in loaded) is (argv[0] == "verify")
+    assert ("diskbands._firstorder" in loaded) is (argv[0] == "verify")
+    assert ("diskbands._diagram" in loaded) is (argv[0] == "diagram")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -1,6 +1,6 @@
-"""The kernels in `diskbands._core` against independent references:
-mpmath at 30 digits for J_n and its zeros, LAPACK (`numpy.linalg.eigvalsh`)
-for the tridiagonal eigensolver.  The bounds sit a few times above the
+"""The kernels in `diskbands._core` and the solver in `diskbands._sturm`
+against independent references: mpmath at 30 digits for J_n and its zeros,
+LAPACK (`numpy.linalg.eigvalsh`) for the tridiagonal eigensolver.  The bounds sit a few times above the
 largest errors observed on these samples.  The plain loops that the Miller
 recurrence, the Sturm count and the bisection were tuned from are kept here
 as bitwise references."""
@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diskbands import _core
-from diskbands._core import bessel_j_kernel, tridiag_smallest_eigenvalues
+from diskbands import _core, _sturm
+from diskbands._core import bessel_j_kernel
+from diskbands._sturm import tridiag_smallest_eigenvalues
 from diskbands.bessel import bessel_zero
 from diskbands.oracles import RadialMesh, _assemble
 
@@ -217,7 +218,7 @@ def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
     # every count the solver takes from its table of squares, in its Sturm
     # sweeps and in its Newton sweeps, equals the squaring sweep's, so the
     # bisection and the eigenvalues are unchanged
-    sturm, newton = _core._sturm_count, _core._sturm_newton
+    sturm, newton = _sturm._sturm_count, _sturm._sturm_newton
     sweeps = []
 
     def checked_sturm(d, e2, x):
@@ -232,8 +233,8 @@ def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
         sweeps.append(x)
         return count, slope
 
-    monkeypatch.setattr(_core, "_sturm_count", checked_sturm)
-    monkeypatch.setattr(_core, "_sturm_newton", checked_newton)
+    monkeypatch.setattr(_sturm, "_sturm_count", checked_sturm)
+    monkeypatch.setattr(_sturm, "_sturm_newton", checked_newton)
     for diag, off in _verify_matrices():
         tridiag_smallest_eigenvalues(diag, off, 2)
     # 132 Sturm and 78 Newton sweeps; 684 when every midpoint was swept and
@@ -353,18 +354,26 @@ def test_a_wrong_hint_changes_no_eigenvalue(
     # a Newton estimate, or a Newton sweep's slope, replaced by an absurd
     # value: the hint may then settle fewer midpoints, but the counts it
     # takes are true, so the verify meshes' eigenvalues stay the plain
-    # bisection's bitwise, with no exception
+    # bisection's bitwise, with no exception; the replacement must be
+    # called, or the test would pass with the hint untouched
+    calls = []
     if target == "estimate":
-        monkeypatch.setattr(_core, "_newton_estimate", lambda *args: wrong)
+        def wrong_estimate(*args):
+            calls.append(args)
+            return wrong
+
+        monkeypatch.setattr(_sturm, "_newton_estimate", wrong_estimate)
     else:
-        newton = _core._sturm_newton
+        newton = _sturm._sturm_newton
 
         def wrong_slope(d, e2, x):
+            calls.append(x)
             return newton(d, e2, x)[0], wrong
 
-        monkeypatch.setattr(_core, "_sturm_newton", wrong_slope)
+        monkeypatch.setattr(_sturm, "_sturm_newton", wrong_slope)
     got = [
         [v.hex() for v in tridiag_smallest_eigenvalues(diag, off, 2)]
         for diag, off in _verify_matrices()
     ]
     assert got == verify_reference
+    assert calls
