@@ -87,25 +87,24 @@ def band_interval(
 
     lo, lo_eta, hi, hi_eta = lambda1_extremes(mode, floquet_axis(grid_resolution))
 
-    # closed-form extrema land on the half-angle lattice; the grid scan and
-    # the candidate list must agree to grid tolerance
+    # closed-form extrema land on the half-angle lattice, every point of
+    # which lies on an odd grid: there the grid scan and the candidate list
+    # must agree bitwise, elsewhere to grid tolerance
     cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = lattice_extremes(mode)
-    scale = max(abs(cand_lo), abs(cand_hi), 1.0)
-    step = 2.0 * math.pi / (grid_resolution - 1)
-    slack = 0.75 * scale * step * step
-    if (
-        lo < cand_lo - slack
-        or hi > cand_hi + slack
-        or cand_lo < lo - slack
-        or cand_hi > hi + slack
-    ):
+    if grid_resolution % 2:
+        disagree = lo != cand_lo or hi != cand_hi
+    else:
+        step = 2.0 * math.pi / (grid_resolution - 1)
+        slack = 0.75 * max(abs(cand_lo), abs(cand_hi), 1.0) * step * step
+        disagree = lo < cand_lo - slack or hi > cand_hi + slack or cand_lo < lo - slack or cand_hi > hi + slack
+    if disagree:
         raise InternalConsistencyError(
             "grid extrema of Lambda1 for %s disagree with analytic candidates: "
             "grid [%r, %r], candidates [%r, %r]"
             % (mode.label(), lo, hi, cand_lo, cand_hi)
         )
-    # keep the sharper extremizer from either route (on the default odd grid
-    # the candidate points are grid points and the two routes coincide)
+    # keep the sharper extremizer from either route (on an odd grid the two
+    # coincide)
     if cand_lo < lo:
         lo, lo_eta = cand_lo, cand_lo_eta
     if cand_hi > hi:

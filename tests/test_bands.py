@@ -286,12 +286,10 @@ def test_detect_gaps_checks_swept_lengths(monkeypatch):
         detect_gaps(10, PARAMS)
 
 
-def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
-    # lambda1_range reads the table on the lattice only, so the swept length
-    # is checked against it wherever the grid finds a larger extreme.  Here
-    # the table's eta1 = pi/2 row, off the lattice and on the 33-point grid,
-    # stands 1e-6 of the range above the lattice maximum: well inside
-    # band_interval's grid slack, far outside the 1e-8 band-length bound
+def _bump_off_the_lattice(monkeypatch):
+    # the table's row nearest eta1 = pi/2 (exactly pi/2 on the 33- and
+    # 5-point grids, 1.52 on the 32-point one), off the lattice, stands 1e-6
+    # of the range above the lattice maximum
     table, lattice = corrections._lambda1_table, corrections._LATTICE
     row_sine = math.sin(0.25 * math.pi)
 
@@ -299,15 +297,24 @@ def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
         values = [v for row in table(n, k, lattice, lattice) for v in row]
         peak = max(values) + 1e-6 * (max(values) - min(values))
         return [
-            [peak] * len(row) if abs(s - row_sine) < 1e-12 else row
+            [peak] * len(row) if abs(s - row_sine) < 0.03 else row
             for s, row in zip(rows[0], table(n, k, rows, columns))
         ]
 
     monkeypatch.setattr(corrections, "_lambda1_table", bumped)
+
+
+def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
+    # lambda1_range reads the table on the lattice only, so the swept length
+    # is checked against it wherever the grid finds a larger extreme.  On
+    # an even grid the bump lies well inside band_interval's grid slack and
+    # far outside the 1e-8 band-length bound (on an odd grid band_interval
+    # sees it first)
+    _bump_off_the_lattice(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="band length mismatch"):
-        band_table(10, PARAMS)
-    assert cli.main(["bands"]) == cli.EXIT_INTERNAL
-    assert cli.main(["verify"]) == cli.EXIT_NUMERICAL
+        band_table(10, PARAMS, 32)
+    assert cli.main(["bands", "--grid", "32"]) == cli.EXIT_INTERNAL
+    assert cli.main(["verify", "--grid", "32"]) == cli.EXIT_NUMERICAL
     out = capsys.readouterr().out
     # the closed-form trace is the same table on verify's 5-point grid,
     # which holds eta1 = pi/2 too
@@ -334,6 +341,37 @@ def test_band_interval_guard_sees_grid_extremes_off_the_candidates(monkeypatch, 
         band_table(10, PARAMS)
     assert cli.main(["bands"]) == cli.EXIT_INTERNAL
     assert cli.main(["verify"]) == cli.EXIT_INTERNAL
+    assert "disagree with analytic candidates" in capsys.readouterr().err
+
+
+def test_band_interval_guard_needs_bitwise_agreement_on_odd_grids(monkeypatch, capsys):
+    # every lattice point lies on an odd grid, so there the grid scan and
+    # the lattice candidates must agree bitwise: a grid minimum lifted by
+    # 1% of the band's scale, inside the 2.9% slack of grid 33, raises, and
+    # so does the off-lattice bump that only the band-length guard saw on
+    # an even grid.  Grid 32 keeps the slack.
+    true_extremes = bands.lambda1_extremes
+
+    def lifted(mode, axis):
+        lo, lo_eta, hi, hi_eta = true_extremes(mode, axis)
+        if axis is not corrections.EXTREME_AXIS:
+            lo += 0.01 * max(abs(lo), abs(hi), 1.0)
+        return lo, lo_eta, hi, hi_eta
+
+    def edges(grid):
+        return [(b.lower, b.upper, b.length) for b in band_table(10, PARAMS, grid)]
+
+    even = edges(32)
+    with monkeypatch.context() as patch:
+        patch.setattr(bands, "lambda1_extremes", lifted)
+        with pytest.raises(InternalConsistencyError, match="disagree with analytic candidates"):
+            band_table(10, PARAMS)
+        assert cli.main(["bands"]) == cli.EXIT_INTERNAL
+        assert edges(32) == even
+    _bump_off_the_lattice(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match="disagree with analytic candidates"):
+        band_table(10, PARAMS)
+    assert cli.main(["bands"]) == cli.EXIT_INTERNAL
     assert "disagree with analytic candidates" in capsys.readouterr().err
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from diskbands import ZeroFindingError, bessel_j, bessel_j_prime, bessel_zero
 from diskbands import _core, bessel, cli
-from diskbands._core import bessel_j_kernel
+from diskbands._core import bessel_j_kernel, bessel_j_pair
 from diskbands.spectrum import enumerate_spectrum
 
 
@@ -135,45 +135,47 @@ def test_no_common_zeros_between_orders():
             assert abs(bessel_j(n + 1, z)) > 1e-8
 
 
-def _full_scan_brackets(n: int, k: int, kernel=bessel_j_kernel) -> list:
-    # the first k sign-change brackets (a, J_n(a), b, J_n(b)) of a pi/4 scan
-    # from the origin side that evaluates every grid point
+def _full_scan_brackets(n: int, k: int, pair=bessel_j_pair) -> list:
+    # the first k sign-change brackets (a, J_n(a), b, J_n(b), J_{n+1}(b)) of
+    # a pi/4 scan from the origin side that evaluates every grid point
     x = n + 1e-9 if n > 0 else 1e-9
-    fx = kernel(n, x)
+    fx = pair(n, x)[0]
     brackets = []
     for _ in range(100000):
         xn = x + math.pi / 4
-        fxn = kernel(n, xn)
+        fxn, above = pair(n, xn)
         while fxn == 0.0:
             xn += 1e-9
-            fxn = kernel(n, xn)
+            fxn, above = pair(n, xn)
         if (fx > 0.0) != (fxn > 0.0):
-            brackets.append((x, fx, xn, fxn))
+            brackets.append((x, fx, xn, fxn, above))
             if len(brackets) == k:
                 return brackets
         x, fx = xn, fxn
     raise AssertionError("reference scan exhausted")
 
 
-def _fresh_scan_zero(n: int, k: int) -> float:
-    # the zero finder as it was before the per-order walk: a full pi/4 scan
-    # from the origin side for every k, then the same bisection and Newton
-    # steps
-    a, fa, b, fb = _full_scan_brackets(n, k)[k - 1]
+def _evaluated_zero(n: int, bracket, midpoints=None) -> float:
+    # the zero finder as it was before the replay: a bisection that
+    # evaluates every midpoint (listed in `midpoints`), then Newton steps
+    # with the slope of bessel_j_prime
+    a, fa, b = bracket[:3]
     for _ in range(100):
         if b - a < 1e-3:
             break
         mid = 0.5 * (a + b)
+        if midpoints is not None:
+            midpoints.append(mid)
         fm = bessel_j_kernel(n, mid)
         if (fa > 0.0) != (fm > 0.0):
-            b, fb = mid, fm
+            b = mid
         else:
             a, fa = mid, fm
     root = 0.5 * (a + b)
     for _ in range(50):
         fr = bessel_j_kernel(n, root)
         if (fa > 0.0) != (fr > 0.0):
-            b, fb = root, fr
+            b = root
         else:
             a, fa = root, fr
         if abs(fr) <= 1e-14:
@@ -193,8 +195,17 @@ def _fresh_scan_zero(n: int, k: int) -> float:
     return root
 
 
-def _hex(bracket) -> tuple:
-    return tuple(v.hex() for v in bracket)
+def _fresh_scan_zero(n: int, k: int, midpoints=None) -> float:
+    # the zero finder as it was before the per-order walk: a full pi/4 scan
+    # from the origin side for every k, then the evaluated bisection
+    return _evaluated_zero(n, _full_scan_brackets(n, k)[k - 1], midpoints)
+
+
+def _key(bracket) -> tuple:
+    # a bracket bitwise, but for J_n(a), which the zero finder reads only
+    # through its sign
+    a, fa, b, fb, above = bracket
+    return a.hex(), fa > 0.0, b.hex(), fb.hex(), above.hex()
 
 
 def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
@@ -208,7 +219,7 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     # to its deepest k and every later one reads a bracket already passed
     for n, k in sorted(reference, key=lambda key: (-key[1], key[0])):
         assert bessel_zero(n, k) == reference[n, k], (n, k)
-        assert _hex(bessel._bracket(n, k)) == _hex(scans[n][k - 1]), (n, k)
+        assert _key(bessel._bracket(n, k)) == _key(scans[n][k - 1]), (n, k)
     # scattered requests, so that walks stop and resume at every depth
     bessel._zero_value.cache_clear()
     bessel._WALKS.clear()
@@ -216,57 +227,64 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     random.Random(5).shuffle(keys)
     for n, k in keys:
         assert bessel_zero(n, k) == reference[n, k], (n, k)
-        assert _hex(bessel._bracket(n, k)) == _hex(scans[n][k - 1]), (n, k)
+        assert _key(bessel._bracket(n, k)) == _key(scans[n][k - 1]), (n, k)
 
 
-def test_walk_evaluates_a_skipped_left_end_lazily(cold_zeros, monkeypatch):
+def test_walk_keeps_the_sign_of_a_skipped_left_end(cold_zeros, monkeypatch):
     # zeros 3.09 apart, just above the least spacing of J_n's zeros: the
     # second point after a bracket may then be the next bracket's left end,
-    # which the walk skipped and evaluates only once the sign change is seen
-    def kernel(n, x):
-        return math.cos(math.pi * x / 3.09)
+    # which the walk skipped and does not evaluate; the bracket keeps the
+    # last bracket's J_n(b) there, which has its sign
+    def pair(n, x):
+        return math.cos(math.pi * x / 3.09), math.sin(math.pi * x / 3.09)
 
-    reference = _full_scan_brackets(0, 40, kernel)
+    reference = _full_scan_brackets(0, 40, pair)
     xs = []
 
     def logged(n, x):
         xs.append(x)
-        return kernel(n, x)
+        return pair(n, x)
 
-    monkeypatch.setattr(bessel, "bessel_j_kernel", logged)
+    monkeypatch.setattr(bessel, "bessel_j_pair", logged)
     walked = [bessel._bracket(0, k) for k in range(1, 41)]
-    assert [_hex(b) for b in walked] == [_hex(b) for b in reference]
-    # only a lazy left end is evaluated below the point evaluated before it
-    lazy = sum(b < a for a, b in zip(xs, xs[1:]))
-    assert lazy > 0
-    # the start point, every later point not skipped, and the lazy left ends
+    assert [_key(b) for b in walked] == [_key(b) for b in reference]
+    skipped = [k for k in range(1, 40) if walked[k][0] not in xs]
+    assert skipped
+    assert all(walked[k][1] == walked[k - 1][3] for k in skipped)
+    # the walk evaluates each grid point once, in order, and none at its
+    # start or at the two points after each bracket
+    assert xs == sorted(set(xs))
     steps = round(walked[-1][2] / (math.pi / 4))
-    assert len(xs) == 1 + steps - 2 * 39 + lazy
+    assert len(xs) == steps - 2 * 39
 
 
 _TABLE = [(n, k) for n in range(30) for k in range(1, 21)]
 
 
 @lru_cache(maxsize=None)
-def _table_reference() -> dict:
-    return {key: _fresh_scan_zero(*key) for key in _TABLE}
+def _table_reference() -> tuple[dict, dict]:
+    # the table's zeros, and the midpoints of each one's evaluated bisection
+    midpoints = {key: [] for key in _TABLE}
+    return {key: _fresh_scan_zero(*key, midpoints[key]) for key in _TABLE}, midpoints
 
 
 def _count_kernel_calls(monkeypatch) -> tuple[list[int], list]:
-    # counts the bessel_j_kernel calls the zero finder makes outside
-    # _bracket, i.e. in the bisection replay and the Newton iterations
-    # ([0]), and inside it, in the walk ([1]); also lists the (n, x) of
-    # each call outside the walk
+    # counts the bessel_j_kernel calls of the zero finder, all of them in
+    # the bisection replay ([0]), and the Miller passes of the walk ([1]);
+    # also lists the (n, x) of each kernel call
     calls = [0, 0]
     outside = []
     walking = [False]
-    kernel, bracket = bessel.bessel_j_kernel, bessel._bracket
+    kernel, pair, bracket = bessel.bessel_j_kernel, bessel.bessel_j_pair, bessel._bracket
 
     def counted(n, x):
-        calls[walking[0]] += 1
-        if not walking[0]:
-            outside.append((n, x))
+        calls[0] += 1
+        outside.append((n, x))
         return kernel(n, x)
+
+    def counted_pair(n, x):
+        calls[1] += walking[0]
+        return pair(n, x)
 
     def walk(n, k):
         walking[0] = True
@@ -276,31 +294,34 @@ def _count_kernel_calls(monkeypatch) -> tuple[list[int], list]:
             walking[0] = False
 
     monkeypatch.setattr(bessel, "bessel_j_kernel", counted)
+    monkeypatch.setattr(bessel, "bessel_j_pair", counted_pair)
     monkeypatch.setattr(bessel, "_bracket", walk)
     return calls, outside
 
 
 def test_replay_calls_the_kernel_only_inside_the_window(cold_zeros, monkeypatch):
-    # outside the walk, the n <= 29, k <= 20 table calls the kernel only at a
-    # bisection midpoint within _REPLAY_GUARD of the located zero, which lies
-    # within 1e-5 of the zero; Newton runs on the pair kernel
-    reference = _table_reference()
+    # the n <= 29, k <= 20 table calls the kernel only at a bisection
+    # midpoint within _REPLAY_GUARD of the estimate, which lies within 2e-8
+    # of the zero; the walk and the polish run on the pair kernel
+    reference, _ = _table_reference()
     calls, outside = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
         assert bessel_zero(n, k) == reference[n, k], (n, k)
     for n, x in outside:
         nearest = min(abs(x - z) for (m, _), z in reference.items() if m == n)
-        assert nearest <= bessel._REPLAY_GUARD + 1e-5, (n, x)
+        assert nearest <= bessel._REPLAY_GUARD + 2e-8, (n, x)
     # 38 calls, where the evaluated bisection makes 6,000
     assert calls[0] <= 40
     # the walks skip the points below the first zero's bound and, after each
-    # bracket, those below its spacing floor: 1,206 calls, 1,371 when they
-    # skipped two points per bracket, 2,674 when they evaluated every point
-    assert calls[1] <= 1210
+    # bracket, those below its spacing floor, and evaluate no skipped left
+    # end: 785 passes, 1,206 when they evaluated such left ends, 1,371 when
+    # they skipped two points per bracket, 2,674 when they evaluated every
+    # point
+    assert calls[1] <= 790
 
 
 def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
-    reference = _table_reference()
+    reference, _ = _table_reference()
     monkeypatch.setattr(bessel, "_REPLAY_GUARD", math.inf)
     calls, _ = _count_kernel_calls(monkeypatch)
     for n, k in _TABLE:
@@ -309,24 +330,69 @@ def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
     assert calls[0] == 10 * len(_TABLE)
 
 
-def test_unconverged_locate_falls_back_to_evaluated_bisection(cold_zeros, monkeypatch):
-    reference = _table_reference()
-    newton = bessel._newton
-    missed = [0]
+def _count_polishes(monkeypatch) -> dict:
+    # the number of polishing Newton runs per (n, k): 2 when the check
+    # rejected the replay that trusted the estimate
+    polishes = {}
+    newton, zero_value = bessel._newton, bessel._zero_value.__wrapped__
+    current = [None]
 
-    def locate_misses(n, a, fa, b, root, tol):
-        est, fe = newton(n, a, fa, b, root, tol)
-        if b - a > 1e-3:  # the locating run starts on the whole pi/4 bracket
-            missed[0] += 1
-            return est, 1.0
-        return est, fe
+    def counted(*args):
+        polishes[current[0]] = polishes.get(current[0], 0) + 1
+        return newton(*args)
 
-    monkeypatch.setattr(bessel, "_newton", locate_misses)
-    calls, _ = _count_kernel_calls(monkeypatch)
+    def value(n, k):
+        current[0] = n, k
+        return zero_value(n, k)
+
+    monkeypatch.setattr(bessel, "_newton", counted)
+    monkeypatch.setattr(bessel, "_zero_value", lru_cache(maxsize=None)(value))
+    return polishes
+
+
+@pytest.mark.parametrize("misplaced", ["past_nearest_midpoint", "3e-5_off_the_zero"])
+def test_misplaced_estimate_falls_back_to_evaluated_bisection(cold_zeros, monkeypatch, misplaced):
+    # "past_nearest_midpoint": the estimate lies 3e-5 beyond the
+    # evaluated bisection's midpoint nearest the zero, on its far side from
+    # the zero, so that midpoint takes the wrong side and the check must
+    # reject every zero.  "3e-5_off_the_zero": the window [z + 1e-5, z +
+    # 5e-5] excludes the zero z, and the check must reject exactly the zeros
+    # with a midpoint closer than 1e-5 to the zero that the estimate gave
+    # its side, and accept the others
+    reference, midpoints = _table_reference()
+
+    def misplaced_estimate(n, a, b, fb, above):
+        nk, z = next((nk, z) for nk, z in reference.items() if nk[0] == n and a < z <= b)
+        if misplaced == "3e-5_off_the_zero":
+            return z + 3e-5
+        m = min(midpoints[nk], key=lambda x: abs(x - z))
+        return m + math.copysign(3e-5, m - z)
+
+    monkeypatch.setattr(bessel, "_estimate", misplaced_estimate)
+    polishes = _count_polishes(monkeypatch)
+    calls, outside = _count_kernel_calls(monkeypatch)
+    rejected = set()
     for n, k in _TABLE:
+        start = len(outside)
         assert bessel_zero(n, k) == reference[n, k], (n, k)
-    assert missed[0] == len(_TABLE)
-    assert calls[0] == 10 * len(_TABLE)
+        if polishes[n, k] == 2:
+            rejected.add((n, k))
+            # the rerun evaluates all 10 midpoints
+            assert set(midpoints[n, k]) <= {x for _, x in outside[start:]}, (n, k)
+        else:
+            assert polishes[n, k] == 1, (n, k)
+    if misplaced == "past_nearest_midpoint":
+        assert rejected == set(_TABLE)
+        assert calls[0] >= 10 * len(_TABLE)
+    else:
+        window = bessel._REPLAY_GUARD
+        close = {
+            key
+            for key, z in reference.items()
+            if any(z - bessel._SIGN_MARGIN < m < z + 3e-5 - window for m in midpoints[key])
+        }
+        assert rejected == close
+        assert 0 < len(rejected) < len(_TABLE)
 
 
 def test_replay_beyond_the_checked_slope_evaluates_every_midpoint(cold_zeros, monkeypatch):
@@ -340,6 +406,41 @@ def test_replay_beyond_the_checked_slope_evaluates_every_midpoint(cold_zeros, mo
         assert bessel_zero(*key) == zero, key
     assert bessel._bracket(0, 329)[2] > bessel._SLOPE_CHECKED_X
     assert calls[0] == 10 * len(reference)
+
+
+def _listable_keys() -> set:
+    # every zero the command line can list: both `zeros` caps (n <= 9 with
+    # k up to 200, n <= 200 with k up to 9) and the modes of `spectrum
+    # --count 5000`
+    keys = {(n, k) for n in range(10) for k in range(1, 201)}
+    keys |= {(n, k) for n in range(201) for k in range(1, 10)}
+    return keys | {(mode.n, mode.k) for mode in enumerate_spectrum(5000)}
+
+
+def test_every_listable_zero_equals_the_evaluated_bisection_bitwise(cold_zeros, monkeypatch):
+    # the reference scans each order once from the origin side, evaluating
+    # every grid point, then bisects each bracket evaluating every midpoint
+    # and polishes with bessel_j_prime's slope; no zero may need the rerun
+    polishes = _count_polishes(monkeypatch)
+    keys = _listable_keys()
+    assert len(keys) == 4898
+    depth = {}
+    for n, k in keys:
+        depth[n] = max(depth.get(n, 0), k)
+    worst = (0.0, None)
+    for n, kmax in depth.items():
+        for k, bracket in enumerate(_full_scan_brackets(n, kmax), start=1):
+            if (n, k) not in keys:
+                continue
+            zero = _evaluated_zero(n, bracket)
+            assert bessel_zero(n, k) == zero, (n, k)
+            a, _, b, fb, above = bracket
+            worst = max(worst, (abs(bessel._estimate(n, a, b, fb, above) - zero), (n, k)))
+    assert set(polishes.values()) == {1}
+    # the worst estimate is 1.73e-8 off, at (0, 8); the replay stays bitwise
+    # for any estimate within _REPLAY_GUARD - _SIGN_MARGIN = 1e-5 of the
+    # zero, 580 times that
+    assert worst[0] < 2e-8, worst
 
 
 def test_first_zero_bound_lies_below_the_first_zero(cold_zeros):
@@ -364,7 +465,7 @@ def test_spacing_floor_lies_below_the_next_zero(cold_zeros):
     # floor: both must lie below j_{n,k+1}, the first by more than 1e-5
     margins = []
     for n, k in sorted(_FLOOR_KEYS):
-        a, _, b, _ = bessel._bracket(n, k)
+        a, _, b = bessel._bracket(n, k)[:3]
         floor = bessel._spacing_floor(n, a, b)
         after = bessel_zero(n, k + 1)
         assert floor < after - bessel_zero(n, k), (n, k)
@@ -377,14 +478,14 @@ def test_spacing_floor_lies_below_the_next_zero(cold_zeros):
 
 @pytest.mark.parametrize("n, ks", [(201, range(1, 10)), (0, range(329, 336))])
 def test_walk_past_the_checked_range_skips_two_points(cold_zeros, monkeypatch, n, ks):
-    # past order 200 or argument 1030 the walk calls the kernel at the third
-    # grid point after each bracket, as it did before the spacing floor
+    # past order 200 or argument 1030 the walk evaluates the third grid
+    # point after each bracket, as it did before the spacing floor
     if ks[0] > 1:
         bessel._bracket(n, ks[0] - 1)
     xs = []
-    monkeypatch.setattr(bessel, "bessel_j_kernel", lambda m, x: xs.append(x) or bessel_j_kernel(m, x))
+    monkeypatch.setattr(bessel, "bessel_j_pair", lambda m, x: xs.append(x) or bessel_j_pair(m, x))
     for k in ks:
-        _, _, b, _ = bessel._bracket(n, k)
+        b = bessel._bracket(n, k)[2]
         if k == ks[-1]:
             break
         assert n > bessel._SLOPE_CHECKED_N or b > bessel._SLOPE_CHECKED_X
@@ -396,7 +497,7 @@ def test_walk_past_the_checked_range_skips_two_points(cold_zeros, monkeypatch, n
 
 
 def test_slope_at_the_zeros_meets_the_replay_window(cold_zeros):
-    # the window 2 * _LOCATE_TOL / 0.02 needs |J_n'| >= 0.02 at every zero
+    # the sign margin 1e-5 needs |J_n'| >= 0.02 at every zero
     # the command line lists: the corners of the `zeros` caps and every mode
     # of `spectrum --count 5000`; the least is 0.0312, at (200, 1).  The
     # last zeros below argument 1030 at n = 0 and 200 keep it too.
@@ -404,7 +505,9 @@ def test_slope_at_the_zeros_meets_the_replay_window(cold_zeros):
     keys |= {(n, k) for n in range(10) for k in range(190, 201)}
     keys |= {(mode.n, mode.k) for mode in enumerate_spectrum(5000)}
     keys |= {(0, 328), (200, 234)}
-    assert math.isclose(bessel._REPLAY_GUARD, 2.0 * bessel._LOCATE_TOL / 0.02)
+    # |J_n| >= 0.02 * 1e-5 = 2e-7 beyond the margin, where the polished
+    # zero lies within _RESIDUAL_TOL / 0.02 of the zero
+    assert bessel._SIGN_MARGIN == 1e-5 + bessel._RESIDUAL_TOL / 0.02
     for n, k in keys:
         zero = bessel_zero(n, k)
         assert zero <= bessel._SLOPE_CHECKED_X, (n, k)
@@ -429,44 +532,51 @@ def _count_miller_passes(monkeypatch, work) -> int:
 def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
     # the benchmark's spectrum ops, in-process from cold caches.  The walk
     # skips the points below the first zero's bound and below each
-    # bracket's spacing floor, the locating Newton run stops at _LOCATE_TOL
-    # and the spectrum finds only the zeros it lists and a few more: 5,419
-    # passes, where the finder that skipped two points per bracket and found
-    # every zero it keyed made 6,409, and the one that evaluated every walk
-    # point and located to 1e-14 made 7,692
+    # bracket's spacing floor, the estimate costs no pass and the spectrum
+    # finds only the zeros it lists and a few more: 3,419 passes, where the
+    # finder that located each zero by Newton steps to |J_n| <= 2e-7 and
+    # evaluated skipped left ends made 5,419, the one that skipped two
+    # points per bracket and found every zero it keyed 6,409, and the one
+    # that evaluated every walk point and located to 1e-14 7,692
     def run(*argv):
         assert cli.main(list(argv)) == 0
         assert capsys.readouterr().out
 
-    assert _count_miller_passes(monkeypatch, lambda: run("spectrum", "--count", "1500")) <= 5450
-    bessel._zero_value.cache_clear()
-    bessel._WALKS.clear()
-    # 4,242, where they made 4,407 and 5,119
-    zeros = lambda: run("zeros", "--n-max", "29", "--k-max", "20")
-    assert _count_miller_passes(monkeypatch, zeros) <= 4270
+    def cold(*argv):
+        bessel._zero_value.cache_clear()
+        bessel._WALKS.clear()
+        return lambda: run(*argv)
+
+    assert _count_miller_passes(monkeypatch, cold("spectrum", "--count", "1500")) <= 3450
+    # 2,605, where they made 4,242, 4,407 and 5,119
+    assert _count_miller_passes(monkeypatch, cold("zeros", "--n-max", "29", "--k-max", "20")) <= 2630
+    # both `zeros` caps in one process: 16,469, where the locating finder
+    # made 26,222
+    caps = cold("zeros", "--n-max", "9", "--k-max", "200")
+    both = lambda: caps() or run("zeros", "--n-max", "200", "--k-max", "9")
+    assert _count_miller_passes(monkeypatch, both) <= 16500
 
 
-def _failing_kernel(fail_at: int, exc: BaseException):
+def _failing_pair(fail_at: int, exc: BaseException):
     calls = [0]
 
-    def kernel(n, x):
+    def pair(n, x):
         calls[0] += 1
         if calls[0] == fail_at:
             raise exc
-        return bessel_j_kernel(n, x)
+        return bessel_j_pair(n, x)
 
-    return kernel
+    return pair
 
 
 def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
-    # the walk of J_7 to k = 30 first calls the kernel at 10.93, the first
-    # grid point above its first zero's bound, then at two or three points
-    # per sign change; calls 1 to 15 span its first six sign changes and the
-    # steps toward the seventh, and the last two calls of an uninterrupted
-    # run fall at its end
+    # the walk of J_7 to k = 30 first evaluates 10.93, the first grid point
+    # above its first zero's bound, then one or two points per sign change;
+    # calls 1 to 15 span its first twelve sign changes, and the last two
+    # calls of an uninterrupted run are the polish's
     reference = [_fresh_scan_zero(7, k) for k in range(1, 31)]
     xs = []
-    monkeypatch.setattr(bessel, "bessel_j_kernel", lambda n, x: xs.append(x) or bessel_j_kernel(n, x))
+    monkeypatch.setattr(bessel, "bessel_j_pair", lambda n, x: xs.append(x) or bessel_j_pair(n, x))
     bessel_zero(7, 30)
     monkeypatch.undo()
     last = len(xs)
@@ -475,7 +585,7 @@ def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
         exc = KeyboardInterrupt() if fail_at % 2 else RuntimeError("kernel fault")
         bessel._zero_value.cache_clear()
         bessel._WALKS.clear()
-        monkeypatch.setattr(bessel, "bessel_j_kernel", _failing_kernel(fail_at, exc))
+        monkeypatch.setattr(bessel, "bessel_j_pair", _failing_pair(fail_at, exc))
         with pytest.raises(type(exc)):
             bessel_zero(7, 30)
         monkeypatch.undo()
@@ -490,9 +600,9 @@ def test_exhausted_scan_raises_without_walking_again(cold_zeros, monkeypatch):
 
     def never_changes_sign(n, x):
         calls[0] += 1
-        return 1.0
+        return 1.0, 0.0
 
-    monkeypatch.setattr(bessel, "bessel_j_kernel", never_changes_sign)
+    monkeypatch.setattr(bessel, "bessel_j_pair", never_changes_sign)
     with pytest.raises(ZeroFindingError, match="scan exhausted"):
         bessel_zero(3, 1)
     # the start point and 100000 steps, as the fresh scan took, less the
