@@ -41,8 +41,9 @@ from .spectrum import (
 
 def floquet_axis(resolution: int) -> list[float]:
     """Uniform closed grid [-pi, pi] with `resolution` points per axis, as a
-    list; odd resolutions sample -pi, 0, and pi exactly.  Bitwise the values
-    of numpy.linspace(-pi, pi, resolution): i * step - pi, then pi."""
+    list; -pi and pi are exact, and the middle point of an odd resolution
+    is 0.0 for most resolutions but not all (51 gives 2^-51).  Bitwise the
+    values of numpy.linspace(-pi, pi, resolution): i * step - pi, then pi."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2, got %r" % (resolution,))
     step = 2.0 * math.pi / (resolution - 1)
@@ -85,13 +86,15 @@ def band_interval(
         origin = FloquetPoint(0.0, 0.0)
         return BandInterval(mode, lam0 - pad, lam0 + pad, pad, None, (origin, origin))
 
-    lo, lo_eta, hi, hi_eta = lambda1_extremes(mode, floquet_axis(grid_resolution))
+    axis = floquet_axis(grid_resolution)
+    lo, lo_eta, hi, hi_eta = lambda1_extremes(mode, axis)
 
-    # closed-form extrema land on the half-angle lattice, every point of
-    # which lies on an odd grid: there the grid scan and the candidate list
-    # must agree bitwise, elsewhere to grid tolerance
+    # closed-form extrema land on the half-angle lattice {0, pi}^2.  An axis
+    # whose middle point is 0.0 (most odd grids; +-pi always) holds every
+    # lattice point, and there the grid scan and the candidate list must
+    # agree bitwise; elsewhere they agree to grid tolerance
     cand_lo, cand_lo_eta, cand_hi, cand_hi_eta = lattice_extremes(mode)
-    if grid_resolution % 2:
+    if axis[len(axis) // 2] == 0.0:
         disagree = lo != cand_lo or hi != cand_hi
     else:
         step = 2.0 * math.pi / (grid_resolution - 1)
@@ -103,8 +106,8 @@ def band_interval(
             "grid [%r, %r], candidates [%r, %r]"
             % (mode.label(), lo, hi, cand_lo, cand_hi)
         )
-    # keep the sharper extremizer from either route (on an odd grid the two
-    # coincide)
+    # keep the sharper extremizer from either route (on an axis that holds
+    # 0.0 the two coincide)
     if cand_lo < lo:
         lo, lo_eta = cand_lo, cand_lo_eta
     if cand_hi > hi:

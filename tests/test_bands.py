@@ -308,8 +308,8 @@ def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
     # lambda1_range reads the table on the lattice only, so the swept length
     # is checked against it wherever the grid finds a larger extreme.  On
     # an even grid the bump lies well inside band_interval's grid slack and
-    # far outside the 1e-8 band-length bound (on an odd grid band_interval
-    # sees it first)
+    # far outside the 1e-8 band-length bound (on a grid that holds 0.0
+    # band_interval sees it first)
     _bump_off_the_lattice(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="band length mismatch"):
         band_table(10, PARAMS, 32)
@@ -345,11 +345,11 @@ def test_band_interval_guard_sees_grid_extremes_off_the_candidates(monkeypatch, 
 
 
 def test_band_interval_guard_needs_bitwise_agreement_on_odd_grids(monkeypatch, capsys):
-    # every lattice point lies on an odd grid, so there the grid scan and
-    # the lattice candidates must agree bitwise: a grid minimum lifted by
-    # 1% of the band's scale, inside the 2.9% slack of grid 33, raises, and
-    # so does the off-lattice bump that only the band-length guard saw on
-    # an even grid.  Grid 32 keeps the slack.
+    # grid 33 holds 0.0 and so every lattice point, so there the grid scan
+    # and the lattice candidates must agree bitwise: a grid minimum lifted
+    # by 1% of the band's scale, inside the 2.9% slack of grid 33, raises,
+    # and so does the off-lattice bump that only the band-length guard saw
+    # on an even grid.  Grid 32 keeps the slack.
     true_extremes = bands.lambda1_extremes
 
     def lifted(mode, axis):
@@ -373,6 +373,17 @@ def test_band_interval_guard_needs_bitwise_agreement_on_odd_grids(monkeypatch, c
         band_table(10, PARAMS)
     assert cli.main(["bands"]) == cli.EXIT_INTERNAL
     assert "disagree with analytic candidates" in capsys.readouterr().err
+
+
+def test_band_interval_accepts_every_odd_grid():
+    # the bitwise check holds only where the axis holds 0.0; grid 51's
+    # middle point is 2^-51, where a sine-branch extreme that the lattice
+    # gives as 0.0 comes out tiny but nonzero, and the slack applies
+    missing = [r for r in range(3, 302, 2) if 0.0 not in floquet_axis(r)]
+    assert missing == [51, 83, 101, 151, 159, 165, 191, 201, 291, 301]
+    for resolution in range(3, 302, 2):
+        band_table(10, PARAMS, resolution)
+    assert cli.main(["bands", "--grid", "51"]) == cli.EXIT_OK
 
 
 def test_band_length_check_rejects_nan():

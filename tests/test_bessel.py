@@ -314,9 +314,7 @@ def test_replay_calls_the_kernel_only_inside_the_window(cold_zeros, monkeypatch)
     assert calls[0] <= 40
     # the walks skip the points below the first zero's bound and, after each
     # bracket, those below its spacing floor, and evaluate no skipped left
-    # end: 785 passes, 1,206 when they evaluated such left ends, 1,371 when
-    # they skipped two points per bracket, 2,674 when they evaluated every
-    # point
+    # end: 785 passes, against a bound of 790
     assert calls[1] <= 790
 
 
@@ -533,11 +531,8 @@ def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
     # the benchmark's spectrum ops, in-process from cold caches.  The walk
     # skips the points below the first zero's bound and below each
     # bracket's spacing floor, the estimate costs no pass and the spectrum
-    # finds only the zeros it lists and a few more: 3,419 passes, where the
-    # finder that located each zero by Newton steps to |J_n| <= 2e-7 and
-    # evaluated skipped left ends made 5,419, the one that skipped two
-    # points per bracket and found every zero it keyed 6,409, and the one
-    # that evaluated every walk point and located to 1e-14 7,692
+    # finds only the zeros it lists and a few more: 3,419 passes, against
+    # a bound of 3,450
     def run(*argv):
         assert cli.main(list(argv)) == 0
         assert capsys.readouterr().out
@@ -548,10 +543,9 @@ def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
         return lambda: run(*argv)
 
     assert _count_miller_passes(monkeypatch, cold("spectrum", "--count", "1500")) <= 3450
-    # 2,605, where they made 4,242, 4,407 and 5,119
+    # 2,605 passes, against 2,630
     assert _count_miller_passes(monkeypatch, cold("zeros", "--n-max", "29", "--k-max", "20")) <= 2630
-    # both `zeros` caps in one process: 16,469, where the locating finder
-    # made 26,222
+    # both `zeros` caps in one process: 16,469 passes, against 16,500
     caps = cold("zeros", "--n-max", "9", "--k-max", "200")
     both = lambda: caps() or run("zeros", "--n-max", "200", "--k-max", "9")
     assert _count_miller_passes(monkeypatch, both) <= 16500

@@ -259,7 +259,8 @@ def test_correction_matrix_equals_uncached_loop_bitwise(monkeypatch):
 @pytest.mark.parametrize("resolution", [3, 5, 9, 33])
 def test_lambda1_range_is_the_grid_range_bitwise(resolution):
     # lambda1_range reads _lambda1_table on the lattice EXTREME_AXIS, whose
-    # points every odd grid holds, and no other grid point lies beyond it
+    # points these grids hold (each has an exact 0.0), and no other grid
+    # point lies beyond it
     axis = floquet_axis(resolution)
     modes = [
         m for m in enumerate_spectrum(40)
