@@ -5,10 +5,13 @@ The bisection keeps every Sturm count it has taken and sweeps only the
 midpoints those counts leave open.  Before each eigenvalue it takes a hint:
 a Newton run from the left on det(T - x), whose sweeps compute the Sturm
 pivots with the same float operations and so give the same counts, then
-two counts at the Newton estimate times (1 -+ 1e-10) that certify a bracket.
+two counts at the Newton estimate times (1 -+ 1e-11) that certify a bracket.
+The caller may seed each run with a value near its eigenvalue; the disk
+oracle seeds the doubled mesh's runs with the coarse mesh's eigenvalues.
 The hint only adds counts; the computed count is monotone in x, so a count
 settles a midpoint exactly when sweeping it would have given the same
-decision, and every eigenvalue is bitwise the plain bisection's.
+decision, and every eigenvalue is bitwise the plain bisection's, whatever
+the seeds.
 """
 
 from __future__ import annotations
@@ -16,32 +19,47 @@ from __future__ import annotations
 import math
 
 # relative half-width, on the bisection's scale max(1, |x|), of the bracket
-# certified around a Newton estimate: on the disk meshes of 512 and 1025
+# certified around a Newton estimate.  On the disk meshes of 512 and 1025
 # points (n <= 3, k <= 5) the estimates lie within 2.4e-11 of the eigenvalue
-_HINT_WIDTH = 1e-10
+# unseeded (38 of 40 within 1e-11) and within 2.0e-11 seeded (19 of 20); a
+# bracket the estimate misses still gives a true count near the eigenvalue.
+# verify's six solves took 133, 111, 101 and 165 Sturm sweeps at half-widths
+# 1e-10, 3e-11, 1e-11 and 5e-12
+_HINT_WIDTH = 1e-11
 # a Newton run ends when its step falls below this relative size; the error
 # after a step from the left is about step^2 / (distance to the next
-# eigenvalue), below the hint width on the disk meshes
+# eigenvalue), far below the rounding of the sweeps that sets the estimates'
+# errors above
 _NEWTON_STOP = 1e-6
-# a run on the disk meshes (n <= 3, k <= 5) takes at most 8 sweeps
+# an unseeded run on the disk meshes (n <= 3, k <= 5) takes at most 8
+# sweeps, a seeded one 2
 _NEWTON_STEPS = 16
+# a seeded run starts this far below its seed, relative to max(1, |seed|).
+# The 512-point mesh's eigenvalues (n <= 3, k <= 5) lie 1.6e-6 to 6.1e-5
+# below the 1025-point mesh's.  From a start within about 1e-6 of the
+# eigenvalue, the first step can land on it within rounding, and the next
+# sweep then counts it and ends the run with no estimate
+_SEED_OFFSET = 1e-5
 
 
-def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
+def tridiag_smallest_eigenvalues(d, e, count: int, starts=()) -> list[float]:
     """The `count` smallest eigenvalues of the symmetric tridiagonal matrix
     with diagonal `d` and off-diagonal `e`, ascending, by bisection on the
     Sturm count.
 
     Before each eigenvalue's bisection, `_newton_estimate` runs Newton from
     the left (from 0 for the first, just above the last one found for the
-    others) and two Sturm sweeps at the estimate -+ 1e-10 max(1, |estimate|)
-    certify a bracket.  Every count these sweeps take is the one
+    others) and two Sturm sweeps at the estimate -+ 1e-11 max(1, |estimate|)
+    certify a bracket.  `starts[k - 1]`, when given, seeds the run of
+    eigenvalue k: it starts 1e-5 max(1, |seed|) below the seed, if that lies
+    above the unseeded start.  Every count these sweeps take is the one
     `_sturm_count` gives at that point, and the bisection's midpoints,
     comparisons and steps are the plain loop's: a count only settles a
     midpoint on the side a sweep there would give, so no decision and no
     eigenvalue changes.  A hint that fails (a zero pivot or slope, a step
     that is not finite, a count that is not the one below the eigenvalue,
-    an eigenvalue found twice) only leaves more midpoints to sweep."""
+    an eigenvalue found twice, a seed that is NaN or above its eigenvalue)
+    only leaves more midpoints to sweep."""
     dl = [float(v) for v in d]
     el = [float(v) for v in e]
     e2 = [v * v for v in el]
@@ -64,6 +82,11 @@ def tridiag_smallest_eigenvalues(d, e, count: int) -> list[float]:
         # about 1e-10 relative) from moving the divided-out slope by more
         # than about 1e-4 relative
         start = out[-1] + 1e-3 * max(1.0, abs(out[-1])) if out else 0.0
+        # a seed only moves a run's start right; NaN fails the comparison
+        if k <= len(starts):
+            seed = starts[k - 1] - _SEED_OFFSET * max(1.0, abs(starts[k - 1]))
+            if seed > start:
+                start = seed
         guess = _newton_estimate(dl, e2, out, start, known)
         if math.isfinite(guess):
             width = _HINT_WIDTH * max(1.0, abs(guess))

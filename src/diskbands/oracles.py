@@ -8,14 +8,16 @@ solve knows nothing of Bessel zeros, and the quadrature weighs the radial
 derivative of the disk eigenfunction by the quarter-arc integrals of
 `_quad.arc_integrals`, which hold no closed form.
 
-Each mode's prefactor is cached per (n, k).  `disk_mesh_doubling` solves a
-mesh and its doubled mesh once each, so the eigenvalue check, the Richardson
-guard and the convergence ratios share two solves.  Each solve's bisection
-(`_sturm`, which only this module imports) reuses the Sturm counts it has
-taken, sweeping only midpoints whose side they leave open, and takes its
-first counts from a Newton estimate of each eigenvalue and a bracket of
-relative half-width 1e-10 around it; the eigenvalues are bitwise those of
-the bisection that sweeps every midpoint.
+Each mode's prefactor is cached per (n, k), and `verify` keeps each arc
+integral for its run.  `disk_mesh_doubling` solves a mesh and its doubled
+mesh once each, so the eigenvalue check, the Richardson guard and the
+convergence ratios share two solves.  Each solve's bisection (`_sturm`,
+which only this module imports) reuses the Sturm counts it has taken,
+sweeping only midpoints whose side they leave open, and takes its first
+counts from a Newton estimate of each eigenvalue and a bracket of relative
+half-width 1e-11 around it; the doubled mesh's Newton runs start just below
+the coarse eigenvalues.  The eigenvalues are bitwise those of the bisection
+that sweeps every midpoint.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ def disk_mesh_doubling(
     Raises OracleConvergenceError when doubling moves any eigenvalue by
     more than 5% of its fine value."""
     coarse = disk_dirichlet_eigenvalues(n, count, mesh)
-    fine = disk_dirichlet_eigenvalues(n, count, mesh.doubled())
+    # the coarse call checked n and count; each doubled-mesh Newton run
+    # starts just below the coarse eigenvalue
+    d, e = _assemble(n, mesh.doubled())
+    fine = tridiag_smallest_eigenvalues(d, e, count, coarse)
     for coarse_v, fine_v in zip(coarse, fine):
         # second-order scheme: coarse-fine difference ~ 3x the fine error
         if not (abs(coarse_v - fine_v) <= 0.05 * abs(fine_v)):
@@ -144,18 +149,22 @@ def c0_quadrature(
     coeff_c: complex = 1.0 + 0j,
     coeff_s: complex = 0j,
     panels: int = 16,
+    _memo: dict | None = None,
 ) -> complex:
     """Compatibility constant by direct boundary quadrature:
     -1/(Lambda0 (1 - pi/4)) times the phase-weighted integral of the radial
     derivative of the disk eigenfunction over the four quarter-arcs.
-    Raises if doubling the panel count moves the value by more than 1e-10."""
+    Raises if doubling the panel count moves the value by more than 1e-10.
+    `verify` passes one `_memo` dict per run, so each (n, eta, panels) pair
+    of arc integrals is computed once across its modes and coefficients."""
     if panels < 8:
         raise ValueError("need at least 8 panels per quarter-arc, got %r" % (panels,))
     n = mode.n
     pref = _prefactor(n, mode.k)
-    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, panels)
+    memo = {} if _memo is None else _memo
+    ic, isn = _arc_pair(n, eta, panels, memo)
     value = pref * (coeff_c * ic + coeff_s * isn)
-    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, 2 * panels)
+    ic, isn = _arc_pair(n, eta, 2 * panels, memo)
     refined = pref * (coeff_c * ic + coeff_s * isn)
     if not (abs(refined - value) <= 1e-10):
         raise OracleConvergenceError(
@@ -163,6 +172,15 @@ def c0_quadrature(
             "moved the value by %g" % (mode.label(), abs(refined - value))
         )
     return refined
+
+
+def _arc_pair(n: int, eta: FloquetPoint, panels: int, memo: dict) -> tuple[complex, complex]:
+    # arc_integrals, looked up at each call, computed once per key of `memo`;
+    # a dict key does not tell 0.0 from -0.0, but a FloquetPoint holds no -0.0
+    key = (n, eta.eta1, eta.eta2, panels)
+    if key not in memo:
+        memo[key] = arc_integrals(n, eta.eta1, eta.eta2, panels)
+    return memo[key]
 
 
 def boundary_arc_length(panels: int = 8) -> float:

@@ -263,8 +263,8 @@ def _fine_mesh_shifted_solve(monkeypatch):
     # eigenvalues by 10% must trip the 5% Richardson guard
     real = oracles.tridiag_smallest_eigenvalues
 
-    def solve(d, e, count):
-        values = real(d, e, count)
+    def solve(d, e, count, starts=()):
+        values = real(d, e, count, starts)
         return [1.1 * v for v in values] if len(d) > 1000 else values
 
     monkeypatch.setattr(oracles, "tridiag_smallest_eigenvalues", solve)
@@ -284,8 +284,8 @@ def test_mesh_doubling_guard_rejects_nan(monkeypatch):
     # a NaN eigenvalue on the fine mesh must not pass the 5% bound
     real = oracles.tridiag_smallest_eigenvalues
 
-    def solve(d, e, count):
-        values = real(d, e, count)
+    def solve(d, e, count, starts=()):
+        values = real(d, e, count, starts)
         return [math.nan] * len(values) if len(d) > 1000 else values
 
     monkeypatch.setattr(oracles, "tridiag_smallest_eigenvalues", solve)
@@ -367,3 +367,64 @@ def test_every_boundary_quadrature_runs_through_arc_integrals(monkeypatch):
         calls.clear()
         run()
         assert calls, name
+
+
+def _complex_bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def _counted_arc_integrals(monkeypatch):
+    # the arguments of every call to oracles.arc_integrals as it is bound
+    engine = oracles.arc_integrals
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(oracles, "arc_integrals", counted)
+    return calls
+
+
+def test_c0_memo_equals_fresh_arc_integrals_bitwise(monkeypatch):
+    # one memo across verify's c0 check (n 0..4, both k, both coefficient
+    # pairs, every eta on floquet_axis(5), panels 16 and 32): FloquetPoint
+    # reduces pi to -pi, so the 25 points are 16, and each of the 160
+    # distinct integrals is computed once, through oracles.arc_integrals as
+    # it is bound at the call; every entry and value is the fresh call's
+    # bitwise
+    calls = _counted_arc_integrals(monkeypatch)
+    axis = floquet_axis(5)
+    etas = [FloquetPoint(a, b) for a in axis for b in axis]
+    modes = [
+        ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.COSINE)
+        for n in range(5)
+        for k in (1, 2)
+    ]
+    memo = {}
+    cases = []
+    for mode in modes:
+        for eta in etas:
+            for cc, cs in ((1.0, 0.0), (0.0, 1.0)):
+                cases.append((mode, eta, cc, cs, c0_quadrature(mode, eta, cc, cs, _memo=memo)))
+    assert len(calls) == len(set(calls)) == len(memo) == 160
+    # FloquetPoint reads -0.0 as 0.0, so a dict key, which does not tell
+    # them apart, never holds -0.0
+    for eta in (FloquetPoint(-0.0, 0.0), FloquetPoint(0.0, -0.0), FloquetPoint(-0.0, -0.0)):
+        for mode in modes:
+            c0_quadrature(mode, eta, _memo=memo)
+    assert len(calls) == 160
+    assert all(math.copysign(1.0, v) == 1.0 for key in memo for v in key[1:3] if v == 0.0)
+    monkeypatch.undo()
+    for (n, e1, e2, panels), pair in memo.items():
+        assert _complex_bits(pair) == _complex_bits(arc_integrals(n, e1, e2, panels))
+    for mode, eta, cc, cs, value in cases:
+        assert _complex_bits([value]) == _complex_bits([c0_quadrature(mode, eta, cc, cs)])
+
+
+def test_verify_computes_each_arc_integral_once(monkeypatch):
+    # the c0 check's 160 integrals and the arc-length check's one, each
+    # once, where the c0 check alone took 900 calls with no memo
+    calls = _counted_arc_integrals(monkeypatch)
+    assert cli.main(["verify"]) == 0
+    assert len(calls) == len(set(calls)) == 161

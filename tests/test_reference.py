@@ -18,7 +18,7 @@ from diskbands import _core, _sturm
 from diskbands._core import bessel_j_kernel
 from diskbands._sturm import tridiag_smallest_eigenvalues
 from diskbands.bessel import bessel_zero
-from diskbands.oracles import RadialMesh, _assemble
+from diskbands.oracles import RadialMesh, _assemble, disk_mesh_doubling
 
 mpmath.mp.dps = 30
 
@@ -214,32 +214,50 @@ def _verify_matrices():
     ]
 
 
-def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
-    # every count the solver takes from its table of squares, in its Sturm
-    # sweeps and in its Newton sweeps, equals the squaring sweep's, so the
-    # bisection and the eigenvalues are unchanged
+def _checked_sweeps(monkeypatch):
+    # every count the solver takes from its table of squares on a verify
+    # matrix, in its Sturm sweeps and in its Newton sweeps, checked against
+    # the squaring sweep (so the bisection and the eigenvalues are
+    # unchanged); returns the lists of Sturm and Newton sweep points
     sturm, newton = _sturm._sturm_count, _sturm._sturm_newton
-    sweeps = []
+    off_of = {tuple(diag): off for diag, off in _verify_matrices()}
+    sturm_sweeps, newton_sweeps = [], []
 
     def checked_sturm(d, e2, x):
         count = sturm(d, e2, x)
-        assert count == _reference_sturm_count(d, off, x), x
-        sweeps.append(x)
+        assert count == _reference_sturm_count(d, off_of[tuple(d)], x), x
+        sturm_sweeps.append(x)
         return count
 
     def checked_newton(d, e2, x):
         count, slope = newton(d, e2, x)
-        assert count == _reference_sturm_count(d, off, x), x
-        sweeps.append(x)
+        assert count == _reference_sturm_count(d, off_of[tuple(d)], x), x
+        newton_sweeps.append(x)
         return count, slope
 
     monkeypatch.setattr(_sturm, "_sturm_count", checked_sturm)
     monkeypatch.setattr(_sturm, "_sturm_newton", checked_newton)
+    return sturm_sweeps, newton_sweeps
+
+
+def test_sturm_squares_equal_the_squaring_sweep(monkeypatch):
+    sturm_sweeps, newton_sweeps = _checked_sweeps(monkeypatch)
     for diag, off in _verify_matrices():
         tridiag_smallest_eigenvalues(diag, off, 2)
-    # 132 Sturm and 78 Newton sweeps; 684 when every midpoint was swept and
-    # 592 when the bisection reused its counts with no Newton hint
-    assert len(sweeps) == 210
+    # unseeded: 105 Sturm and 78 Newton sweeps; 210 with the bracket of
+    # half-width 1e-10, 592 when the bisection reused its counts with no
+    # Newton hint and 684 when every midpoint was swept
+    assert (len(sturm_sweeps), len(newton_sweeps)) == (105, 78)
+
+
+def test_mesh_doubling_seeds_the_doubled_mesh(monkeypatch):
+    # verify's three disk_mesh_doubling calls: each doubled-mesh Newton run
+    # starts just below the coarse eigenvalue, 101 Sturm and 51 Newton
+    # sweeps in all, where the same six solves unseeded take 105 and 78
+    sturm_sweeps, newton_sweeps = _checked_sweeps(monkeypatch)
+    for n in (0, 1, 2):
+        disk_mesh_doubling(n, 2, RadialMesh(512))
+    assert (len(sturm_sweeps), len(newton_sweeps)) == (101, 51)
 
 
 def _reference_bisection(d, e, count):
@@ -271,10 +289,10 @@ def _reference_bisection(d, e, count):
     return out
 
 
-def _assert_solver_is_reference(d, e, count):
-    got = tridiag_smallest_eigenvalues(d, e, count)
+def _assert_solver_is_reference(d, e, count, *starts):
+    got = tridiag_smallest_eigenvalues(d, e, count, *starts)
     ref = _reference_bisection(d, e, count)
-    assert [v.hex() for v in got] == [v.hex() for v in ref], (d, e, count)
+    assert [v.hex() for v in got] == [v.hex() for v in ref], (d, e, count, starts)
 
 
 def test_solver_equals_plain_bisection_on_the_disk_meshes():
@@ -305,6 +323,15 @@ _OFF_DIAGONALS = (
 )
 
 
+# Newton seeds: anywhere in the drawn spectra's range, on the small
+# integers that the integer diagonals' eigenvalues may equal, or absurd
+_SEEDS = st.one_of(
+    st.floats(-130.0, 130.0),
+    st.integers(-6, 6).map(float),
+    st.sampled_from((math.nan, math.inf, -math.inf, 1e300, -1e300)),
+)
+
+
 @st.composite
 def _tridiagonals(draw):
     size = draw(st.integers(1, 40))
@@ -314,25 +341,38 @@ def _tridiagonals(draw):
         draw(st.lists(diag, min_size=size, max_size=size)),
         draw(st.lists(off, min_size=size - 1, max_size=size - 1)),
         draw(st.integers(1, min(size, 6))),
+        # no seeds, or a list shorter or longer than the count
+        draw(st.none() | st.lists(_SEEDS, max_size=7)),
     )
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(_tridiagonals())
-@example(([0.0] * 4, [1.0] * 3, 4))
-@example(([2.0] * 8, [0.0] * 7, 6))
-@example(([1.0, 1.0 + 1e-13, 1.0, 1.0 - 1e-13] * 3, [0.0, 1e-9, 0.0] * 3 + [0.0, 1e-9], 6))
-@example(([5.0, -1.0, 5.0, -1.0, 5.0], [1.0, 0.0, 1.0, 0.0], 5))
+@example(([0.0] * 4, [1.0] * 3, 4, None))
+@example(([2.0] * 8, [0.0] * 7, 6, None))
+@example(([1.0, 1.0 + 1e-13, 1.0, 1.0 - 1e-13] * 3, [0.0, 1e-9, 0.0] * 3 + [0.0, 1e-9], 6, None))
+@example(([5.0, -1.0, 5.0, -1.0, 5.0], [1.0, 0.0, 1.0, 0.0], 5, None))
 # the Newton hint's edge cases: a zero eigenvalue of multiplicity 3, an
 # all-negative spectrum (the first run starts at 0, above every eigenvalue),
 # a zero pivot at the first run's start, and two eigenvalues 8e-14 apart
 # inside the bracket certified around the first run's estimate
-@example(([0.0] * 3, [0.0] * 2, 3))
-@example(([-5.0, -3.0, -4.0, -6.0], [1.0, 0.5, 0.25], 4))
-@example(([0.0, 0.0], [0.0], 1))
-@example(([3e-11, 2.0, 3e-11 + 8e-14], [0.0, 0.0], 3))
+@example(([0.0] * 3, [0.0] * 2, 3, None))
+@example(([-5.0, -3.0, -4.0, -6.0], [1.0, 0.5, 0.25], 4, None))
+@example(([0.0, 0.0], [0.0], 1, None))
+@example(([3e-11, 2.0, 3e-11 + 8e-14], [0.0, 0.0], 3, None))
+# seeded: a diagonal matrix seeded with its own eigenvalues, then with each
+# seed one eigenvalue too high; the two eigenvalues 8e-14 apart with a first
+# seed that its offset moves below the unseeded start, a second one above
+# its eigenvalue, and no third
+@example(([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0], 4, [1.0, 2.0, 3.0, 4.0]))
+@example(([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0], 4, [2.0, 3.0, 4.0, 5.0]))
+@example(([3e-11, 2.0, 3e-11 + 8e-14], [0.0, 0.0], 3, [3e-11 + 4e-14, 2.0]))
 def test_solver_equals_plain_bisection_on_drawn_matrices(case):
-    _assert_solver_is_reference(*case)
+    diag, off, count, starts = case
+    if starts is None:
+        _assert_solver_is_reference(diag, off, count)
+    else:
+        _assert_solver_is_reference(diag, off, count, starts)
 
 
 @pytest.fixture(scope="module")
@@ -377,3 +417,48 @@ def test_a_wrong_hint_changes_no_eigenvalue(
     ]
     assert got == verify_reference
     assert calls
+
+
+def _verify_seeds(reference, kind):
+    # per verify matrix, the starts of one kind of wrong seed
+    exact = [float.fromhex(v) for v in reference]
+    if kind == "eigenvalue":
+        return exact
+    if kind == "above":
+        # above the eigenvalue by ten times the seed's offset below it
+        return [v + 10 * _sturm._SEED_OFFSET * v for v in exact]
+    if kind == "short":
+        return exact[:1]
+    return [kind] * len(exact)
+
+
+@pytest.mark.parametrize("kind", _WRONG + ("eigenvalue", "above", "short"))
+def test_a_wrong_seed_changes_no_eigenvalue(monkeypatch, verify_reference, kind):
+    # a seed is only where a Newton run starts: the counts the run takes
+    # are true, so whatever the seed (absurd, the eigenvalue itself, above
+    # it, or missing for the second eigenvalue), the verify meshes'
+    # eigenvalues stay the plain bisection's bitwise, with no exception.
+    # Every seed that lies above the unseeded start must be where its run
+    # starts, or the test would pass with the seeds ignored
+    estimate = _sturm._newton_estimate
+    run_starts = []
+
+    def recorded(d, e2, found, x, known):
+        run_starts.append(x)
+        return estimate(d, e2, found, x, known)
+
+    monkeypatch.setattr(_sturm, "_newton_estimate", recorded)
+    for (diag, off), ref in zip(_verify_matrices(), verify_reference):
+        starts = _verify_seeds(ref, kind)
+        run_starts.clear()
+        got = tridiag_smallest_eigenvalues(diag, off, 2, starts)
+        assert [v.hex() for v in got] == ref
+        assert len(run_starts) == 2
+        for k, start in enumerate(run_starts):
+            unseeded = got[k - 1] + 1e-3 * max(1.0, abs(got[k - 1])) if k else 0.0
+            expected = unseeded
+            if k < len(starts):
+                moved = starts[k] - _sturm._SEED_OFFSET * max(1.0, abs(starts[k]))
+                if moved > unseeded:
+                    expected = moved
+            assert start == expected, (kind, k)
