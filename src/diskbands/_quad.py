@@ -8,6 +8,12 @@ g(eta, t) cos(n t) and g(eta, t) sin(n t) over the boundary, where the phase
 g = exp(i (s1 eta1 + s2 eta2) / 2) takes its sign pair (s1, s2) from the
 quadrant of the point t.  The correction matrix, the compatibility-constant
 quadrature and the boundary-measure check all integrate through it.
+
+It keeps the last 1,024 values it computed, so a `verify` run computes each
+of its 209 distinct integrals once, whichever check asks first.  The cache
+key does not tell 0.0 from -0.0, which is harmless: both give bitwise the
+same pair, since a signed zero in eta can only flip the sign of a zero
+imaginary part, and each sum starts from 0j, which absorbs it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ def _arc_dots(n: int, panels: int) -> tuple[tuple[float, float], ...]:
     return tuple((math.fsum(c), math.fsum(s)) for c, s in terms.values())
 
 
+# bounded, and well above the 209 entries a verify run needs, so that a caller
+# sweeping many eta in one process does not grow it without limit
+@functools.lru_cache(maxsize=1024)
 def arc_integrals(n: int, eta1: float, eta2: float, panels: int) -> tuple[complex, complex]:
     """(I_c, I_s): the integrals of g(eta, t) cos(n t) and g(eta, t) sin(n t)
     dt over the four quarter-arcs, each by `panels` Gauss-Legendre panels."""

@@ -528,9 +528,6 @@ _COMMANDS = {
 class _Args:
     """The settings of one run: `command`, and one attribute per flag dest."""
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.__dict__
-
 
 def _flags(command: str | None) -> dict:
     # flag -> (dest, type, default, help) of every flag that --help lists

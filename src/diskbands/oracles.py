@@ -8,10 +8,10 @@ solve knows nothing of Bessel zeros, and the quadrature weighs the radial
 derivative of the disk eigenfunction by the quarter-arc integrals of
 `_quad.arc_integrals`, which hold no closed form.
 
-Each mode's prefactor is cached per (n, k), and `verify` keeps each arc
-integral for its run.  `disk_mesh_doubling` solves a mesh and its doubled
-mesh once each, so the eigenvalue check, the Richardson guard and the
-convergence ratios share two solves.  Each solve's bisection (`_sturm`,
+Each mode's prefactor is cached per (n, k), and `arc_integrals` caches its
+own values.  `disk_mesh_doubling` solves a mesh and its doubled mesh once
+each, so the eigenvalue check, the Richardson guard and the convergence
+ratios share two solves.  Each solve's bisection (`_sturm`,
 which only this module imports) reuses the Sturm counts it has taken,
 sweeping only midpoints whose side they leave open, and takes its first
 counts from a Newton estimate of each eigenvalue and a bracket of relative
@@ -149,22 +149,20 @@ def c0_quadrature(
     coeff_c: complex = 1.0 + 0j,
     coeff_s: complex = 0j,
     panels: int = 16,
-    _memo: dict | None = None,
 ) -> complex:
     """Compatibility constant by direct boundary quadrature:
     -1/(Lambda0 (1 - pi/4)) times the phase-weighted integral of the radial
     derivative of the disk eigenfunction over the four quarter-arcs.
     Raises if doubling the panel count moves the value by more than 1e-10.
-    `verify` passes one `_memo` dict per run, so each (n, eta, panels) pair
-    of arc integrals is computed once across its modes and coefficients."""
+    `arc_integrals` caches each (n, eta, panels) pair of arc integrals, so
+    modes, coefficients and the correction matrix share one computation."""
     if panels < 8:
         raise ValueError("need at least 8 panels per quarter-arc, got %r" % (panels,))
     n = mode.n
     pref = _prefactor(n, mode.k)
-    memo = {} if _memo is None else _memo
-    ic, isn = _arc_pair(n, eta, panels, memo)
+    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, panels)
     value = pref * (coeff_c * ic + coeff_s * isn)
-    ic, isn = _arc_pair(n, eta, 2 * panels, memo)
+    ic, isn = arc_integrals(n, eta.eta1, eta.eta2, 2 * panels)
     refined = pref * (coeff_c * ic + coeff_s * isn)
     if not (abs(refined - value) <= 1e-10):
         raise OracleConvergenceError(
@@ -172,15 +170,6 @@ def c0_quadrature(
             "moved the value by %g" % (mode.label(), abs(refined - value))
         )
     return refined
-
-
-def _arc_pair(n: int, eta: FloquetPoint, panels: int, memo: dict) -> tuple[complex, complex]:
-    # arc_integrals, looked up at each call, computed once per key of `memo`;
-    # a dict key does not tell 0.0 from -0.0, but a FloquetPoint holds no -0.0
-    key = (n, eta.eta1, eta.eta2, panels)
-    if key not in memo:
-        memo[key] = arc_integrals(n, eta.eta1, eta.eta2, panels)
-    return memo[key]
 
 
 def boundary_arc_length(panels: int = 8) -> float:

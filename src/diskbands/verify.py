@@ -74,19 +74,18 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
     axis = floquet_axis(5)  # -pi, -pi/2, 0, pi/2, pi
     etas = [FloquetPoint(a, b) for a in axis for b in axis]
     worst = 0.0
-    memo = {}  # each (n, eta, panels) pair of arc integrals, computed once
     for n in range(0, 5):
         for k in (1, 2):
             for eta in etas:
                 if n == 0:
                     closed = complex(c0_simple(k, eta))
-                    numeric = c0_quadrature(ModeIndex(0, k, Parity.SIMPLE), eta, 1.0, 0.0, _memo=memo)
+                    numeric = c0_quadrature(ModeIndex(0, k, Parity.SIMPLE), eta, 1.0, 0.0)
                     worst = _max(worst, abs(closed - numeric))
                 else:
                     m = ModeIndex(n, k, Parity.COSINE)
                     for cc, cs in ((1.0, 0.0), (0.0, 1.0)):
                         closed = c0_multiple(n, k, eta, cc, cs)
-                        numeric = c0_quadrature(m, eta, cc, cs, _memo=memo)
+                        numeric = c0_quadrature(m, eta, cc, cs)
                         worst = _max(worst, abs(closed - numeric))
     checks.append(Check("c0-closed-vs-quadrature", worst, 1e-8, "max |difference| = %.3g" % worst))
 

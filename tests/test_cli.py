@@ -234,7 +234,7 @@ def test_help_shows_each_flag_default(capsys, command):
     shown = dict(m.groups() for m in map(entry.fullmatch, re.split(r" (?=--[a-z])", text)) if m)
     for flag in ("epsilon", "m", "grid", "error-constant", "count", "n-max", "k-max"):
         dest = flag.replace("-", "_")
-        if dest in args:
+        if hasattr(args, dest):
             assert float(shown.pop(flag)) == getattr(args, dest), flag
     # a setting whose default is None states it in words
     assert shown == {"out": "stdout"}

@@ -59,12 +59,13 @@ def test_floquet_point_negation():
 
 def _quadrant_phases(monkeypatch, e1, e2):
     # the boundary engine's phase of each quadrant Q1..Q4: I_c with a unit
-    # dot on that quarter-arc alone
+    # dot on that quarter-arc alone, from the uncached engine, so the fake
+    # dots neither hit nor enter the shared cache
     phases = []
     for q in range(4):
         dots = tuple((1.0 if i == q else 0.0, 0.0) for i in range(4))
         monkeypatch.setattr(_quad, "_arc_dots", lambda n, panels: dots)
-        phases.append(arc_integrals(0, e1, e2, 8)[0])
+        phases.append(arc_integrals.__wrapped__(0, e1, e2, 8)[0])
     monkeypatch.undo()
     return phases
 

@@ -343,9 +343,10 @@ def test_oracles_bind_no_closed_form_geometry():
         assert name not in closed_forms and not name.startswith("lambda1_"), name
 
 
-def test_every_boundary_quadrature_runs_through_arc_integrals(monkeypatch):
-    # one engine: patching arc_integrals at each diskbands.* binding, as the
-    # benchmark's tracer finds bindings, reaches all three quadratures
+def _recorded_arc_integrals(monkeypatch):
+    # the arguments of every call to the arc-integral engine, recorded at each
+    # diskbands.* binding of it, as the benchmark's tracer finds bindings;
+    # each call still reaches the engine and its cache
     engine = _quad.arc_integrals
     calls = []
 
@@ -358,6 +359,13 @@ def test_every_boundary_quadrature_runs_through_arc_integrals(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is engine:
                     monkeypatch.setattr(mod, key, recorded)
+    return calls
+
+
+def test_every_boundary_quadrature_runs_through_arc_integrals(monkeypatch):
+    # one engine: patching arc_integrals at each binding reaches all three
+    # quadratures
+    calls = _recorded_arc_integrals(monkeypatch)
     eta = FloquetPoint(0.4, -1.3)
     for name, run in (
         ("correction_matrix", lambda: corrections.correction_matrix(1, 1, eta)),
@@ -373,58 +381,78 @@ def _complex_bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
 
-def _counted_arc_integrals(monkeypatch):
-    # the arguments of every call to oracles.arc_integrals as it is bound
-    engine = oracles.arc_integrals
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return engine(*args)
-
-    monkeypatch.setattr(oracles, "arc_integrals", counted)
-    return calls
+def _assert_cached_values_fresh(calls):
+    # every distinct call is now a cache hit, and the value it returns is
+    # bitwise that of a fresh, uncached computation
+    misses = arc_integrals.cache_info().misses
+    for args in set(calls):
+        assert _complex_bits(arc_integrals(*args)) == _complex_bits(arc_integrals.__wrapped__(*args)), args
+    assert arc_integrals.cache_info().misses == misses
 
 
-def test_c0_memo_equals_fresh_arc_integrals_bitwise(monkeypatch):
-    # one memo across verify's c0 check (n 0..4, both k, both coefficient
-    # pairs, every eta on floquet_axis(5), panels 16 and 32): FloquetPoint
-    # reduces pi to -pi, so the 25 points are 16, and each of the 160
-    # distinct integrals is computed once, through oracles.arc_integrals as
-    # it is bound at the call; every entry and value is the fresh call's
-    # bitwise
-    calls = _counted_arc_integrals(monkeypatch)
+_C0_CHECK_MODES = [
+    ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.COSINE) for n in range(5) for k in (1, 2)
+]
+
+
+def test_c0_cache_equals_fresh_arc_integrals_bitwise(monkeypatch):
+    # verify's c0 check (n 0..4, both k, both coefficient pairs, every eta on
+    # floquet_axis(5), panels 16 and 32): FloquetPoint reduces pi to -pi, so
+    # the 25 points are 16, and each of the 160 distinct integrals is
+    # computed once; every cached integral and every c0 value is bitwise
+    # that of the uncached engine
     axis = floquet_axis(5)
     etas = [FloquetPoint(a, b) for a in axis for b in axis]
-    modes = [
-        ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.COSINE)
-        for n in range(5)
-        for k in (1, 2)
-    ]
-    memo = {}
+    arc_integrals.cache_clear()
+    calls = _recorded_arc_integrals(monkeypatch)
     cases = []
-    for mode in modes:
+    for mode in _C0_CHECK_MODES:
         for eta in etas:
             for cc, cs in ((1.0, 0.0), (0.0, 1.0)):
-                cases.append((mode, eta, cc, cs, c0_quadrature(mode, eta, cc, cs, _memo=memo)))
-    assert len(calls) == len(set(calls)) == len(memo) == 160
-    # FloquetPoint reads -0.0 as 0.0, so a dict key, which does not tell
-    # them apart, never holds -0.0
-    for eta in (FloquetPoint(-0.0, 0.0), FloquetPoint(0.0, -0.0), FloquetPoint(-0.0, -0.0)):
-        for mode in modes:
-            c0_quadrature(mode, eta, _memo=memo)
-    assert len(calls) == 160
-    assert all(math.copysign(1.0, v) == 1.0 for key in memo for v in key[1:3] if v == 0.0)
-    monkeypatch.undo()
-    for (n, e1, e2, panels), pair in memo.items():
-        assert _complex_bits(pair) == _complex_bits(arc_integrals(n, e1, e2, panels))
+                cases.append((mode, eta, cc, cs, c0_quadrature(mode, eta, cc, cs)))
+    assert arc_integrals.cache_info().misses == len(set(calls)) == 160
+    # FloquetPoint reads -0.0 as 0.0, so no call passes -0.0
+    assert all(math.copysign(1.0, v) == 1.0 for args in calls for v in args[1:3] if v == 0.0)
+    _assert_cached_values_fresh(calls)
+    monkeypatch.setattr(oracles, "arc_integrals", arc_integrals.__wrapped__)
     for mode, eta, cc, cs, value in cases:
         assert _complex_bits([value]) == _complex_bits([c0_quadrature(mode, eta, cc, cs)])
 
 
 def test_verify_computes_each_arc_integral_once(monkeypatch):
-    # the c0 check's 160 integrals and the arc-length check's one, each
-    # once, where the c0 check alone took 900 calls with no memo
-    calls = _counted_arc_integrals(monkeypatch)
+    # the c0 check's 160 integrals, the arc-length check's one, and the 48
+    # that only the correction-trace check needs (n 1..3, 16 points, panels
+    # 8; its panels-16 integrals are the c0 check's), each computed once
+    arc_integrals.cache_clear()
+    calls = _recorded_arc_integrals(monkeypatch)
     assert cli.main(["verify"]) == 0
-    assert len(calls) == len(set(calls)) == 161
+    assert arc_integrals.cache_info().misses == len(set(calls)) == 209
+    _assert_cached_values_fresh(calls)
+    # points built from -0.0 are points of 0.0, so they hit the same entries
+    for eta in (FloquetPoint(-0.0, 0.0), FloquetPoint(0.0, -0.0), FloquetPoint(-0.0, -0.0)):
+        for mode in _C0_CHECK_MODES:
+            c0_quadrature(mode, eta)
+    assert arc_integrals.cache_info().misses == 209
+
+
+def test_signed_zero_eta_gives_the_same_arc_integrals_bitwise():
+    # the cache key does not tell -0.0 from 0.0, so each signed-zero variant
+    # of a point must give the 0.0 point's integrals bitwise: n 0..8, panels
+    # 8, 16 and 32, every point of floquet_axis(5) plus two others
+    engine = arc_integrals.__wrapped__
+    values = [*floquet_axis(5), 0.7, -1.9]
+    compared = 0
+    for n in range(9):
+        for panels in (8, 16, 32):
+            for e1 in values:
+                for e2 in values:
+                    variants = [
+                        (s1, s2)
+                        for s1 in ((0.0, -0.0) if e1 == 0.0 else (e1,))
+                        for s2 in ((0.0, -0.0) if e2 == 0.0 else (e2,))
+                    ]
+                    ref = _complex_bits(engine(n, *variants[0], panels))
+                    for s1, s2 in variants[1:]:
+                        assert _complex_bits(engine(n, s1, s2, panels)) == ref, (n, s1, s2, panels)
+                        compared += 1
+    assert compared == 9 * 3 * 15
