@@ -20,14 +20,20 @@ replayed, polished and checked.
   (`bessel_j_pair`) and the slope as (n/x) J_n - J_{n+1}, which differs
   from `bessel_j_prime`'s in the last bits only and moves none of the zeros
   that tests/test_bessel.py compares bitwise with the evaluated bisection.
-- Check: the zero stands if its residual is met and every midpoint that
-  took its side from the estimate lies on that side of it, at least
-  _SIGN_MARGIN (1e-5 plus the zero's own error bound) away.  Near every
-  zero the command line can list (n <= 200, x <= 1030) |J_n'| >= 0.02 (the
-  least is 0.031, at j_{200,1}), so there |J_n| >= 2e-7, far above the
-  kernel's error: the kernel would have given every such sign, and the
-  zero is bitwise the evaluated bisection's.  Otherwise, or beyond that
-  range, the replay reruns with every midpoint evaluated.
+  A step to y = x - s is taken without the pass that would confirm it when
+  |s| <= 2^-27 on the checked range below and Taylor's theorem at x, with
+  |J_n''| <= 1 and the kernel's error K = 2e-15 in each value, bounds the
+  kernel's |J_n(y)| by at most 1e-14: the iteration would have stopped at
+  y, so the zero is bitwise the evaluated one.  Most zeros take two passes
+  where they took three.
+- Check: the zero stands if its residual (or certified bound) is met and
+  every midpoint that took its side from the estimate lies on that side of
+  it, at least _SIGN_MARGIN (1e-5 plus the zero's own error bound) away.
+  Near every zero the command line can list (n <= 200, x <= 1030) |J_n'| >=
+  0.02 (the least is 0.031, at j_{200,1}), so there |J_n| >= 2e-7, far
+  above the kernel's error: the kernel would have given every such sign,
+  and the zero is bitwise the evaluated bisection's.  Otherwise, or beyond
+  that range, the replay reruns with every midpoint evaluated.
 
 The scan walks each order once.  `_WALKS[n]` keeps where the walk of J_n
 stands and the sign-change brackets it has passed, so j_{n,k} costs only the
@@ -79,6 +85,11 @@ _SLOPE_CHECKED_N = 200
 _SLOPE_CHECKED_X = 1030.0
 # Qu & Wong's constant: j_{n,1} > n + _FIRST_ZERO * n^(1/3) for n > 0
 _FIRST_ZERO = 1.8557571
+# twice the kernel's largest absolute error in J_n and J_{n+1} measured
+# against mpmath at the zeros the command line lists (7.2e-16), and the
+# longest Newton step whose landing point the polish certifies unevaluated
+_KERNEL_ERROR = 2e-15
+_CERTIFIED_STEP = 2.0**-27
 
 
 class ZeroFindingError(RuntimeError):
@@ -245,7 +256,9 @@ def _estimate(n: int, a: float, b: float, fb: float, above: float) -> float:
 def _newton(n: int, a: float, fa: float, b: float, root: float, tol: float) -> tuple[float, float]:
     """Safeguarded Newton iteration for the zero of J_n in the sign bracket
     [a, b] from `root`, stopped once |J_n| <= tol; returns the last iterate
-    and J_n there."""
+    and J_n there, or, when the last step is certified, the iterate it
+    reaches and a bound <= tol on the kernel's |J_n| there, at no pass."""
+    certify = n <= _SLOPE_CHECKED_N and b <= _SLOPE_CHECKED_X
     for _ in range(_MAX_NEWTON):
         fr, above = bessel_j_pair(n, root)
         if (fa > 0.0) != (fr > 0.0):
@@ -259,6 +272,13 @@ def _newton(n: int, a: float, fa: float, b: float, root: float, tol: float) -> t
         nxt = root - step
         if step == 0.0 or nxt <= a or nxt >= b:
             nxt = 0.5 * (a + b)
+        elif certify and abs(step) <= _CERTIFIED_STEP:
+            # Taylor at root with |J_n''| <= 1: the step's rounding, the
+            # slope's, the kernel's error at both ends, and the remainder
+            bound = (abs(fr) + abs(slope) * (abs(nxt) + abs(step))) * 2.0**-52
+            bound += _KERNEL_ERROR * (2.0 + (n / root + 1.0) * abs(step)) + 0.5 * step * step
+            if bound <= tol:
+                return nxt, bound
         if nxt == root:
             break
         root = nxt

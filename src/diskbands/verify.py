@@ -72,7 +72,12 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
     checks.append(Check("disk-fd-convergence", worst, 0.5, detail))
 
     axis = floquet_axis(5)  # -pi, -pi/2, 0, pi/2, pi
-    etas = [FloquetPoint(a, b) for a in axis for b in axis]
+    # FloquetPoint folds pi to -pi, so 9 of the 25 grid points repeat an
+    # earlier one: the checks visit the 16 distinct points, each with its
+    # first row-major index into the grid
+    etas = {}
+    for i, eta in enumerate(FloquetPoint(a, b) for a in axis for b in axis):
+        etas.setdefault(eta, i)
     worst = 0.0
     for n in range(0, 5):
         for k in (1, 2):
@@ -92,12 +97,12 @@ def verify_checks(params: ExpansionParams, grid_resolution: int) -> list[Check]:
     worst = 0.0
     for n in (1, 2, 3):
         for k in (1, 2):
-            # the closed-form trace at every eta, row-major as `etas`
+            # the closed-form trace at every grid point, row-major
             closed = lambda1_grid(ModeIndex(n, k, Parity.SINE), axis)
-            for eta, lam1 in zip(etas, closed):
+            for eta, i in etas.items():
                 matrix = correction_matrix(n, k, eta)
                 tr = matrix[0][0] + matrix[1][1]
-                worst = _max(worst, abs(tr - lam1))
+                worst = _max(worst, abs(tr - closed[i]))
     checks.append(Check("correction-trace-vs-quadrature", worst, 1e-8, "max |difference| = %.3g" % worst))
 
     err = abs(boundary_arc_length() - math.pi)

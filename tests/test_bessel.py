@@ -441,6 +441,75 @@ def test_every_listable_zero_equals_the_evaluated_bisection_bitwise(cold_zeros, 
     assert worst[0] < 2e-8, worst
 
 
+def test_certified_steps_bound_the_kernel(cold_zeros, monkeypatch):
+    # a polish that returns an iterate it never evaluated returns a bound on
+    # the kernel's |J_n| there; with the certificate off (K = inf) every
+    # polish evaluates its last iterate and every zero is bitwise the same
+    keys = sorted(_listable_keys())
+    bessel._zero_value.cache_clear()  # the spectrum found some of them
+    bessel._WALKS.clear()
+    newton, pair, kernel = bessel._newton, bessel.bessel_j_pair, bessel.bessel_j_kernel
+    evaluated, polished = [], []
+    monkeypatch.setattr(bessel, "bessel_j_pair", lambda n, x: evaluated.append(x) or pair(n, x))
+    monkeypatch.setattr(bessel, "bessel_j_kernel", lambda n, x: evaluated.append(x) or kernel(n, x))
+
+    def polish(n, *args):
+        evaluated.clear()
+        root, fr = newton(n, *args)
+        polished.append((n, root, fr, root not in evaluated))
+        return root, fr
+
+    monkeypatch.setattr(bessel, "_newton", polish)
+    zeros = [bessel_zero(n, k) for n, k in keys]
+    assert len(polished) == len(keys)
+    certified = [(n, root, bound) for n, root, bound, unevaluated in polished if unevaluated]
+    # 4,788 of the 4,898; the largest bound is 8.5e-15, and the largest
+    # |J_n| at a certified root 2.1e-15
+    assert len(certified) >= 4700
+    for n, root, bound in certified:
+        assert abs(kernel(n, root)) <= bound <= 1e-14, (n, root)
+    bessel._zero_value.cache_clear()
+    bessel._WALKS.clear()
+    polished.clear()
+    monkeypatch.setattr(bessel, "_KERNEL_ERROR", math.inf)
+    assert [bessel_zero(n, k) for n, k in keys] == zeros
+    assert len(polished) == len(keys)
+    assert not any(unevaluated for *_, unevaluated in polished)
+
+
+def _polish_passes(monkeypatch, n: int, zero: float, offset: float) -> tuple[list, float, float]:
+    # the points the polish evaluates from zero + offset in the bracket
+    # [zero - 0.1, zero + 0.1], and the iterate and residual it returns
+    xs = []
+    monkeypatch.setattr(bessel, "bessel_j_pair", lambda m, x: xs.append(x) or bessel_j_pair(m, x))
+    a = zero - 0.1
+    root, fr = bessel._newton(n, a, bessel_j_kernel(n, a), zero + 0.1, zero + offset, 1e-14)
+    monkeypatch.undo()
+    return xs, root, fr
+
+
+def test_certificate_needs_a_short_step_on_the_checked_range(cold_zeros, monkeypatch):
+    # a Newton step just below 2^-27 lands unevaluated, one just above it
+    # takes the pass that confirms it, at the same point
+    zero = bessel_zero(5, 3)
+    for scale, passes in ((0.99, 1), (1.01, 2)):
+        xs, root, fr = _polish_passes(monkeypatch, 5, zero, scale * bessel._CERTIFIED_STEP)
+        j, above = bessel_j_pair(5, xs[0])
+        step = j / ((5 / xs[0]) * j - above)
+        assert 0.98 < step / bessel._CERTIFIED_STEP < 1.02
+        assert (step > bessel._CERTIFIED_STEP) == (passes == 2)
+        assert len(xs) == passes and root == xs[0] - step, scale
+        assert abs(bessel_j_kernel(5, root)) <= abs(fr) <= 1e-14
+        assert (fr == bessel_j_kernel(5, root)) == (passes == 2)
+    # past order 200 or argument 1030 no step is certified, however short
+    for n, k, passes in ((200, 1, 1), (201, 1, 2), (0, 328, 1), (0, 329, 2)):
+        zero = bessel_zero(n, k)
+        assert (n > bessel._SLOPE_CHECKED_N or zero + 0.1 > bessel._SLOPE_CHECKED_X) == (passes == 2)
+        xs, root, fr = _polish_passes(monkeypatch, n, zero, 1e-9)
+        assert len(xs) == passes, (n, k)
+        assert abs(fr) <= 1e-14
+
+
 def test_first_zero_bound_lies_below_the_first_zero(cold_zeros):
     # the walk calls no kernel below n + 1.8557571 n^(1/3) (Qu & Wong 1999);
     # the least margin is 0.1766, at n = 200
@@ -527,12 +596,9 @@ def _count_miller_passes(monkeypatch, work) -> int:
     return calls[0]
 
 
-def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
-    # the benchmark's spectrum ops, in-process from cold caches.  The walk
-    # skips the points below the first zero's bound and below each
-    # bracket's spacing floor, the estimate costs no pass and the spectrum
-    # finds only the zeros it lists and a few more: 3,419 passes, against
-    # a bound of 3,450
+def _workload_passes(monkeypatch, capsys) -> tuple[int, int, int]:
+    # the Miller passes of the benchmark's spectrum ops, in-process from cold
+    # caches, and of both `zeros` caps in one process
     def run(*argv):
         assert cli.main(list(argv)) == 0
         assert capsys.readouterr().out
@@ -540,15 +606,32 @@ def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
     def cold(*argv):
         bessel._zero_value.cache_clear()
         bessel._WALKS.clear()
-        return lambda: run(*argv)
+        run(*argv)
 
-    assert _count_miller_passes(monkeypatch, cold("spectrum", "--count", "1500")) <= 3450
-    # 2,605 passes, against 2,630
-    assert _count_miller_passes(monkeypatch, cold("zeros", "--n-max", "29", "--k-max", "20")) <= 2630
-    # both `zeros` caps in one process: 16,469 passes, against 16,500
-    caps = cold("zeros", "--n-max", "9", "--k-max", "200")
-    both = lambda: caps() or run("zeros", "--n-max", "200", "--k-max", "9")
-    assert _count_miller_passes(monkeypatch, both) <= 16500
+    spectrum = _count_miller_passes(monkeypatch, lambda: cold("spectrum", "--count", "1500"))
+    table = _count_miller_passes(monkeypatch, lambda: cold("zeros", "--n-max", "29", "--k-max", "20"))
+    both = lambda: cold("zeros", "--n-max", "9", "--k-max", "200") or run("zeros", "--n-max", "200", "--k-max", "9")
+    return spectrum, table, _count_miller_passes(monkeypatch, both)
+
+
+def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
+    # the walk skips the points below the first zero's bound and below each
+    # bracket's spacing floor, the estimate costs no pass, the polish
+    # certifies its last step instead of evaluating it, and the spectrum
+    # finds only the zeros it lists and a few more: 2,667 passes for
+    # `spectrum --count 1500`, against a bound of 2,690; 2,016 for the
+    # 29 x 20 `zeros` table, against 2,035; 12,840 for both caps, against
+    # 12,870
+    spectrum, table, caps = _workload_passes(monkeypatch, capsys)
+    assert spectrum <= 2690
+    assert table <= 2035
+    assert caps <= 12870
+
+
+def test_uncertified_polish_takes_the_evaluated_pass_counts(cold_zeros, monkeypatch, capsys):
+    # with the certificate off (K = inf) the polish evaluates its last step
+    monkeypatch.setattr(bessel, "_KERNEL_ERROR", math.inf)
+    assert _workload_passes(monkeypatch, capsys) == (3419, 2605, 16469)
 
 
 def _failing_pair(fail_at: int, exc: BaseException):
@@ -567,7 +650,8 @@ def test_walk_survives_exception_in_mid_walk(cold_zeros, monkeypatch):
     # the walk of J_7 to k = 30 first evaluates 10.93, the first grid point
     # above its first zero's bound, then one or two points per sign change;
     # calls 1 to 15 span its first twelve sign changes, and the last two
-    # calls of an uninterrupted run are the polish's
+    # calls of an uninterrupted run are the polish's two passes, the second
+    # of which certifies its step instead of evaluating it
     reference = [_fresh_scan_zero(7, k) for k in range(1, 31)]
     xs = []
     monkeypatch.setattr(bessel, "bessel_j_pair", lambda n, x: xs.append(x) or bessel_j_pair(n, x))

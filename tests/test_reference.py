@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diskbands import _core, _sturm
-from diskbands._core import bessel_j_kernel
+from diskbands import _core, _sturm, bessel
+from diskbands._core import bessel_j_kernel, bessel_j_pair
 from diskbands._sturm import tridiag_smallest_eigenvalues
 from diskbands.bessel import bessel_zero
 from diskbands.oracles import RadialMesh, _assemble, disk_mesh_doubling
+from diskbands.spectrum import enumerate_spectrum
 
 mpmath.mp.dps = 30
 
@@ -60,6 +61,28 @@ def test_deep_bessel_zeros_against_mpmath():
             ref = float(mpmath.besseljzero(n, k))
             worst = max(worst, abs(bessel_zero(n, k) - ref))
     assert worst <= 1e-13
+
+
+def test_kernel_error_at_listable_zeros_is_half_the_certified_constant():
+    # the zero finder's polish certifies its last Newton step assuming the
+    # pair kernel errs by at most K in J_n and J_{n+1}.  At every listable
+    # zero (both `zeros` caps and `spectrum --count 5000`, n <= 200, x up
+    # to j_{9,200} = 642) the largest error is 7.2e-16, at j_{5,119}; here a
+    # sample of them, the deepest, and the last zeros below the certified
+    # argument bound 1030
+    keys = {(n, k) for n in range(10) for k in range(1, 201)}
+    keys |= {(n, k) for n in range(201) for k in range(1, 10)}
+    keys |= {(mode.n, mode.k) for mode in enumerate_spectrum(5000)}
+    sample = random.Random(37).sample(sorted(keys), 500)
+    sample += [(5, 119), (9, 200), (200, 1), (200, 9), (0, 328), (200, 234)]
+    worst = 0.0
+    for n, k in sample:
+        zero = bessel_zero(n, k)
+        assert zero <= bessel._SLOPE_CHECKED_X, (n, k)
+        value, above = bessel_j_pair(n, zero)
+        worst = max(worst, abs(value - float(mpmath.besselj(n, zero))))
+        worst = max(worst, abs(above - float(mpmath.besselj(n + 1, zero))))
+    assert worst <= bessel._KERNEL_ERROR / 2
 
 
 def test_tridiag_against_eigvalsh():

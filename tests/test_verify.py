@@ -130,3 +130,19 @@ def test_json_rows_match_text_lines(capsys):
     rows = doc["rows"]
     assert [list(r) for r in rows] == [["name", "observed", "bound", "passed", "detail"]] * 7
     assert ["PASS %s: %s" % (r["name"], r["detail"]) for r in rows] == text.splitlines()
+
+
+def test_checks_visit_each_distinct_floquet_point_once(monkeypatch):
+    # FloquetPoint folds pi to -pi, so 16 of the 25 points of floquet_axis(5)
+    # are distinct: the c0 check quadratures each (mode, point, branch) once,
+    # 32 for n = 0 and 256 for n = 1..4, and the correction-trace check
+    # builds each (n, k, point) matrix once, 96 for n = 1..3 and k = 1, 2
+    calls = {"c0_quadrature": [], "correction_matrix": []}
+    for name, log in calls.items():
+        route = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, route=route, log=log: log.append(args) or route(*args))
+    checks = verify_checks(ExpansionParams(1e-3, 0.25), 33)
+    assert all(c.passed for c in checks)
+    assert len(calls["c0_quadrature"]) == len(set(calls["c0_quadrature"])) == 288
+    assert len(calls["correction_matrix"]) == len(set(calls["correction_matrix"])) == 96
+    assert len({args[1] for args in calls["c0_quadrature"]}) == 16
