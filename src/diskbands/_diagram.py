@@ -1,7 +1,9 @@
 """The diagram command: the band picture as SVG, or each band's Brillouin
 sweep samples as CSV or JSON rows ending in a `cli._Block`.  Only diagram
 makes blocks, so their writers live here too, loaded by `cli._csv_chunks`
-and `cli._json_chunks` with the first block they write.
+and `cli._json_chunks` with the first block they write.  A sweep repeats
+whole eta1 rows, so `_block_rows` builds the text of each distinct row once
+per block, and each writer puts the row's own head into it.
 """
 
 from __future__ import annotations
@@ -28,18 +30,40 @@ def _check_block(block: _Block) -> None:
 
 
 def _block_rows(block: _Block, text, mid: str):
-    # (eta1 text, sample texts) of each eta1 row of the block, a sample's
-    # text being its eta2 text, mid and its value text; text runs once per
-    # eta and once per distinct value, except that zeros, whose key 0.0 ==
-    # -0.0 would share, run once per sample
+    # (eta1 text, row text) of each eta1 row of the block: the row's sample
+    # texts, each its eta2 text, mid and its value text, joined by "\0", in
+    # whose place the writer puts its text between two samples; neither text
+    # nor mid writes a "\0".  A row text depends on the row's values alone,
+    # and a sweep repeats whole rows (eta1 <-> -eta1, and every row of a flat
+    # band), so each distinct row is built once per block, and the values of
+    # the rows built are formatted once each.  Zeros are the exception, as
+    # 0.0 == -0.0 would share the texts "0" and "-0" under one key: a zero is
+    # formatted once per sample, and a block holding one builds every row
     _check_block(block)
     etas = list(map(text, block.axis))
-    heads = [eta2 + mid for eta2 in etas]
-    memo = {v: text(v) for v in set(block.values) if v}
     size = len(etas)
-    for i, eta1 in enumerate(etas):
-        row = block.values[i * size:(i + 1) * size]
-        yield eta1, list(map(str.__add__, heads, [memo.get(v) or text(v) for v in row]))
+    memo = {}
+    # a row's text joins parts: at even places each eta2 text and mid, after
+    # a "\0" but for the first, and at odd places the row's value texts
+    parts = [None] * 2 * size
+    parts[::2] = ["\0" * (j > 0) + eta2 + mid for j, eta2 in enumerate(etas)]
+
+    def build(row):
+        memo.update([(v, text(v)) for v in set(row).difference(memo) if v])
+        parts[1::2] = [memo.get(v) or text(v) for v in row]
+        return "".join(parts)
+
+    rows = (block.values[i * size:(i + 1) * size] for i in range(size))
+    if 0.0 in block.values:
+        yield from zip(etas, map(build, rows))
+        return
+    built = {}
+    for eta1, row in zip(etas, rows):
+        key = tuple(row)
+        joined = built.get(key)
+        if joined is None:
+            joined = built[key] = build(row)
+        yield eta1, joined
 
 
 def _json_float_text(x: float) -> str:
@@ -66,10 +90,14 @@ def _json_samples(block: _Block, encode):
     # a value whose _jnum is an infinity raises ValueError
     k1, k2, k3 = ["\n     " + encode(k) + ": " for k in block.keys]
     opening = "["
-    for eta1, samples in _block_rows(block, _json_float_text, "," + k3):
+    # a row text holds "\1" for the "," and value key of each sample, so the
+    # rows a block keeps take less memory; JSON escapes every control
+    # character, so no key or number writes a "\0" or "\1"
+    for eta1, samples in _block_rows(block, _json_float_text, "\1"):
         # each sample dict opens with the row's eta1 and its eta2 key
         head = "\n    {" + k1 + eta1 + "," + k2
-        yield opening + head + ("\n    }," + head).join(samples) + "\n    }"
+        samples = samples.replace("\1", "," + k3).replace("\0", "\n    }," + head)
+        yield opening + head + samples + "\n    }"
         opening = ","
     yield "[]" if opening == "[" else "\n   ]"
 

@@ -240,12 +240,17 @@ def _emit(chunks, args: _Args) -> None:
 # part of a table not written by json.dumps, as a sweep writes up to 513^2
 # samples: both formats turn each eta into text once per axis and each
 # distinct value once per block, since a sweep repeats its values, and join
-# those texts one eta1 row of the grid at a time.  CSV writes one string
-# per row, JSON one per batch of rows, and both one per eta1 row of a
-# block.  CSV prints the raw floats: %.15g prints a float as it prints its
-# _jnum (DBL_DIG is 15).  JSON refuses the few finite floats above the
-# largest 15-digit one, whose _jnum is an infinity, as it refuses a row's
-# infinity.
+# those texts one eta1 row of the grid at a time.  A sweep repeats whole
+# rows too (eta1 <-> -eta1, and every row of a flat band), so a block joins
+# the texts of each distinct row once, with a "\0" between two samples, and
+# every repeat of the row reuses that text.  The writer puts the row's head
+# before it and in place of each "\0": for CSV the row's other cells and
+# eta1, for JSON the sample dict's opening with eta1 and the eta2 key.  CSV
+# writes one string per row, JSON one per batch of rows, and both one per
+# eta1 row of a block.  CSV prints the raw floats: %.15g prints a float as
+# it prints its _jnum (DBL_DIG is 15).  JSON refuses the few finite floats
+# above the largest 15-digit one, whose _jnum is an infinity, as it refuses
+# a row's infinity.
 
 
 # the most rows that one json.dumps call writes
@@ -314,7 +319,7 @@ def _csv_chunks(rows):
         head = _cells(cells) + "," if cells else ""
         for eta1, samples in _block_rows(last, _fmt, ","):
             line = head + eta1 + ","
-            yield line + ("\n" + line).join(samples) + "\n"
+            yield line + samples.replace("\0", "\n" + line) + "\n"
 
 
 def _ends_in_block(row: dict) -> bool:

@@ -1,6 +1,7 @@
 """Command-line interface, exercised through subprocesses and, where a
 library function must be replaced, through `cli.main` in-process."""
 
+import collections
 import csv
 import errno
 import io
@@ -750,6 +751,52 @@ def test_block_formats_each_distinct_value_once(monkeypatch):
         calls.clear()
         text = "".join(write(block))
         assert text and len(calls) == expected
+
+
+def test_block_builds_each_distinct_row_once():
+    # the text of a repeated eta1 row is the very string built for its first
+    # occurrence, and a block formats each eta and each distinct value once;
+    # a block holding a zero of either sign builds every row; and no text
+    # outlives its block: a second pass builds its own, and once a block's
+    # rows are all drawn nothing else holds their texts
+    from diskbands._diagram import _block_rows
+
+    calls = []
+
+    def text(x):
+        calls.append(x)
+        return cli._fmt(x)
+
+    for kind, grid in (("swept", 65), ("undetermined", 9)):
+        axis, values = _block_case(grid, kind)
+        rows = [tuple(values[i * grid:(i + 1) * grid]) for i in range(grid)]
+        # a mirror row eta1 <-> -eta1 mostly repeats bitwise; a flat band
+        # repeats one row
+        distinct = len(set(rows))
+        assert 0.0 not in values and distinct <= (2 + grid // 2 if kind == "swept" else 1)
+        block = cli._Block(("eta1", "eta2", "value"), axis, values)
+        calls.clear()
+        texts = [t for _, t in _block_rows(block, text, ",")]
+        assert len(calls) == grid + len(set(values))
+        assert len(set(map(id, texts))) == distinct
+        assert all(t is texts[rows.index(row)] for t, row in zip(texts, rows))
+        again = [t for _, t in _block_rows(block, text, ",")]
+        assert again == texts and not set(map(id, again)) & set(map(id, texts))
+        # a text held by the suspended generator is released when it ends
+        rows_left = _block_rows(block, text, ",")
+        _, first = next(rows_left)
+        collections.deque(rows_left, maxlen=0)
+        fresh = first + "."
+        assert sys.getrefcount(first) == sys.getrefcount(fresh)
+        for zero in (0.0, -0.0):
+            zeroed = values.copy()
+            zeroed[grid + 1] = zero
+            block = cli._Block(("eta1", "eta2", "value"), axis, zeroed)
+            texts = [t for _, t in _block_rows(block, text, ",")]
+            assert len(set(map(id, texts))) == grid
+            plain = [t for _, t in _block_rows(cli._Block(block.keys, axis, values), text, ",")]
+            assert texts[:1] + texts[2:] == plain[:1] + plain[2:]
+            assert texts[1].split("\0")[1] == cli._fmt(axis[1]) + "," + cli._fmt(zero)
 
 
 def test_block_guards():

@@ -1,8 +1,9 @@
 """Property tests (hypothesis, derandomized): spectrum prefixes, gap
 certification monotone in the error constant, the symmetries of Lambda1 on
 the square lattice, the reduction of Floquet points into [-pi, pi), the
-streaming JSON emitter against json.dumps, and the 15-digit rounding of
-printed floats."""
+streaming JSON emitter against json.dumps, sample blocks whose eta1 rows
+repeat against their expanded samples, and the 15-digit rounding of printed
+floats."""
 
 import json
 import math
@@ -21,7 +22,7 @@ from diskbands import (
     limit_eigenvalue,
 )
 from diskbands.bands import detect_gaps
-from diskbands.cli import _fmt, _jnum, _json_chunks
+from diskbands.cli import _Block, _csv_chunks, _fmt, _jnum, _json_chunks
 from diskbands.corrections import lambda1_grid
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -150,6 +151,64 @@ JSON_ROW = st.dictionaries(JSON_TEXT, JSON_DOC, max_size=4)
 def test_json_chunks_equal_json_dumps(meta, rows):
     text = "".join(_json_chunks(meta, rows))
     assert text == json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
+
+
+# a block's sample values: a few that repeat, zeros of both signs, and
+# floats of every magnitude up to 1e300, whose 15-digit rounding is finite
+BLOCK_VALUE = st.one_of(
+    st.sampled_from([1.0, -2.5, 0.1 + 0.2, 1e16, 5e-324, 0.0, -0.0]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@st.composite
+def repeated_rows(draw):
+    # the axis and values of a block whose eta1 rows are drawn from a pool of
+    # at most four rows, in a drawn order or mirrored (row i equals row
+    # size - 1 - i); one pool row may be another with the sign of each zero
+    # flipped, and half the blocks hold no zero
+    size = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.lists(BLOCK_VALUE, min_size=size, max_size=size), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pool.append([-v if v == 0.0 else v for v in pool[0]])
+    if draw(st.booleans()):
+        pool = [[v or 1.0 for v in row] for row in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        picks = picks[:(size + 1) // 2] + picks[:size // 2][::-1]
+    axis = draw(st.lists(st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0]), min_size=size, max_size=size))
+    return axis, [v for i in picks for v in pool[i]]
+
+
+# the head cells of a block's row: a %, a %-spec, and the NUL and \x01 that
+# the row texts use as markers
+REPEATED_HEAD = {"n": 3, "name": "50% %s%%d\x00\x01", "on": [False, None]}
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    repeated_rows(),
+    st.sampled_from([("eta1", "eta2", "value"), ("e%ta1", "%s", "100%"), ("\x00", "\x01", "%d\n")]),
+)
+# rows that differ only in the sign of a zero, in a mirror layout
+@example(([1.0, -0.0, 0.0], [1.0, 0.0, 2.0, 1.0, -0.0, 2.0, 1.0, 0.0, 2.0]), ("eta1", "eta2", "value"))
+@example(([0.0, 1.0], [-0.0, 1.0, 0.0, 1.0]), ("e%ta1", "%s", "100%"))
+def test_repeated_block_rows_write_their_expanded_samples(block, keys):
+    axis, values = block
+    size = len(axis)
+    samples = [
+        {keys[0]: _jnum(a), keys[1]: _jnum(b), keys[2]: _jnum(values[i * size + j])}
+        for i, a in enumerate(axis)
+        for j, b in enumerate(axis)
+    ]
+    rows = [{**REPEATED_HEAD, "samples": _Block(keys, axis, values)}] * 2
+    # json: the list of sample dicts json.dumps writes
+    text = "".join(_json_chunks({}, rows))
+    expanded = {"meta": {}, "rows": [{**REPEATED_HEAD, "samples": samples}] * 2}
+    assert text == json.dumps(expanded, indent=1) + "\n"
+    # csv: the lines of the flattened rows, the head cells first
+    flat = [{**REPEATED_HEAD, **sample} for sample in samples] * 2
+    assert "".join(_csv_chunks(rows)) == "".join(_csv_chunks(flat))
 
 
 # the largest float whose 15-digit text reads back as a finite float: the
