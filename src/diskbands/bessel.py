@@ -48,14 +48,20 @@ lies at least the floor beyond the bracket's zero.  For n = 0 the floor is
 pi / sqrt(1 + 1/(4 a^2)), below pi, so the walk skips the two points after
 b.  For n >= 1 the zeros lie more than pi apart, and farther apart near x =
 n, and the floor, an even iterate of the spacing map d -> pi / sqrt(1 -
-(n^2 - 1/4)/(b + d)^2) from pi, skips more.  A skipped point lies more than
-1e-5 before the next zero, where |J_n| is above the kernel's error by the
-slope bound above, so the kernel would have given the same sign; past order
-200 or argument 1030, where that bound is not checked, the floor is 3.5
-pi/4 and the walk skips only the two points after b, which lie at least
-0.72 from any zero.  Every skipped point still takes its float step and
-counts against _MAX_SCAN, and a bracket starting at one keeps a value of
-J_n's sign there, all the zero finder reads of J_n(a).  So the walk takes
+(n^2 - 1/4)/(b + d)^2) from pi, skips more.  Once the bracket's zero
+j_{n,k} is polished, the walk goes on from it: it evaluates no grid point
+below `zero_floor(n, k + 1)` - 1e-5, the polished zero plus the same floor,
+which lies below j_{n,k+1} by more than the polished zero's error
+_RESIDUAL_TOL / 0.02 at every zero the command line lists (by 5.0e-9 or
+more).  `_zero_value` stores that bound in the walk, so the walk never
+polishes a zero.  A skipped point lies more than 1e-5 before the next zero,
+where |J_n| is above the kernel's error by the slope bound above, so the
+kernel would have given the same sign; past order 200 or argument 1030,
+where that bound is not checked, the floor is 3.5 pi/4, the polished zero
+is not used, and the walk skips only the two points after b, which lie at
+least 0.72 from any zero.  Every skipped point still takes its float step
+and counts against _MAX_SCAN, and a bracket starting at one keeps a value
+of J_n's sign there, all the zero finder reads of J_n(a).  So the walk takes
 the grid points a fresh scan from the origin side would take, and every
 bracket, and every zero polished from it, is bitwise the same.
 `zero_floor(n, k)` gives the spectrum a float below j_{n,k}, from Qu &
@@ -133,9 +139,10 @@ def bessel_zero(n: int, k: int) -> float:
 
 # n -> (x, J_n(x) or None at a skipped point, steps, brackets (a, a value of
 # J_n(a)'s sign, b, J_n(b), J_{n+1}(b)) passed, the point below which the
-# walk evaluates nothing) of the pi/4 walk of order n.  Each step stores one
-# new tuple, so an exception in mid-walk leaves the last stored state, and
-# threads walking one order at once at worst take steps twice.
+# walk evaluates nothing) of the pi/4 walk of order n; polishing the last
+# bracket's zero raises that point.  Each step stores one new tuple, so an
+# exception in mid-walk leaves the last stored state, and threads walking
+# one order at once at worst take steps twice.
 _WALKS: dict[int, tuple[float, float | None, int, tuple, float]] = {}
 
 
@@ -232,6 +239,11 @@ def _zero_value(n: int, k: int) -> float:
                     lo, flo = mid, fm
         root, fr = _newton(n, lo, flo, hi, 0.5 * (lo + hi), 1e-14)
         if abs(fr) <= _RESIDUAL_TOL and left <= root - _SIGN_MARGIN and right >= root + _SIGN_MARGIN:
+            walk = _WALKS[n]
+            if checked and len(walk[3]) == k:
+                # the walk stands at this bracket, its last: it goes on from
+                # zero_floor(n, k + 1), above the floor from the left end a
+                _WALKS[n] = walk[:4] + (root + _spacing_floor(n, a, b) - 1e-5,)
             return root
     raise ZeroFindingError("residual tolerance unmet after iteration cap (n=%d, k=%d)" % (n, k))
 
@@ -239,16 +251,35 @@ def _zero_value(n: int, k: int) -> float:
 def _estimate(n: int, a: float, b: float, fb: float, above: float) -> float:
     """The zero in [a, b] of J_n's degree-9 Taylor polynomial at b, by four
     Newton steps from b: x^2 y'' + x y' + (x^2 - n^2) y = 0 gives its
-    coefficients c_m of (x - b)^m from J_n(b) and J_n'(b)."""
-    c = [0.0, 0.0, fb, (n / b) * fb - above]
-    for m in range(8):
-        t = b * (m + 1) * (2 * m + 1) * c[-1] + (m * m + b * b - n * n) * c[-2] + 2.0 * b * c[-3] + c[-4]
-        c.append(-t / (b * b * (m + 1) * (m + 2)))
-    h = 0.0
-    for _ in range(4):
-        p = dp = 0.0
-        for coef in reversed(c[2:]):
-            p, dp = p * h + coef, dp * h + p
+    coefficients c_m of (x - b)^m from J_n(b) and J_n'(b),
+    c_{m+2} = -(b (m+1)(2m+1) c_{m+1} + (m^2 + b^2 - n^2) c_m + 2b c_{m-1}
+    + c_{m-2}) / (b^2 (m+1)(m+2)).  Each coefficient and each Horner step
+    takes the float operations of that recurrence and of Horner's rule in
+    their order, less the factors 1 and the terms that are zero (c_{-1} =
+    c_{-2} = 0, Horner's start p = dp = 0), which change no sum that is not
+    itself zero.  So the first Newton step, at h = 0, is -c_0/c_1."""
+    bb, nn, b2 = b * b, n * n, 2.0 * b
+    c0 = fb
+    c1 = (n / b) * fb - above
+    c2 = -(b * c1 + (bb - nn) * c0) / (bb * 2)
+    c3 = -(b * 2 * 3 * c2 + (1 + bb - nn) * c1 + b2 * c0) / (bb * 2 * 3)
+    c4 = -(b * 3 * 5 * c3 + (4 + bb - nn) * c2 + b2 * c1 + c0) / (bb * 3 * 4)
+    c5 = -(b * 4 * 7 * c4 + (9 + bb - nn) * c3 + b2 * c2 + c1) / (bb * 4 * 5)
+    c6 = -(b * 5 * 9 * c5 + (16 + bb - nn) * c4 + b2 * c3 + c2) / (bb * 5 * 6)
+    c7 = -(b * 6 * 11 * c6 + (25 + bb - nn) * c5 + b2 * c4 + c3) / (bb * 6 * 7)
+    c8 = -(b * 7 * 13 * c7 + (36 + bb - nn) * c6 + b2 * c5 + c4) / (bb * 7 * 8)
+    c9 = -(b * 8 * 15 * c8 + (49 + bb - nn) * c7 + b2 * c6 + c5) / (bb * 8 * 9)
+    h = min(0.0, max(a - b, -c0 / c1)) if c1 else 0.0
+    for _ in range(3):
+        p, dp = c9 * h + c8, c9
+        p, dp = p * h + c7, dp * h + p
+        p, dp = p * h + c6, dp * h + p
+        p, dp = p * h + c5, dp * h + p
+        p, dp = p * h + c4, dp * h + p
+        p, dp = p * h + c3, dp * h + p
+        p, dp = p * h + c2, dp * h + p
+        p, dp = p * h + c1, dp * h + p
+        p, dp = p * h + c0, dp * h + p
         h = min(0.0, max(a - b, h - p / dp)) if dp else h
     return b + h
 

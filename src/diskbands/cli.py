@@ -220,7 +220,7 @@ def _emit(chunks, args: _Args) -> None:
 # ------------------------------------------------------------------ tables
 #
 # Every table is a non-empty iterable of rows in their JSON shape.  JSON
-# writes its rows with json.dumps, a list of up to _JSON_BATCH of them per
+# writes its rows with json.dumps, a list of up to _BATCH of them per
 # call, since the encoder's setup costs about as much as a short row.  The
 # CSV header and cells derive from that shape: a nested dict becomes
 # <key>_<subkey> columns, a list <key>_1, <key>_2, ...; None prints as an
@@ -245,16 +245,16 @@ def _emit(chunks, args: _Args) -> None:
 # the texts of each distinct row once, with a "\0" between two samples, and
 # every repeat of the row reuses that text.  The writer puts the row's head
 # before it and in place of each "\0": for CSV the row's other cells and
-# eta1, for JSON the sample dict's opening with eta1 and the eta2 key.  CSV
-# writes one string per row, JSON one per batch of rows, and both one per
-# eta1 row of a block.  CSV prints the raw floats: %.15g prints a float as
-# it prints its _jnum (DBL_DIG is 15).  JSON refuses the few finite floats
-# above the largest 15-digit one, whose _jnum is an infinity, as it refuses
-# a row's infinity.
+# eta1, for JSON the sample dict's opening with eta1 and the eta2 key.  Both
+# formats write one string per batch of up to _BATCH rows, which is one
+# write(2) to an unbuffered stdout, and one per eta1 row of a block.  CSV
+# prints the raw floats: %.15g prints a float as it prints its _jnum
+# (DBL_DIG is 15).  JSON refuses the few finite floats above the largest
+# 15-digit one, whose _jnum is an infinity, as it refuses a row's infinity.
 
 
-# the most rows that one json.dumps call writes
-_JSON_BATCH = 1024
+# the most rows without a block that one string holds, in either format
+_BATCH = 1024
 
 
 class _Block(Record):
@@ -303,34 +303,36 @@ _CELL = {
 }
 
 
+def _ends_in_block(row: dict) -> bool:
+    return type(next(reversed(row.values()), None)) is _Block
+
+
 def _csv_chunks(rows):
-    # the header, then the lines of each row: one, or those of each eta1 row
-    # of its block
+    # the header, then the lines of each run of rows without a block, up to
+    # _BATCH of them per string, and those of each eta1 row of a block
     rows = iter(rows)
     first = next(rows)
     yield ",".join(_columns(first)) + "\n"
-    for row in itertools.chain((first,), rows):
-        *cells, last = row.values()
-        if type(last) is not _Block:
-            yield _cells(row.values()) + "\n"
+    for blocks, run in itertools.groupby(itertools.chain((first,), rows), _ends_in_block):
+        if not blocks:
+            while batch := list(itertools.islice(run, _BATCH)):
+                yield "".join([_cells(row.values()) + "\n" for row in batch])
             continue
         from ._diagram import _block_rows
 
-        head = _cells(cells) + "," if cells else ""
-        for eta1, samples in _block_rows(last, _fmt, ","):
-            line = head + eta1 + ","
-            yield line + samples.replace("\0", "\n" + line) + "\n"
-
-
-def _ends_in_block(row: dict) -> bool:
-    return type(next(reversed(row.values()), None)) is _Block
+        for row in run:
+            *cells, last = row.values()
+            head = _cells(cells) + "," if cells else ""
+            for eta1, samples in _block_rows(last, _fmt, ","):
+                line = head + eta1 + ","
+                yield line + samples.replace("\0", "\n" + line) + "\n"
 
 
 def _json_chunks(meta: dict, rows):
     """Yield the text of `json.dumps({"meta": meta, "rows": rows}, indent=1)
     + "\n"`, drawing the row dicts of `rows`, which is never empty, as they
     are written.  Each run of rows without a block is written by json.dumps
-    as lists of at most _JSON_BATCH rows, each list's text less its brackets
+    as lists of at most _BATCH rows, each list's text less its brackets
     indented one level deeper line by line, which is exact because JSON text
     never holds a raw newline inside a string; a non-finite float raises
     ValueError, and a value that json.dumps cannot write raises TypeError.
@@ -346,7 +348,7 @@ def _json_chunks(meta: dict, rows):
     sep = head
     for blocks, run in itertools.groupby(rows, _ends_in_block):
         if not blocks:
-            while batch := list(itertools.islice(run, _JSON_BATCH)):
+            while batch := list(itertools.islice(run, _BATCH)):
                 # the list's text less its opening "[\n " and closing "\n]"
                 yield sep + encode(batch)[3:-2].replace("\n", "\n ")
                 sep = ",\n  "

@@ -220,14 +220,18 @@ def test_walk_zeros_equal_fresh_scan_bitwise(cold_zeros):
     for n, k in sorted(reference, key=lambda key: (-key[1], key[0])):
         assert bessel_zero(n, k) == reference[n, k], (n, k)
         assert _key(bessel._bracket(n, k)) == _key(scans[n][k - 1]), (n, k)
-    # scattered requests, so that walks stop and resume at every depth
-    bessel._zero_value.cache_clear()
-    bessel._WALKS.clear()
-    keys = sorted(reference)
-    random.Random(5).shuffle(keys)
-    for n, k in keys:
-        assert bessel_zero(n, k) == reference[n, k], (n, k)
-        assert _key(bessel._bracket(n, k)) == _key(scans[n][k - 1]), (n, k)
+    # scattered requests, so that walks stop and resume at every depth, then
+    # k ascending, orders interleaved: each zero is polished while the walk
+    # stands at its bracket, so every walk goes on from a polished zero
+    ascending = sorted(reference, key=lambda key: (key[1], key[0]))
+    shuffled = sorted(reference)
+    random.Random(5).shuffle(shuffled)
+    for keys in (shuffled, ascending):
+        bessel._zero_value.cache_clear()
+        bessel._WALKS.clear()
+        for n, k in keys:
+            assert bessel_zero(n, k) == reference[n, k], (n, k)
+            assert _key(bessel._bracket(n, k)) == _key(scans[n][k - 1]), (n, k)
 
 
 def test_walk_keeps_the_sign_of_a_skipped_left_end(cold_zeros, monkeypatch):
@@ -313,9 +317,10 @@ def test_replay_calls_the_kernel_only_inside_the_window(cold_zeros, monkeypatch)
     # 38 calls, where the evaluated bisection makes 6,000
     assert calls[0] <= 40
     # the walks skip the points below the first zero's bound and, after each
-    # bracket, those below its spacing floor, and evaluate no skipped left
-    # end: 785 passes, against a bound of 790
-    assert calls[1] <= 790
+    # bracket, those below its spacing floor, from the polished zero as the
+    # table polishes each zero before the walk goes on, and evaluate no
+    # skipped left end: 645 passes, against a bound of 650
+    assert calls[1] <= 650
 
 
 def test_replay_without_guard_evaluates_every_midpoint(cold_zeros, monkeypatch):
@@ -441,6 +446,30 @@ def test_every_listable_zero_equals_the_evaluated_bisection_bitwise(cold_zeros, 
     assert worst[0] < 2e-8, worst
 
 
+def _loop_estimate(n: int, a: float, b: float, fb: float, above: float) -> float:
+    # bessel._estimate as a loop over the list of its Taylor coefficients
+    c = [0.0, 0.0, fb, (n / b) * fb - above]
+    for m in range(8):
+        t = b * (m + 1) * (2 * m + 1) * c[-1] + (m * m + b * b - n * n) * c[-2] + 2.0 * b * c[-3] + c[-4]
+        c.append(-t / (b * b * (m + 1) * (m + 2)))
+    h = 0.0
+    for _ in range(4):
+        p = dp = 0.0
+        for coef in reversed(c[2:]):
+            p, dp = p * h + coef, dp * h + p
+        h = min(0.0, max(a - b, h - p / dp)) if dp else h
+    return b + h
+
+
+def test_estimate_equals_the_coefficient_loop_bitwise(cold_zeros):
+    # on the bracket of every zero the command line lists
+    keys = _listable_keys()
+    for n, k in sorted(keys):
+        a, _, b, fb, above = bessel._bracket(n, k)
+        estimate = bessel._estimate(n, a, b, fb, above)
+        assert estimate.hex() == _loop_estimate(n, a, b, fb, above).hex(), (n, k)
+
+
 def test_certified_steps_bound_the_kernel(cold_zeros, monkeypatch):
     # a polish that returns an iterate it never evaluated returns a bound on
     # the kernel's |J_n| there; with the certificate off (K = inf) every
@@ -543,24 +572,61 @@ def test_spacing_floor_lies_below_the_next_zero(cold_zeros):
     assert least[0] > 2e-5, least
 
 
+def test_walk_on_from_the_polished_zero_stays_below_the_next_zero(cold_zeros):
+    # once j_{n,k} is polished, on the checked range, the walk skips the
+    # grid points below zero_floor(n, k + 1) - 1e-5, which lie more than
+    # 1e-5 before j_{n,k+1} when zero_floor(n, k + 1) lies below it; the
+    # polished j_{n,k+1} lies within _RESIDUAL_TOL / 0.02 of the zero, so
+    # the margin to it must exceed that error
+    keys = _FLOOR_KEYS | {(mode.n, mode.k) for mode in enumerate_spectrum(5000)}
+    bessel._zero_value.cache_clear()  # the spectrum walked its orders
+    bessel._WALKS.clear()
+    margins = []
+    for n, k in sorted(keys):
+        # k ascending: the walk stands at bracket k when j_{n,k} is polished
+        a, _, b = bessel._bracket(n, k)[:3]
+        floor = bessel.zero_floor(n, k + 1)
+        if n <= bessel._SLOPE_CHECKED_N and b <= bessel._SLOPE_CHECKED_X:
+            # polishing j_{n,k} raised the walk's bound to the higher floor
+            assert bessel._WALKS[n][4] == floor - 1e-5 > a + bessel._spacing_floor(n, a, b) - 1e-5
+            margins.append((bessel_zero(n, k + 1) - floor, (n, k)))
+    # the least is 5.0e-9, at (0, 200), and 1.7e-8 for n >= 1, at (1, 200)
+    least = min(margins)
+    assert least[0] > bessel._RESIDUAL_TOL / 0.02, least
+    assert min(m for m in margins if m[1][0] > 0)[0] > 1e-8
+    # past the checked range a polished zero leaves the walk's bound as it was
+    for n, k in ((201, 1), (0, 329)):
+        a, _, b = bessel._bracket(n, k)[:3]
+        bessel_zero(n, k)
+        assert bessel._WALKS[n][4] == a + bessel._spacing_floor(n, a, b) - 1e-5, (n, k)
+
+
 @pytest.mark.parametrize("n, ks", [(201, range(1, 10)), (0, range(329, 336))])
 def test_walk_past_the_checked_range_skips_two_points(cold_zeros, monkeypatch, n, ks):
     # past order 200 or argument 1030 the walk evaluates the third grid
-    # point after each bracket, as it did before the spacing floor
-    if ks[0] > 1:
-        bessel._bracket(n, ks[0] - 1)
-    xs = []
-    monkeypatch.setattr(bessel, "bessel_j_pair", lambda m, x: xs.append(x) or bessel_j_pair(m, x))
-    for k in ks:
-        b = bessel._bracket(n, k)[2]
-        if k == ks[-1]:
-            break
-        assert n > bessel._SLOPE_CHECKED_N or b > bessel._SLOPE_CHECKED_X
-        third = b
-        for _ in range(3):
-            third += bessel._SCAN_STEP
-        bessel._bracket(n, k + 1)
-        assert xs[xs.index(b) + 1] == third, (n, k)
+    # point after each bracket, as it did before the spacing floor, whether
+    # or not the bracket's zero is polished before the walk goes on
+    for polish in (False, True):
+        bessel._zero_value.cache_clear()
+        bessel._WALKS.clear()
+        if ks[0] > 1:
+            bessel._bracket(n, ks[0] - 1)
+        xs = []
+        monkeypatch.setattr(bessel, "bessel_j_pair", lambda m, x: xs.append(x) or bessel_j_pair(m, x))
+        for k in ks:
+            b = bessel._bracket(n, k)[2]
+            if k == ks[-1]:
+                break
+            assert n > bessel._SLOPE_CHECKED_N or b > bessel._SLOPE_CHECKED_X
+            third = b
+            for _ in range(3):
+                third += bessel._SCAN_STEP
+            if polish:
+                bessel_zero(n, k)
+            start = len(xs)
+            bessel._bracket(n, k + 1)
+            assert xs[start] == third, (n, k, polish)
+        monkeypatch.undo()
 
 
 def test_slope_at_the_zeros_meets_the_replay_window(cold_zeros):
@@ -616,22 +682,22 @@ def _workload_passes(monkeypatch, capsys) -> tuple[int, int, int]:
 
 def test_miller_passes_per_workload(cold_zeros, monkeypatch, capsys):
     # the walk skips the points below the first zero's bound and below each
-    # bracket's spacing floor, the estimate costs no pass, the polish
-    # certifies its last step instead of evaluating it, and the spectrum
-    # finds only the zeros it lists and a few more: 2,667 passes for
-    # `spectrum --count 1500`, against a bound of 2,690; 2,016 for the
-    # 29 x 20 `zeros` table, against 2,035; 12,840 for both caps, against
-    # 12,870
+    # bracket's spacing floor, taken from the polished zero once there is
+    # one, the estimate costs no pass, the polish certifies its last step
+    # instead of evaluating it, and the spectrum finds only the zeros it
+    # lists and a few more: 2,442 passes for `spectrum --count 1500`,
+    # against a bound of 2,465; 1,876 for the 29 x 20 `zeros` table, against
+    # 1,895; 11,767 for both caps, against 11,885
     spectrum, table, caps = _workload_passes(monkeypatch, capsys)
-    assert spectrum <= 2690
-    assert table <= 2035
-    assert caps <= 12870
+    assert spectrum <= 2465
+    assert table <= 1895
+    assert caps <= 11885
 
 
 def test_uncertified_polish_takes_the_evaluated_pass_counts(cold_zeros, monkeypatch, capsys):
     # with the certificate off (K = inf) the polish evaluates its last step
     monkeypatch.setattr(bessel, "_KERNEL_ERROR", math.inf)
-    assert _workload_passes(monkeypatch, capsys) == (3419, 2605, 16469)
+    assert _workload_passes(monkeypatch, capsys) == (3194, 2465, 15396)
 
 
 def _failing_pair(fail_at: int, exc: BaseException):

@@ -848,7 +848,37 @@ def test_json_rows_are_written_in_batches(size):
     rows = _table_rows(size)
     chunks = list(cli._json_chunks({"grid": 3}, iter(rows)))
     assert "".join(chunks) == json.dumps({"meta": {"grid": 3}, "rows": rows}, indent=1) + "\n"
-    assert len(chunks) == -(-size // cli._JSON_BATCH) + 1
+    assert len(chunks) == -(-size // cli._BATCH) + 1
+
+
+@pytest.mark.parametrize("size", [1023, 1024, 1025, 2049])
+def test_csv_rows_are_written_in_batches(size):
+    # the header, then one string per batch of at most 1024 rows
+    rows = _table_rows(size)
+    chunks = list(cli._csv_chunks(iter(rows)))
+    lines = [
+        "%d,%s,%s,,c%d\n" % (i, cli._fmt(i / 7.0), ("false", "true")[i % 2 == 0], i)
+        for i in range(size)
+    ]
+    assert "".join(chunks) == "n,j,on_1,on_2,p_s\n" + "".join(lines)
+    assert len(chunks) == -(-size // cli._BATCH) + 1
+    # a row that fails ends the text at the last batch before its own
+    rows[-1]["j"] = math.nan
+    written = []
+    with pytest.raises(ValueError):
+        for chunk in cli._csv_chunks(iter(rows)):
+            written.append(chunk)
+    assert written == chunks[:-1]
+    # block rows between batches write the lines of their samples
+    axis, values = [0.0, 0.5, 1.0], [0.25 * i for i in range(9)]
+    block = {"n": -1, "samples": cli._Block(("j", "on_1", "p_s"), axis, values)}
+    flat = [
+        {"n": -1, "j": a, "on_1": b, "p_s": values[3 * i + j]}
+        for i, a in enumerate(axis) for j, b in enumerate(axis)
+    ]
+    rows = _table_rows(size)
+    text = "".join(cli._csv_chunks([block, *rows[:1024], block, *rows[1024:]]))
+    assert text == "".join(cli._csv_chunks([*flat, *rows[:1024], *flat, *rows[1024:]]))
 
 
 def test_json_batches_around_block_rows():
@@ -873,7 +903,7 @@ def test_json_batches_around_block_rows():
 
 
 def test_json_batch_refuses_a_nonfinite_float_in_its_last_row():
-    for last in (cli._JSON_BATCH - 1, 2 * cli._JSON_BATCH - 1):
+    for last in (cli._BATCH - 1, 2 * cli._BATCH - 1):
         rows = _table_rows(last + 1)
         rows[last]["j"] = math.nan
         with pytest.raises(ValueError):
