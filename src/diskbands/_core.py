@@ -1,11 +1,11 @@
 """Numerical kernels: evaluation of the Bessel function of the first kind
 for integer order, the hot scalar loop.
 
-Miller's recurrence runs first as a pass with no test inside its loop, and
-the loop that rescales its values past 1e250 runs only when that pass ends
-with a normalization sum outside (-1e240, 1e240).  Both give the same
-values bitwise, and on the zero finder's range (n <= 200, n <= x <= 1030)
-the rescaling loop never runs.
+Miller's recurrence runs first as a pass with no test inside its loop, two
+steps per iteration.  The fallback, one step per iteration that rescales
+its values past 1e250, runs only when that pass ends with a normalization
+sum outside (-1e240, 1e240).  Both give the same values bitwise, and on the
+zero finder's range (n <= 200, n <= x <= 1030) the fallback never runs.
 """
 
 from __future__ import annotations
@@ -102,39 +102,23 @@ def _miller(n: int, x: float) -> tuple[float, float]:
 
 
 def _miller_rescaling(n: int, x: float) -> tuple[float, float]:
-    # _miller's recurrence with the values rescaled whenever one exceeds
-    # 1e250 in magnitude, tested by two comparisons, which cost less than a
-    # call to abs(); J_{n+1} is the order above J_n when J_n is captured
+    # _miller's recurrence one step per iteration, from the order i (jcur =
+    # J_i, jhi = J_{i+1}) to i - 1, which enters the sum if even (J_0 once);
+    # the values are rescaled whenever one exceeds 1e250 in magnitude, tested
+    # by two comparisons, which cost less than a call to abs()
     m = _start_order(n, x)
     jhi = 0.0
     jcur = 1e-30
     # even-order normalization sum, seeded with the start order (m is even)
     s = 2.0 * jcur
     result = above = 0.0
-    # one pass per pair of steps from the even order i: to the odd order
-    # i - 1, then to the even order i - 2, which enters the sum (J_0 once)
     n1 = n + 1
-    n2 = n + 2
-    for i in range(m, 0, -2):
-        jlo = (2.0 * i / x) * jcur - jhi
-        jhi = jcur
-        jcur = jlo
+    for i in range(m, 0, -1):
+        jhi, jcur = jcur, (2.0 * i / x) * jcur - jhi
         if i == n1:
-            result = jcur
-            above = jhi
-        if jcur > 1e250 or jcur < -1e250:
-            jcur *= 1e-250
-            jhi *= 1e-250
-            s *= 1e-250
-            result *= 1e-250
-            above *= 1e-250
-        jlo = (2.0 * (i - 1) / x) * jcur - jhi
-        jhi = jcur
-        jcur = jlo
-        if i == n2:
-            result = jcur
-            above = jhi
-        s += 2.0 * jcur if i > 2 else jcur
+            result, above = jcur, jhi
+        if i % 2:
+            s += 2.0 * jcur if i > 1 else jcur
         if jcur > 1e250 or jcur < -1e250:
             jcur *= 1e-250
             jhi *= 1e-250

@@ -6,8 +6,9 @@ Lambda1], padded by C eps^gamma on both sides.  Gaps between consecutive
 bands are certified only when the padded intervals are disjoint and neither
 endpoint rests on undetermined or mutually cancelling first-order data.
 
-The extremes of Lambda1 and its closed-form range come from `corrections`;
-this module pads and cross-checks them, and labels the gaps.
+The extremes of Lambda1, on a grid and on the lattice {0, pi}^2, come from
+`corrections`; this module cross-checks the two, reads the closed-form range
+off the lattice's, pads the bands and labels the gaps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .corrections import (
     branch_for,
     lambda1_extremes,
     lambda1_grid,
-    lambda1_range,
     lattice_extremes,
     reduce_angle,
 )
@@ -71,21 +71,14 @@ class BandInterval(Record):
         return self.upper - self.lower
 
 
-def band_interval(
-    mode: ModeIndex, params: ExpansionParams, grid_resolution: int = 33
-) -> BandInterval:
-    """Band of one mode branch; grid scan of Lambda1 cross-checked against
-    the analytic extremizer candidates."""
+def _grid_extremes(mode: ModeIndex, grid_resolution: int) -> tuple | None:
+    # (lo, lo_eta, hi, hi_eta, cand_hi - cand_lo): the grid scan of Lambda1,
+    # cross-checked against the analytic extremizer candidates and sharpened
+    # by them, and the candidates' range; None for an undetermined branch
     if grid_resolution < 3:
-        raise ValueError(
-            "grid_resolution must be >= 3, got %r" % (grid_resolution,)
-        )
-    lam0 = limit_eigenvalue(mode)
-    pad = params.pad
+        raise ValueError("grid_resolution must be >= 3, got %r" % (grid_resolution,))
     if branch_for(mode) is Branch.UNDETERMINED:
-        origin = FloquetPoint(0.0, 0.0)
-        return BandInterval(mode, lam0 - pad, lam0 + pad, pad, None, (origin, origin))
-
+        return None
     axis = floquet_axis(grid_resolution)
     lo, lo_eta, hi, hi_eta = lambda1_extremes(mode, axis)
 
@@ -112,57 +105,65 @@ def band_interval(
         lo, lo_eta = cand_lo, cand_lo_eta
     if cand_hi > hi:
         hi, hi_eta = cand_hi, cand_hi_eta
+    return lo, lo_eta, hi, hi_eta, cand_hi - cand_lo
 
+
+def band_interval(
+    mode: ModeIndex, params: ExpansionParams, grid_resolution: int = 33
+) -> BandInterval:
+    """Band of one mode branch; grid scan of Lambda1 cross-checked against
+    the analytic extremizer candidates, and its length against theirs, the
+    closed-form length that `band_length` gives."""
+    extremes = _grid_extremes(mode, grid_resolution)
+    lam0, pad = limit_eigenvalue(mode), params.pad
+    if extremes is None:
+        origin = FloquetPoint(0.0, 0.0)
+        return BandInterval(mode, lam0 - pad, lam0 + pad, pad, None, (origin, origin))
+    lo, lo_eta, hi, hi_eta, span = extremes
     scalef = params.first_order_scale
-    return BandInterval(
-        mode,
-        lam0 + scalef * lo - pad,
-        lam0 + scalef * hi + pad,
-        pad,
-        scalef * (hi - lo),
-        (lo_eta, hi_eta),
-    )
-
-
-def band_length(mode: ModeIndex, params: ExpansionParams) -> float | None:
-    """Closed-form first-order band length eps^{2m} (max - min) Lambda1 of
-    the branch pair containing `mode` (both branches of a double mode sweep
-    bands whose union has this width); None for n = 0 (mod 4), where the
-    first-order term vanishes and the width is only O(eps^{2m})."""
-    span = lambda1_range(mode.n, mode.k)
-    return None if span is None else span * params.first_order_scale
-
-
-def _check_band_length(m: ModeIndex, params: ExpansionParams, length: float) -> None:
-    # the grid route must reproduce the closed-form leading width
-    if branch_for(m) is Branch.COSINE:
-        if not (abs(length) <= 1e-12):
-            raise InternalConsistencyError(
-                "flat branch %s reported nonzero first-order length %r"
-                % (m.label(), length)
-            )
-        return
-    # band_table checks determined bands only, whose closed form is a number
-    expected = band_length(m, params)
+    # an extreme the grid finds off the lattice widens the swept length past
+    # the closed form's (0.0 on a flat cosine branch); NaN fails too
+    length, expected = scalef * (hi - lo), scalef * span
     if not (abs(length - expected) <= 1e-8 * abs(expected)):
         raise InternalConsistencyError(
             "band length mismatch for %s: swept %r vs closed form %r"
-            % (m.label(), length, expected)
+            % (mode.label(), length, expected)
         )
+    return BandInterval(mode, lam0 + scalef * lo - pad, lam0 + scalef * hi + pad, pad,
+                        length, (lo_eta, hi_eta))
+
+
+def _swept_mode(n: int, k: int) -> ModeIndex:
+    # the simple mode, or the sine branch of (n, k), whose band is the union
+    # of both branch bands: its range holds the cosine branch's Lambda1 = 0
+    return ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.SINE)
+
+
+def band_length(mode: ModeIndex, params: ExpansionParams) -> float | None:
+    """Closed-form first-order band length eps^{2m} (max - min) Lambda1 on
+    the lattice {0, pi}^2 of the branch pair containing `mode` (the union of
+    its branch bands has this width); None for n = 0 (mod 4), where the
+    first-order term vanishes and the width is only O(eps^{2m})."""
+    swept = _swept_mode(mode.n, mode.k)
+    if branch_for(swept) is Branch.UNDETERMINED:
+        return None
+    lo, _, hi, _ = lattice_extremes(swept)
+    return (hi - lo) * params.first_order_scale
 
 
 def swept_band_width(
     n: int, k: int, params: ExpansionParams, resolution: int = 33
 ) -> float:
     """Swept width of the union of branch bands of (n, k), pad excluded: the
-    simple or sine band's length, whose range holds the cosine branch's
-    Lambda1 = 0; independent route to `band_length` for cross-checking."""
-    mode = ModeIndex(n, k, Parity.SIMPLE if n == 0 else Parity.SINE)
-    if branch_for(mode) is Branch.UNDETERMINED:
+    simple or sine band's length from `band_interval`'s grid extremes, not
+    checked against `band_length`, so this route stays independent of it."""
+    extremes = _grid_extremes(_swept_mode(n, k), resolution)
+    if extremes is None:
         raise ValueError(
             "band width of (n, k) = (%d, %d) is undetermined at first order" % (n, k)
         )
-    return band_interval(mode, params, resolution).length
+    lo, _, hi, _, _ = extremes
+    return params.first_order_scale * (hi - lo)
 
 
 class GapReport(Record):
@@ -196,18 +197,15 @@ def band_table(
     grid_resolution: int = 33,
     error_constants: dict[tuple[int, int], float] | None = None,
 ) -> list[BandInterval]:
-    """Band interval of each of the first `count` limit modes; each swept
-    length is checked against `band_length`.  Per-mode error constants
-    override params.error_constant."""
+    """`band_interval` of each of the first `count` limit modes, each swept
+    length checked there.  Per-mode error constants override
+    params.error_constant."""
     table: list[BandInterval] = []
     for m in enumerate_spectrum(count):
         mode_params = params
         if error_constants is not None and (m.n, m.k) in error_constants:
             mode_params = replace(params, error_constant=error_constants[(m.n, m.k)])
-        band = band_interval(m, mode_params, grid_resolution)
-        if band.length is not None:
-            _check_band_length(m, mode_params, band.length)
-        table.append(band)
+        table.append(band_interval(m, mode_params, grid_resolution))
     return table
 
 

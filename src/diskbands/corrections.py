@@ -8,9 +8,9 @@ this order.
 All that rests on the form of Lambda1 is here, keyed by ModeIndex: its grid
 table (`lambda1_grid(mode, axis)`), the O(grid) scan for the table's
 extremes (`lambda1_extremes(mode, axis)`), the lattice EXTREME_AXIS of exact
-extremizers, {0, pi}^2, and the extremes and closed-form range max - min
-there (`lattice_extremes`, `lambda1_range`), both read from the one table on
-that lattice.  The commands and the acceptance gate reach Lambda1 only
+extremizers, {0, pi}^2, and the extremes there (`lattice_extremes`), read
+from the one table on that lattice; their difference max - min is the
+closed-form range.  The commands and the acceptance gate reach Lambda1 only
 through these.  Only `_lambda1_table` writes a Lambda1 constant, and it and
 `correction_matrix` read one cached `_first_order_prefactor`, so a change to
 the first-order constants edits those two functions.
@@ -225,21 +225,10 @@ def lambda1_extremes(
     return (*first(min), *first(max))
 
 
-def lambda1_range(n: int, k: int) -> float | None:
-    """max - min of Lambda1 over eta for the simple mode (n = 0) or the sine
-    branch of the double mode (n, k): the `_lambda1_table` on the lattice
-    EXTREME_AXIS, where the extremes lie in exact arithmetic; None for
-    n = 0 (mod 4), where first-order theory is silent."""
-    if n % 4 == 0 and n != 0:
-        return None
-    values = [v for row in _lambda1_table(n, k, _LATTICE, _LATTICE) for v in row]
-    return max(values) - min(values)
-
-
 def lattice_extremes(mode: ModeIndex) -> tuple[float, FloquetPoint, float, FloquetPoint]:
-    """`lambda1_extremes(mode, EXTREME_AXIS)` from the lattice table that
-    `lambda1_range` reads: its first minimum and maximum in row-major order,
-    with their points."""
+    """`lambda1_extremes(mode, EXTREME_AXIS)` from the table on the lattice,
+    where the extremes lie in exact arithmetic: its first minimum and
+    maximum in row-major order, with their points."""
     if _determined_branch(mode) is Branch.COSINE:
         return 0.0, _LATTICE_POINTS[0], 0.0, _LATTICE_POINTS[0]
     values = [v for row in _lambda1_table(mode.n, mode.k, _LATTICE, _LATTICE) for v in row]

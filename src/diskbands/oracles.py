@@ -128,11 +128,10 @@ def error_ratios(n: int, coarse: list[float], fine: list[float]) -> list[float]:
 
 
 def convergence_ratios(n: int, count: int, mesh: RadialMesh) -> list[float]:
-    """Error-reduction factors E(mesh)/E(doubled mesh) against the exact
-    values 4 j_{n,k}^2; a second-order scheme gives ratios near 4."""
-    coarse = disk_dirichlet_eigenvalues(n, count, mesh)
-    fine = disk_dirichlet_eigenvalues(n, count, mesh.doubled())
-    return error_ratios(n, coarse, fine)
+    """`error_ratios` of `disk_mesh_doubling`: error-reduction factors
+    E(mesh)/E(doubled mesh) against the exact values 4 j_{n,k}^2, near 4
+    for a second-order scheme."""
+    return error_ratios(n, *disk_mesh_doubling(n, count, mesh))
 
 
 @lru_cache(maxsize=None)

@@ -168,8 +168,14 @@ def test_band_interval_grid_stability():
         fine = band_interval(_mode(n, k, parity), PARAMS, grid_resolution=33)
         assert abs(coarse.lower - fine.lower) < 1e-6
         assert abs(coarse.upper - fine.upper) < 1e-6
+    # every branch refuses a grid below 3, the undetermined one included, and
+    # so does swept_band_width
+    for n, k, parity in ((0, 1, Parity.SIMPLE), (1, 1, Parity.COSINE), (1, 1, Parity.SINE),
+                         (4, 1, Parity.COSINE)):
+        with pytest.raises(ValueError):
+            band_interval(_mode(n, k, parity), PARAMS, grid_resolution=2)
     with pytest.raises(ValueError):
-        band_interval(_mode(0, 1, Parity.SIMPLE), PARAMS, grid_resolution=2)
+        swept_band_width(0, 1, PARAMS, 2)
 
 
 def test_pad_nesting():
@@ -274,16 +280,21 @@ def test_detect_gaps_validation():
 
 def test_detect_gaps_checks_swept_lengths(monkeypatch):
     # the grid route and the closed form of the band length must agree for
-    # library callers too, not only in the command-line tables
-    true_length = bands.band_length
+    # library callers too, not only in the command-line tables.  Candidates
+    # pulled 1e-6 toward 0.0 differ bitwise from grid 33's extremes, and on
+    # grid 32 the (2,1,s) maximum at (pi, pi) stays the grid's, whose length
+    # exceeds the candidates' range
+    true_extremes = bands.lattice_extremes
 
-    def perturbed(mode, params):
-        exact = true_length(mode, params)
-        return None if exact is None else exact * (1.0 + 1e-6)
+    def perturbed(mode):
+        lo, lo_eta, hi, hi_eta = true_extremes(mode)
+        return lo * (1.0 - 1e-6), lo_eta, hi * (1.0 - 1e-6), hi_eta
 
-    monkeypatch.setattr(bands, "band_length", perturbed)
+    monkeypatch.setattr(bands, "lattice_extremes", perturbed)
     with pytest.raises(InternalConsistencyError):
         detect_gaps(10, PARAMS)
+    with pytest.raises(InternalConsistencyError, match="band length mismatch for 2,1,s"):
+        detect_gaps(10, PARAMS, 32)
 
 
 def _bump_off_the_lattice(monkeypatch):
@@ -305,7 +316,7 @@ def _bump_off_the_lattice(monkeypatch):
 
 
 def test_band_length_guard_sees_an_extreme_off_the_lattice(monkeypatch, capsys):
-    # lambda1_range reads the table on the lattice only, so the swept length
+    # the closed-form range is read on the lattice only, so the swept length
     # is checked against it wherever the grid finds a larger extreme.  On
     # an even grid the bump lies well inside band_interval's grid slack and
     # far outside the 1e-8 band-length bound (on a grid that holds 0.0
@@ -386,23 +397,75 @@ def test_band_interval_accepts_every_odd_grid():
     assert cli.main(["bands", "--grid", "51"]) == cli.EXIT_OK
 
 
-def test_band_length_check_rejects_nan():
-    # both comparisons of the swept against the closed-form length must
-    # fail on a NaN length: the flat cosine branch and a swept branch
+def test_band_length_check_rejects_nan(monkeypatch):
+    # the comparison of the swept against the closed-form length must fail
+    # on a NaN length, on the flat cosine branch and on a swept branch.  A
+    # NaN grid extreme passes grid 32's slack comparisons, which are all
+    # false, and stays, since no candidate is below or above it
+    true_extremes = bands.lambda1_extremes
+
+    def nan_at(index):
+        def extremes(mode, axis):
+            found = list(true_extremes(mode, axis))
+            found[index] = math.nan
+            return tuple(found)
+        return extremes
+
     for m in (_mode(1, 1, Parity.COSINE), _mode(0, 1, Parity.SIMPLE), _mode(1, 1, Parity.SINE)):
-        with pytest.raises(InternalConsistencyError):
-            bands._check_band_length(m, PARAMS, math.nan)
+        for index in (0, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(bands, "lambda1_extremes", nan_at(index))
+                with pytest.raises(InternalConsistencyError, match="band length mismatch"):
+                    band_interval(m, PARAMS, 32)
 
 
 def test_detect_gaps_rejects_nan_closed_length(monkeypatch):
-    true_length = bands.band_length
+    # NaN candidates, so a NaN closed-form range: grid 33 sees them differ
+    # from its extremes, and on grid 32, where the slack comparisons are all
+    # false, the length check sees the NaN range
+    true_extremes = bands.lattice_extremes
 
-    def nan_length(mode, params):
-        return None if true_length(mode, params) is None else math.nan
+    def nan_extremes(mode):
+        _, lo_eta, _, hi_eta = true_extremes(mode)
+        return math.nan, lo_eta, math.nan, hi_eta
 
-    monkeypatch.setattr(bands, "band_length", nan_length)
+    monkeypatch.setattr(bands, "lattice_extremes", nan_extremes)
     with pytest.raises(InternalConsistencyError):
         detect_gaps(10, PARAMS)
+    with pytest.raises(InternalConsistencyError, match="band length mismatch"):
+        detect_gaps(10, PARAMS, 32)
+
+
+def test_band_table_reads_the_lattice_once_per_determined_band(monkeypatch):
+    # band_interval's candidates give the closed-form range too, so no band
+    # reads the lattice table twice, and an undetermined band not at all
+    true_extremes = bands.lattice_extremes
+    calls = []
+
+    def counted(mode):
+        calls.append(mode)
+        return true_extremes(mode)
+
+    monkeypatch.setattr(bands, "lattice_extremes", counted)
+    for grid in (9, 32):
+        calls.clear()
+        table = band_table(40, PARAMS, grid)
+        determined = [b.mode for b in table if not b.undetermined]
+        assert len(determined) < len(table)
+        assert calls == determined
+
+
+def test_band_interval_checks_the_width_that_swept_band_width_returns(monkeypatch):
+    # under the off-lattice bump on grid 32, inside band_interval's slack,
+    # band_interval itself refuses the widened length, while verify's route
+    # returns it: the union's width grows by 1e-6 of the lattice range
+    _bump_off_the_lattice(monkeypatch)
+    for n, k, parity in ((0, 1, Parity.SIMPLE), (1, 1, Parity.SINE), (2, 1, Parity.SINE)):
+        with pytest.raises(InternalConsistencyError, match="band length mismatch"):
+            band_interval(_mode(n, k, parity), PARAMS, 32)
+        closed = band_length(_mode(n, k, parity), PARAMS)
+        swept = swept_band_width(n, k, PARAMS, 32)
+        assert swept == pytest.approx(closed * (1.0 + 1e-6), rel=1e-12)
 
 
 def test_band_values_against_reference_numbers():

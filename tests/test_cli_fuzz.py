@@ -156,11 +156,19 @@ def _check(argv, folder):
         return code, None
     text = out if args.out in (None, "-") else (folder / args.out).read_text(encoding="utf-8")
     if args.format == "json":
-        json.loads(text, parse_constant=_refuse)
+        doc = json.loads(text, parse_constant=_refuse)
     elif args.format == "csv":
         # a header and rows of one width
         widths = {len(row) for row in csv.reader(io.StringIO(text))}
         assert len(widths) == 1 and text.endswith("\n"), argv
+    if args.command == "gaps":
+        # a certified gap lies between padded bands that do not overlap
+        if args.format == "json":
+            rows = [(r["gap_lower"], r["gap_upper"], r["certified"]) for r in doc["rows"]]
+        else:
+            rows = [(float(r["gap_lower"]), float(r["gap_upper"]), r["certified"] == "true")
+                    for r in csv.DictReader(io.StringIO(text))]
+        assert all(lower < upper for lower, upper, certified in rows if certified), argv
     return code, args.format
 
 
@@ -180,12 +188,15 @@ def test_drawn_argv_ends_well(folder):
 
 @pytest.mark.parametrize("argv", [
     # a negative value, a prefix with "=", a flag without its value, a
-    # repeated flag, and a stray "--"
+    # repeated flag, a stray "--", and two gap tables
     ["diagram", "--grid=-3", "--fo=json", "--count", "2"],
     ["bands", "--e=0.5", "--count", "2"],
     ["gaps", "--count"],
     ["diagram", "--format", "json", "--count", "2", "--grid", "3", "--format=csv"],
     ["spectrum", "--", "--count", "2"],
+    # certified gaps, in both formats, and pads that overlap
+    ["gaps", "--count", "7", "--format", "json"],
+    ["gaps", "--count", "7", "--err", "1e3", "--eps", "0.0042"],
 ])
 def test_hand_argv_ends_well(folder, argv):
     _check(argv, folder)

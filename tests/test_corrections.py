@@ -259,9 +259,9 @@ def test_correction_matrix_equals_uncached_loop_bitwise(monkeypatch):
 
 @pytest.mark.parametrize("resolution", [3, 5, 9, 33])
 def test_lambda1_range_is_the_grid_range_bitwise(resolution):
-    # lambda1_range reads _lambda1_table on the lattice EXTREME_AXIS, whose
-    # points these grids hold (each has an exact 0.0), and no other grid
-    # point lies beyond it
+    # the closed-form range, hi - lo of lattice_extremes, reads
+    # _lambda1_table on the lattice EXTREME_AXIS, whose points these grids
+    # hold (each has an exact 0.0), and no other grid point lies beyond it
     axis = floquet_axis(resolution)
     modes = [
         m for m in enumerate_spectrum(40)
@@ -270,7 +270,8 @@ def test_lambda1_range_is_the_grid_range_bitwise(resolution):
     assert len(modes) > 10
     for mode in modes:
         values = corrections.lambda1_grid(mode, axis)
-        span = corrections.lambda1_range(mode.n, mode.k)
+        lo, _, hi, _ = corrections.lattice_extremes(mode)
+        span = hi - lo
         assert span.hex() == (max(values) - min(values)).hex(), mode.label()
 
 
@@ -287,9 +288,10 @@ def test_one_prefactor_feeds_every_double_mode_constant(monkeypatch):
         rows = []
         for m in modes:
             matrix = correction_matrix(m.n, m.k, eta)
+            lo, _, hi, _ = corrections.lattice_extremes(m)
             rows.append((
                 corrections.lambda1_grid(m, axis),
-                corrections.lambda1_range(m.n, m.k),
+                hi - lo,
                 band_length(m, params),
                 matrix[0][0] + matrix[1][1],
             ))
